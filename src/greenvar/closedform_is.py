@@ -103,7 +103,8 @@ def right_divisible(x: PartialPerm, y: PartialPerm, a: PartialPerm) -> Divisibil
     if not (x.dom <= y.dom and y.ran <= a.dom):
         return DivisibilityVerdict(solvable=False, witness=None)
     u = a.inverse().compose(y.inverse()).compose(x)
-    assert y.compose(a).compose(u) == x, "witness failed to multiply out"
+    if y.compose(a).compose(u) != x:
+        raise AssertionError("witness failed to multiply out")
     return DivisibilityVerdict(solvable=True, witness=u)
 
 
@@ -261,7 +262,8 @@ def count_is_classes(n: int, a: PartialPerm) -> ISCountReport:
             (k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)
         )
         covered = sum(count * sz for _, sz, count in size_lines)
-        assert singleton_corrected + covered == size, "census identity failed"
+        if singleton_corrected + covered != size:
+            raise AssertionError("census identity failed")
 
     flags = []
     for side, enum in (("r", enumerated_r), ("l", enumerated_l)):

@@ -13,9 +13,15 @@ classic equivalences are computed here from first principles:
 The adjoined identity never enters products; it only contributes the {x}
 term to each ideal, which is what the unions above encode.
 
-Everything is exact integer work on small universes.  The full product
-table is materialized (numpy) when the universe fits TABLE_LIMIT, and the
-ideal families are packed into bit rows so grouping is byte comparison.
+Everything is exact integer work on small universes.  By associativity
+``x *_a y = (x . a) . y``, so a row of the product table depends on x only
+through its left factor x . a.  The table is built from the |Sa| distinct
+left factors: their |Sa| x |S| block of products is computed once (as
+mixed-radix int32 codes mapped back to indices) and its rows are gathered
+into the full |S| x |S| int32 table.  The j ideals reuse the same factoring:
+the right ideal of z depends only on z . a, so SxS is a union of |Sa|
+distinct rows.  Ideal families are packed into bit rows, so grouping is
+byte comparison.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from .elements import (
 RELATIONS = ("r", "l", "h", "d", "j")
 IDEAL_SIDES = ("right", "left", "two-sided")
 
-BRUTE_CAP = 5  # classification cap for both families; n = 5 is the slow end
-TABLE_LIMIT = 4000  # build the |S| x |S| product table when |S| is at most this
+BRUTE_CAP = 5  # classification and product-table cap for both families
+BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 
 BUDGET_ENV = "GREENVAR_MAX_PRODUCTS"
 DEFAULT_PRODUCT_BUDGET = 20_000_000
@@ -84,6 +90,7 @@ class VariantSemigroup:
         self.universe: tuple[Element, ...] = enumerate_family(family, n)
         self.index: dict[Element, int] = {x: i for i, x in enumerate(self.universe)}
         self._table: np.ndarray | None = None
+        self._factored: tuple[np.ndarray, np.ndarray] | None = None
         self._spot_check_associativity()
 
     @property
@@ -104,33 +111,54 @@ class VariantSemigroup:
                     x, y, z = self.universe[i], self.universe[j], self.universe[k]
                     left = self.product(self.product(x, y), z)
                     right = self.product(x, self.product(y, z))
-                    assert left == right, "variant product is not associative"
+                    if left != right:
+                        raise AssertionError("variant product is not associative")
 
     def table(self) -> np.ndarray:
         """Product table as indices: table[i, j] = index of universe[i] *_a universe[j]."""
         if self._table is not None:
             return self._table
-        s = self.size
-        if s > TABLE_LIMIT:
+        if self.n > BRUTE_CAP:
             raise CapacityError(
-                f"product table for |S| = {s} exceeds the limit {TABLE_LIMIT}"
+                f"product tables are capped at n <= {BRUTE_CAP}, got n = {self.n}"
             )
-        n = self.n
+        n, s = self.n, self.size
         images = np.array([x.images for x in self.universe], dtype=np.int8)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
         a_pad = np.zeros(n + 1, dtype=np.int8)
         a_pad[1:] = self.a.images
         xa = a_pad[images]  # (s, n): images of x . a
-        img_pad = np.zeros((s, n + 1), dtype=np.int8)
-        img_pad[:, 1:] = images
-        prod = img_pad[:, xa]  # (s, s, n): prod[y, x] = images of x . a . y
-        radix = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        radix = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int32)
         lookup = np.full((n + 1) ** n, -1, dtype=np.int32)
-        lookup[images.astype(np.int64) @ radix] = np.arange(s, dtype=np.int32)
-        table = lookup[prod.astype(np.int64) @ radix].T
-        assert table.min() >= 0, "a product left the universe"
-        self._table = np.ascontiguousarray(table)
+        lookup[images.astype(np.int32) @ radix] = np.arange(s, dtype=np.int32)
+        _, reps, left_of = np.unique(
+            xa.astype(np.int32) @ radix, return_index=True, return_inverse=True
+        )
+        left_of = left_of.ravel().astype(np.int32)
+        if len(reps) == s:  # x -> x . a is injective: each row is its own factor
+            reps = left_of = np.arange(s, dtype=np.int32)
+        # by_point[k, y] = y(k), so by_point[left[:, i]] holds point i of
+        # left . y for every distinct left factor and every y.
+        by_point = np.zeros((n + 1, s), dtype=np.int8)
+        by_point[1:] = images.T
+        left = xa[reps]
+        codes = np.zeros((len(reps), s), dtype=np.int32)
+        for i in range(n):
+            codes *= n + 1
+            codes += by_point[left[:, i]]
+        block = lookup[codes]
+        del codes
+        if block.min() < 0:
+            raise AssertionError("a product left the universe")
+        self._factored = block, left_of
+        self._table = block if len(reps) == s else block[left_of]
         return self._table
+
+    def factored_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, left_of): rows[k] lists the products of the k-th distinct left
+        factor x . a with every y, and table[x] == rows[left_of[x]]."""
+        self.table()
+        return self._factored
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,13 +258,24 @@ def _ideal_row_groups(mat: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
-def _membership(table: np.ndarray, *, columns: bool, with_self: bool) -> np.ndarray:
-    s = table.shape[0]
-    rows = np.arange(s)
-    mat = np.zeros((s, s), dtype=bool)
-    mat[rows[:, None], table.T if columns else table] = True
+def _factor_rows(v: VariantSemigroup) -> np.ndarray:
+    """Membership of zS for each distinct left factor z . a, as a (|Sa|, |S|) matrix."""
+    rows, _ = v.factored_table()
+    mat = np.zeros(rows.shape, dtype=bool)
+    mat[np.arange(rows.shape[0])[:, None], rows] = True
+    return mat
+
+
+def _membership(v: VariantSemigroup, *, columns: bool, with_self: bool) -> np.ndarray:
+    s = v.size
+    rows, left_of = v.factored_table()
+    if columns:  # S *_a x = (Sa) . x: column x of the distinct factor rows
+        mat = np.zeros((s, s), dtype=bool)
+        mat[np.arange(s)[:, None], rows.T] = True
+    else:  # x *_a S = (x . a) . S: the factor row of x
+        mat = _factor_rows(v)[left_of]
     if with_self:
-        mat[rows, rows] = True
+        mat[np.arange(s), np.arange(s)] = True
     return mat
 
 
@@ -266,27 +305,26 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     _check_brute_limits(v)
-    table = v.table()
     s = v.size
 
     if relation == "r":
-        groups = _ideal_row_groups(_membership(table, columns=False, with_self=True))
+        groups = _ideal_row_groups(_membership(v, columns=False, with_self=True))
     elif relation == "l":
-        groups = _ideal_row_groups(_membership(table, columns=True, with_self=True))
+        groups = _ideal_row_groups(_membership(v, columns=True, with_self=True))
     elif relation == "h":
         r_ids = _class_ids(
-            _ideal_row_groups(_membership(table, columns=False, with_self=True)), s
+            _ideal_row_groups(_membership(v, columns=False, with_self=True)), s
         )
         l_ids = _class_ids(
-            _ideal_row_groups(_membership(table, columns=True, with_self=True)), s
+            _ideal_row_groups(_membership(v, columns=True, with_self=True)), s
         )
         pairs: dict[tuple[int, int], list[int]] = {}
         for i in range(s):
             pairs.setdefault((int(r_ids[i]), int(l_ids[i])), []).append(i)
         groups = list(pairs.values())
     elif relation == "d":
-        r_groups = _ideal_row_groups(_membership(table, columns=False, with_self=True))
-        l_groups = _ideal_row_groups(_membership(table, columns=True, with_self=True))
+        r_groups = _ideal_row_groups(_membership(v, columns=False, with_self=True))
+        l_groups = _ideal_row_groups(_membership(v, columns=True, with_self=True))
         parent = list(range(s))
 
         def find(i: int) -> int:
@@ -311,11 +349,19 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         for i in range(s):
             roots.setdefault(find(i), []).append(i)
         groups = list(roots.values())
-    else:  # j: two-sided ideals, SxS via one boolean matrix product
-        row_raw = _membership(table, columns=False, with_self=False)
-        col_raw = _membership(table, columns=True, with_self=False)
-        sxs = (col_raw.astype(np.float32) @ row_raw.astype(np.float32)) > 0
-        mat = row_raw | col_raw | sxs
+    else:  # j: two-sided ideals; zS depends on z only through its left factor z . a
+        rows, left_of = v.factored_table()
+        right = _factor_rows(v)
+        left = _membership(v, columns=True, with_self=False)
+        # factors[x, k]: some z in Sx has left factor k, so SxS is the union
+        # of the rows of right that factors[x] selects (a boolean product).
+        if len(rows) == s:  # left_of is the identity: factors[x] is Sx itself
+            factors = left
+        else:
+            factors = np.zeros((s, len(rows)), dtype=bool)
+            factors[np.arange(s)[:, None], left_of[rows.T]] = True
+        sxs = (factors.astype(np.float32) @ right.astype(np.float32)) > 0
+        mat = right[left_of] | left | sxs
         mat[np.arange(s), np.arange(s)] = True
         groups = _ideal_row_groups(mat)
 
@@ -329,7 +375,7 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=BRUTE_CACHE_SIZE)
 def brute_classification(
     family: str, n: int, a: Element, relation: str
 ) -> GreenClassification:
@@ -373,17 +419,33 @@ class EggBox:
 
 def egg_box(v: VariantSemigroup, d_class: tuple[Element, ...]) -> EggBox:
     """Grid layout of one d-class from green_classes_brute(v, "d")."""
-    members = set(d_class)
     r = brute_classification(v.family, v.n, v.a, "r")
     l = brute_classification(v.family, v.n, v.a, "l")
-    rows = tuple(c for c in r.classes if c[0] in members)
-    cols = tuple(c for c in l.classes if c[0] in members)
+    return _egg_box(v, d_class, r, l)
+
+
+def _egg_box(
+    v: VariantSemigroup,
+    d_class: tuple[Element, ...],
+    r: GreenClassification,
+    l: GreenClassification,
+) -> EggBox:
+    # Rows and columns are the r- and l-classes whose least member lies in
+    # the d-class, found from the members themselves in ascending order.
+    members = set(d_class)
+    ordered = sorted(x for x in members if x in v.index)
+    rows = tuple(c for x in ordered if (c := r.class_of(x))[0] == x)
+    cols = tuple(c for x in ordered if (c := l.class_of(x))[0] == x)
     for c in rows + cols:
         if not members.issuperset(c):
             raise ValueError("d_class is not a union of r- and l-classes")
-    cells = tuple(
-        tuple(tuple(sorted(set(row) & set(col))) for col in cols) for row in rows
-    )
+    row_of = {x: i for i, c in enumerate(rows) for x in c}
+    col_of = {x: j for j, c in enumerate(cols) for x in c}
+    grid: list[list[list[Element]]] = [[[] for _ in cols] for _ in rows]
+    for x in ordered:
+        if x in row_of and x in col_of:
+            grid[row_of[x]][col_of[x]].append(x)
+    cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
     return EggBox(
         family=v.family, n=v.n, a=v.a, d_class=tuple(d_class),
         rows=rows, cols=cols, cells=cells,
@@ -391,8 +453,8 @@ def egg_box(v: VariantSemigroup, d_class: tuple[Element, ...]) -> EggBox:
 
 
 def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
-    d = brute_classification(v.family, v.n, v.a, "d")
-    return tuple(egg_box(v, c) for c in d.classes)
+    r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
+    return tuple(_egg_box(v, c, r, l) for c in d.classes)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from .elements import (
     FAMILY_IS,
     CapacityError,
     PartialPerm,
     UNDEFINED,
-    enumerate_family,
     family_of,
-    format_element,
 )
-from .engine import brute_classification, variant_product
+from .engine import brute_classification, variant_semigroup
 
-STRUCTURE_CAP = 5  # exhaustive pair checks; n = 5 is slow
+STRUCTURE_CAP = 5  # exhaustive pair checks over the product tables
 
 
 def _check_is(a: PartialPerm) -> None:
@@ -58,16 +58,21 @@ class DualCheckReport:
 
 def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport:
     """Verify inverse(x *_{a^{-1}} y) = inverse(y) *_a inverse(x) for all pairs,
-    and optionally the induced r-to-l partition correspondence."""
+    and optionally the induced r-to-l partition correspondence.
+
+    Over the product tables T this is the identity
+    inv[T_{a^{-1}}] == T_a[inv][:, inv].T, with inv the index map of inversion.
+    """
     _check_is(a)
     a_inv = a.inverse()
-    universe = enumerate_family(FAMILY_IS, a.n)
-    for x in universe:
-        for y in universe:
-            left = variant_product(x, a_inv, y).inverse()
-            right = variant_product(y.inverse(), a, x.inverse())
-            if left != right:
-                return DualCheckReport(a, False, (x, y), None)
+    v = variant_semigroup(FAMILY_IS, a.n, a)
+    inv = np.array([v.index[x.inverse()] for x in v.universe], dtype=np.int32)
+    table = v.table()
+    left = inv[variant_semigroup(FAMILY_IS, a.n, a_inv).table()]
+    failing = np.argwhere(left != table[inv][:, inv].T)
+    if len(failing):
+        i, j = failing[0]
+        return DualCheckReport(a, False, (v.universe[i], v.universe[j]), None)
     classes_match = None
     if check_classes:
         r = brute_classification(FAMILY_IS, a.n, a, "r")
@@ -136,24 +141,27 @@ def verify_isomorphism(
     witness: IsoWitness,
 ) -> tuple[bool, tuple[PartialPerm, PartialPerm] | None]:
     """Exhaustively confirm phi is a bijective homomorphism; a failing pair
-    otherwise (the bijection check reports a pair of colliding elements)."""
+    otherwise (the bijection check reports a pair of colliding elements).
+
+    With p the index map of phi, the homomorphism law over the product
+    tables is p[T_a] == T_b[p][:, p]; the first failing pair is reported in
+    row-major order.
+    """
     a, b = witness.a, witness.b
     _check_is(a)
-    universe = enumerate_family(FAMILY_IS, a.n)
-    images: dict[PartialPerm, PartialPerm] = {}
+    va = variant_semigroup(FAMILY_IS, a.n, a)
     seen: dict[PartialPerm, PartialPerm] = {}
-    for x in universe:
+    for x in va.universe:
         fx = witness.apply(x)
         if fx in seen:
             return False, (seen[fx], x)
         seen[fx] = x
-        images[x] = fx
-    for x in universe:
-        for y in universe:
-            if images[variant_product(x, a, y)] != variant_product(
-                images[x], b, images[y]
-            ):
-                return False, (x, y)
+    p = np.array([va.index[fx] for fx in seen], dtype=np.int32)
+    table_b = variant_semigroup(FAMILY_IS, b.n, b).table()
+    failing = np.argwhere(p[va.table()] != table_b[p][:, p])
+    if len(failing):
+        i, j = failing[0]
+        return False, (va.universe[i], va.universe[j])
     return True, None
 
 

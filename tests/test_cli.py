@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.resources
 import io
@@ -314,3 +315,33 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "green" in result.stdout and "eggbox" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# python -O strips assert statements, so the package must not rely on them
+
+
+def test_green_output_unchanged_under_optimize():
+    argv = (
+        "green", "--family", "is", "--n", "3", "--a", "2,3,-",
+        "--relation", "d", "--method", "both",
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "greenvar.cli", *argv],
+            capture_output=True, text=True,
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout
+    assert "brute:" in runs[0].stdout
+
+
+def test_package_has_no_assert_statements():
+    package = importlib.resources.files("greenvar")
+    for path in package.iterdir():
+        if path.name.endswith(".py"):
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name} asserts at lines {lines}"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from greenvar.engine import (
     RELATIONS,
     BudgetError,
     GreenClassification,
+    VariantSemigroup,
     all_egg_boxes,
     brute_classification,
     egg_box,
@@ -49,19 +51,46 @@ def test_variant_product_chains_through_a():
 
 
 def test_product_table_matches_direct_products():
-    for family, n, a_text in (
-        (FAMILY_IS, 2, "1,-"),
-        (FAMILY_IS, 3, "1,2,-"),
-        (FAMILY_T, 2, "1,1"),
-        (FAMILY_T, 3, "2,1,2"),
+    # The last column says whether x -> x . a is injective, that is whether
+    # the table has |Sa| = |S| distinct left factors.
+    for family, n, a_text, injective in (
+        (FAMILY_IS, 2, "1,-", False),
+        (FAMILY_IS, 3, "1,2,-", False),
+        (FAMILY_T, 2, "1,1", False),
+        (FAMILY_T, 3, "2,1,2", False),
+        (FAMILY_T, 4, "1,2,1,2", False),
+        (FAMILY_T, 4, "2,4,1,3", True),
+        (FAMILY_IS, 4, "-,-,-,-", False),
+        (FAMILY_IS, 4, "3,1,4,2", True),
     ):
         a = parse_element(family, a_text)
         v = variant_semigroup(family, n, a)
         table = v.table()
+        assert table.dtype == np.int32 and table.shape == (v.size, v.size)
+        rows, left_of = v.factored_table()
+        assert (len(rows) == v.size) == injective
+        assert np.array_equal(rows[left_of], table)
         universe = v.universe
         for i, x in enumerate(universe):
             for j, y in enumerate(universe):
                 assert universe[table[i, j]] == variant_product(x, a, y)
+
+
+def test_product_table_memory_bound():
+    # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors of
+    # 3125 elements.  The table itself is 39 MB of int32; building it from
+    # the factors needs little more, where going through an (s, s, n) int8
+    # product array and its int64 copy peaks near 490 MB.  numpy reports
+    # its buffers to tracemalloc, so the peak is deterministic.
+    v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
+    tracemalloc.start()
+    try:
+        v.table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(v.factored_table()[0]) == 243
+    assert peak < 64 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
 
 
 def test_variant_semigroup_cache_returns_same_object():

@@ -10,6 +10,8 @@ from greenvar.elements import (
     identity,
     parse_element,
 )
+from greenvar import structure
+from greenvar.engine import VariantSemigroup
 from greenvar.structure import (
     DualCheckReport,
     IsoWitness,
@@ -62,6 +64,27 @@ def test_dual_check_rejects_transformations_and_big_n():
         dual_check(PartialPerm(tuple(range(1, 7))))
 
 
+def test_dual_check_reports_first_failing_pair(monkeypatch):
+    # Corrupt two cells of the table for a^{-1}; the one first in row-major
+    # order is reported, although its column comes later.
+    a = pp("2,3,-")
+    a_inv = a.inverse()
+    corrupted = VariantSemigroup(FAMILY_IS, 3, a_inv)
+    table = corrupted.table().copy()
+    for i, j in ((1, 5), (2, 0)):
+        table[i, j] = (table[i, j] + 1) % corrupted.size
+    corrupted._table = table
+    genuine = structure.variant_semigroup
+    monkeypatch.setattr(
+        structure,
+        "variant_semigroup",
+        lambda family, n, x: corrupted if x == a_inv else genuine(family, n, x),
+    )
+    report = dual_check(a)
+    assert not report.holds and report.classes_match is None
+    assert report.counterexample == (corrupted.universe[1], corrupted.universe[5])
+
+
 # ---------------------------------------------------------------------------
 # isomorphism witnesses
 
@@ -110,7 +133,8 @@ def test_verify_isomorphism_detects_corrupted_witness():
     object.__setattr__(corrupted, "h", pp("2,1,3"))
     ok, counterexample = verify_isomorphism(corrupted)
     assert not ok
-    assert counterexample is not None
+    # the first failing pair in row-major order over the universe
+    assert counterexample == (pp("-,-,1"), pp("-,1,-"))
 
 
 def test_iso_witness_size_mismatch_rejected():
