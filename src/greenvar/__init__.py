@@ -72,7 +72,6 @@ from .engine import (
     brute_classification,
     egg_box,
     green_classes_brute,
-    principal_ideal,
     summarize_classes_by_rank,
     variant_product,
     variant_semigroup,
@@ -141,7 +140,6 @@ __all__ = [
     "l_class_is",
     "l_class_t",
     "parse_element",
-    "principal_ideal",
     "r_class_is",
     "r_class_t",
     "rank_representative",

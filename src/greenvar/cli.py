@@ -179,8 +179,8 @@ def _classification_text(c: GreenClassification, full: bool) -> list[str]:
         head = f"  [{i}] size {len(cls)} rep {cls[0]}"
         if len(cls) == 1:
             lines.append(head)
-        elif full or len(cls) <= MEMBER_LIMIT:
-            lines.append(head + ": " + " ".join(str(x) for x in cls))
+        elif (members := _class_entry(cls, full)["members"]) is not None:
+            lines.append(head + ": " + " ".join(members))
         else:
             lines.append(head + " (members elided; --full to show)")
     return lines
@@ -262,10 +262,10 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
         for c in results:
             for i, cls in enumerate(c.classes):
-                shown = args.full or len(cls) <= MEMBER_LIMIT
+                members = _class_entry(cls, args.full)["members"]
                 writer.writerow(
                     [family, n, str(a), relation, c.method, i, len(cls), str(cls[0]),
-                     " ".join(str(x) for x in cls) if shown else ""]
+                     " ".join(members or ())]
                 )
         sys.stdout.write(buf.getvalue())
     else:

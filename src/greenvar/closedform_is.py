@@ -25,16 +25,17 @@ a singleton), so corrected = literal + 1 whenever p > 1.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from math import comb, factorial
 
 from .elements import (
     FAMILY_IS,
     Element,
     PartialPerm,
+    check_deformation,
     enumerate_family,
     family_of,
     family_size,
-    format_element,
 )
 from .engine import (
     ClassCountSummary,
@@ -50,6 +51,29 @@ CLOSED_RELATIONS = ("r", "l", "h", "d")
 def check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def classify_by_key(
+    family: str, n: int, a: Element, relation: str, mode: str, key: Callable
+) -> GreenClassification:
+    """The whole universe partitioned in one pass by a family's class key:
+    x and y share a class exactly when key(x, a, relation, mode) equals
+    key(y, a, relation, mode)."""
+    check_mode(mode)
+    if relation not in CLOSED_RELATIONS:
+        raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
+    check_deformation(family, n, a)
+    groups: dict[object, list[Element]] = {}
+    for y in enumerate_family(family, n):
+        groups.setdefault(key(y, a, relation, mode), []).append(y)
+    return GreenClassification(
+        family=family,
+        n=n,
+        a=a,
+        relation=relation,
+        method=f"closed-{mode}",
+        classes=tuple(sorted(tuple(sorted(g)) for g in groups.values())),
+    )
 
 
 def falling_factorial(p: int, k: int) -> int:
@@ -108,64 +132,34 @@ def right_divisible(x: PartialPerm, y: PartialPerm, a: PartialPerm) -> Divisibil
     return DivisibilityVerdict(solvable=True, witness=u)
 
 
-def r_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """Same in both modes: domain fixed, range roams inside dom(a)."""
+def _class_of(x: PartialPerm, a: PartialPerm, relation: str, mode: str) -> frozenset[PartialPerm]:
     check_mode(mode)
     _check_is_pair(x, a)
-    if not x.ran <= a.dom:
-        return frozenset({x})
-    return frozenset(
-        y for y in enumerate_family(FAMILY_IS, x.n)
-        if y.dom == x.dom and y.ran <= a.dom
-    )
+    return frozenset(closed_classification_is(x.n, a, relation, mode).class_of(x))
+
+
+def r_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
+    """The closed-form r-class of x (the same in both modes)."""
+    return _class_of(x, a, "r", mode)
 
 
 def l_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """Same in both modes: range fixed, domain roams inside ran(a)."""
-    check_mode(mode)
-    _check_is_pair(x, a)
-    if not x.dom <= a.ran:
-        return frozenset({x})
-    return frozenset(
-        y for y in enumerate_family(FAMILY_IS, x.n)
-        if y.ran == x.ran and y.dom <= a.ran
-    )
+    """The closed-form l-class of x (the same in both modes)."""
+    return _class_of(x, a, "l", mode)
 
 
 def h_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """Same in both modes: all bijections dom(x) -> ran(x) when both side
-    conditions hold, else {x}."""
-    check_mode(mode)
-    _check_is_pair(x, a)
-    if not (x.ran <= a.dom and x.dom <= a.ran):
-        return frozenset({x})
-    return frozenset(
-        y for y in enumerate_family(FAMILY_IS, x.n)
-        if y.dom == x.dom and y.ran == x.ran
-    )
+    """The closed-form h-class of x (the same in both modes)."""
+    return _class_of(x, a, "h", mode)
 
 
 def d_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    check_mode(mode)
-    _check_is_pair(x, a)
-    r_ok = x.ran <= a.dom
-    l_ok = x.dom <= a.ran
-    if r_ok and l_ok:
-        members = (
-            y for y in enumerate_family(FAMILY_IS, x.n)
-            if y.dom <= a.ran and y.ran <= a.dom
-        )
-        if mode == "corrected":
-            return frozenset(y for y in members if y.rank == x.rank)
-        return frozenset(members)
-    if r_ok:
-        return r_class_is(x, a, mode)
-    if l_ok:
-        return l_class_is(x, a, mode)
-    return frozenset({x})
+    """The closed-form d-class of x in the given mode."""
+    return _class_of(x, a, "d", mode)
 
 
 def _class_key_is(y: PartialPerm, a: PartialPerm, relation: str, mode: str):
+    """The closed-form case split: equal keys share a class, ("s", y) is alone."""
     r_ok = y.ran <= a.dom
     l_ok = y.dom <= a.ran
     if relation == "r":
@@ -187,23 +181,7 @@ def closed_classification_is(
     n: int, a: PartialPerm, relation: str, mode: str = "corrected"
 ) -> GreenClassification:
     """The whole universe partitioned by the closed forms in one pass."""
-    check_mode(mode)
-    if relation not in CLOSED_RELATIONS:
-        raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
-    if family_of(a) != FAMILY_IS or a.n != n:
-        raise ValueError(f"deformation {format_element(a)} is not an IS_{n} element")
-    groups: dict[object, list[PartialPerm]] = {}
-    for y in enumerate_family(FAMILY_IS, n):
-        groups.setdefault(_class_key_is(y, a, relation, mode), []).append(y)
-    classes = sorted(tuple(sorted(g)) for g in groups.values())
-    return GreenClassification(
-        family=FAMILY_IS,
-        n=n,
-        a=a,
-        relation=relation,
-        method=f"closed-{mode}",
-        classes=tuple(classes),
-    )
+    return classify_by_key(FAMILY_IS, n, a, relation, mode, _class_key_is)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,8 +219,7 @@ def _literal_singleton_count_is(n: int, p: int) -> int:
 
 
 def count_is_classes(n: int, a: PartialPerm) -> ISCountReport:
-    if family_of(a) != FAMILY_IS or a.n != n:
-        raise ValueError(f"deformation {format_element(a)} is not an IS_{n} element")
+    check_deformation(FAMILY_IS, n, a)
     p = a.rank
     size = family_size(FAMILY_IS, n)
     enumerated_r = summarize_classes_by_rank(brute_classification(FAMILY_IS, n, a, "r"))

@@ -39,14 +39,12 @@ from math import comb, factorial
 
 from .elements import (
     FAMILY_T,
-    Partition,
     Transformation,
-    enumerate_family,
+    check_deformation,
     family_of,
     family_size,
-    format_element,
 )
-from .closedform_is import MODES, CLOSED_RELATIONS, check_mode
+from .closedform_is import check_mode, classify_by_key
 from .engine import (
     ClassCountSummary,
     GreenClassification,
@@ -71,13 +69,6 @@ def stirling2(q: int, k: int) -> int:
     return k * stirling2(q - 1, k) + stirling2(q - 1, k - 1)
 
 
-def _check_t_pair(x: Transformation, a: Transformation) -> None:
-    if family_of(x) != FAMILY_T or family_of(a) != FAMILY_T:
-        raise TypeError("expected total transformations")
-    if x.n != a.n:
-        raise ValueError(f"point-set sizes differ: {x.n} vs {a.n}")
-
-
 def spread(x: Transformation, a: Transformation) -> bool:
     """ran(x) meets each fiber of a at most once."""
     ran_x = x.ran
@@ -90,43 +81,33 @@ def fed(x: Transformation, a: Transformation) -> bool:
     return all(any(i in ran_a for i in block) for block in x.kernel())
 
 
-def r_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """Same in both modes: kernel fixed, range roams over partial transversals."""
+def _class_of(x: Transformation, a: Transformation, relation: str, mode: str) -> frozenset[Transformation]:
     check_mode(mode)
-    _check_t_pair(x, a)
-    if not spread(x, a):
-        return frozenset({x})
-    ker = x.kernel()
-    return frozenset(
-        y for y in enumerate_family(FAMILY_T, x.n)
-        if y.kernel() == ker and spread(y, a)
-    )
+    if family_of(x) != FAMILY_T or family_of(a) != FAMILY_T:
+        raise TypeError("expected total transformations")
+    if x.n != a.n:
+        raise ValueError(f"point-set sizes differ: {x.n} vs {a.n}")
+    return frozenset(closed_classification_t(x.n, a, relation, mode).class_of(x))
+
+
+def r_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
+    """The closed-form r-class of x (the same in both modes)."""
+    return _class_of(x, a, "r", mode)
 
 
 def l_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """Same in both modes: range fixed, kernel roams over fed partitions."""
-    check_mode(mode)
-    _check_t_pair(x, a)
-    if a.rank <= 1 or not fed(x, a):
-        return frozenset({x})
-    ran = x.ran
-    return frozenset(
-        y for y in enumerate_family(FAMILY_T, x.n)
-        if y.ran == ran and fed(y, a)
-    )
+    """The closed-form l-class of x (the same in both modes)."""
+    return _class_of(x, a, "l", mode)
 
 
 def h_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """Same in both modes: kernel and range both fixed when spread and fed."""
-    check_mode(mode)
-    _check_t_pair(x, a)
-    if not (spread(x, a) and fed(x, a)):
-        return frozenset({x})
-    ker, ran = x.kernel(), x.ran
-    return frozenset(
-        y for y in enumerate_family(FAMILY_T, x.n)
-        if y.kernel() == ker and y.ran == ran
-    )
+    """The closed-form h-class of x (the same in both modes)."""
+    return _class_of(x, a, "h", mode)
+
+
+def d_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
+    """The closed-form d-class of x in the given mode."""
+    return _class_of(x, a, "d", mode)
 
 
 def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
@@ -137,30 +118,8 @@ def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
     return all(sum(1 for i in block if i in ran_x) > 1 for block in a.kernel())
 
 
-def d_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    check_mode(mode)
-    _check_t_pair(x, a)
-    sp, fd = spread(x, a), fed(x, a)
-    if sp and (not fd or a.rank == 1):
-        return r_class_t(x, a, mode)
-    if mode == "corrected":
-        middle = not sp and a.rank > 1 and fd
-    else:
-        middle = x.rank <= a.rank and _crowded_everywhere(x, a) and fd
-    if middle:
-        return l_class_t(x, a, mode)
-    if sp and fd:
-        members = (
-            y for y in enumerate_family(FAMILY_T, x.n)
-            if spread(y, a) and fed(y, a)
-        )
-        if mode == "corrected":
-            return frozenset(y for y in members if y.rank == x.rank)
-        return frozenset(members)
-    return frozenset({x})
-
-
 def _class_key_t(y: Transformation, a: Transformation, relation: str, mode: str):
+    """The closed-form case split: equal keys share a class, ("s", y) is alone."""
     sp, fd = spread(y, a), fed(y, a)
     if relation == "r":
         return ("m", y.kernel()) if sp else ("s", y)
@@ -184,23 +143,7 @@ def closed_classification_t(
     n: int, a: Transformation, relation: str, mode: str = "corrected"
 ) -> GreenClassification:
     """The whole universe partitioned by the closed forms in one pass."""
-    check_mode(mode)
-    if relation not in CLOSED_RELATIONS:
-        raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
-    if family_of(a) != FAMILY_T or a.n != n:
-        raise ValueError(f"deformation {format_element(a)} is not a T_{n} element")
-    groups: dict[object, list[Transformation]] = {}
-    for y in enumerate_family(FAMILY_T, n):
-        groups.setdefault(_class_key_t(y, a, relation, mode), []).append(y)
-    classes = sorted(tuple(sorted(g)) for g in groups.values())
-    return GreenClassification(
-        family=FAMILY_T,
-        n=n,
-        a=a,
-        relation=relation,
-        method=f"closed-{mode}",
-        classes=tuple(classes),
-    )
+    return classify_by_key(FAMILY_T, n, a, relation, mode, _class_key_t)
 
 
 def _elementary_symmetric(values: tuple[int, ...]) -> list[int]:
@@ -252,8 +195,7 @@ def _l_size_corrected(n: int, p: int, m: int) -> int:
 
 
 def count_t_classes(n: int, a: Transformation) -> TCountReport:
-    if family_of(a) != FAMILY_T or a.n != n:
-        raise ValueError(f"deformation {format_element(a)} is not a T_{n} element")
+    check_deformation(FAMILY_T, n, a)
     if n < 2:
         raise ValueError("class counts need n >= 2")
     p = a.rank

@@ -258,6 +258,15 @@ def check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def check_deformation(family: str, n: int, a: Element) -> None:
+    """Reject a deformation that is not an element of the family on n points."""
+    if family_of(a) != family or a.n != n:
+        article = "an" if family == FAMILY_IS else "a"
+        raise ValueError(
+            f"deformation {format_element(a)} is not {article} {family.upper()}_{n} element"
+        )
+
+
 def family_size(family: str, n: int) -> int:
     """|T_n| = n^n;  |IS_n| = sum_k C(n,k)^2 k!."""
     check_family(family)

@@ -17,11 +17,12 @@ Everything is exact integer work on small universes.  By associativity
 ``x *_a y = (x . a) . y``, so a row of the product table depends on x only
 through its left factor x . a.  The table is built from the |Sa| distinct
 left factors: their |Sa| x |S| block of products is computed once (as
-mixed-radix int32 codes mapped back to indices) and its rows are gathered
-into the full |S| x |S| int32 table.  The j ideals reuse the same factoring:
-the right ideal of z depends only on z . a, so SxS is a union of |Sa|
-distinct rows.  Ideal families are packed into bit rows, so grouping is
-byte comparison.
+mixed-radix int32 codes mapped back to indices), and each x keeps only the
+index of its factor's row; no full |S| x |S| table is ever formed.  Right
+ideals read the factor rows, left ideals read their columns, and the j
+ideals reuse the same factoring: the right ideal of z depends only on
+z . a, so SxS is a union of |Sa| distinct rows.  Ideal families are packed
+into bit rows, so grouping is byte comparison.
 """
 
 from __future__ import annotations
@@ -36,17 +37,15 @@ import numpy as np
 from .elements import (
     CapacityError,
     Element,
+    check_deformation,
     check_family,
     enumerate_family,
-    family_of,
     family_size,
-    format_element,
 )
 
 RELATIONS = ("r", "l", "h", "d", "j")
-IDEAL_SIDES = ("right", "left", "two-sided")
 
-BRUTE_CAP = 5  # classification and product-table cap for both families
+BRUTE_CAP = 5  # classification, product-table and structure-check cap
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 
 BUDGET_ENV = "GREENVAR_MAX_PRODUCTS"
@@ -80,17 +79,13 @@ class VariantSemigroup:
 
     def __init__(self, family: str, n: int, a: Element):
         check_family(family)
-        if family_of(a) != family or a.n != n:
-            raise ValueError(
-                f"deformation {format_element(a)} is not a {family.upper()}_{n} element"
-            )
+        check_deformation(family, n, a)
         self.family = family
         self.n = n
         self.a = a
         self.universe: tuple[Element, ...] = enumerate_family(family, n)
         self.index: dict[Element, int] = {x: i for i, x in enumerate(self.universe)}
-        self._table: np.ndarray | None = None
-        self._factored: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._spot_check_associativity()
 
     @property
@@ -114,8 +109,14 @@ class VariantSemigroup:
                     if left != right:
                         raise AssertionError("variant product is not associative")
 
-    def table(self) -> np.ndarray:
-        """Product table as indices: table[i, j] = index of universe[i] *_a universe[j]."""
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The product table in factored form (rows, left_of), int32 indices.
+
+        rows[k, j] is the index of z . universe[j] for the k-th distinct left
+        factor z = x . a, and left_of[i] is the row of universe[i]'s factor,
+        so universe[i] *_a universe[j] = universe[rows[left_of[i], j]].  The
+        full |S| x |S| table rows[left_of] is never formed here.
+        """
         if self._table is not None:
             return self._table
         if self.n > BRUTE_CAP:
@@ -150,42 +151,14 @@ class VariantSemigroup:
         del codes
         if block.min() < 0:
             raise AssertionError("a product left the universe")
-        self._factored = block, left_of
-        self._table = block if len(reps) == s else block[left_of]
+        self._table = block, left_of
         return self._table
-
-    def factored_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, left_of): rows[k] lists the products of the k-th distinct left
-        factor x . a with every y, and table[x] == rows[left_of[x]]."""
-        self.table()
-        return self._factored
 
 
 @functools.lru_cache(maxsize=4)
 def variant_semigroup(family: str, n: int, a: Element) -> VariantSemigroup:
     """Shared instances so repeated classifications reuse one product table."""
     return VariantSemigroup(family, n, a)
-
-
-def principal_ideal(v: VariantSemigroup, x: Element, side: str) -> frozenset[Element]:
-    """The principal ideal of x with the identity adjoined, as an element set."""
-    if side not in IDEAL_SIDES:
-        raise ValueError(f"side must be one of {IDEAL_SIDES}, got {side!r}")
-    if x not in v.index:
-        raise ValueError("element outside the universe")
-    if side == "right":
-        return frozenset({x}) | {v.product(x, s) for s in v.universe}
-    if side == "left":
-        return frozenset({x}) | {v.product(s, x) for s in v.universe}
-    if v.n > BRUTE_CAP:
-        raise CapacityError(f"two-sided ideals are capped at n <= {BRUTE_CAP}")
-    table = v.table()
-    i = v.index[x]
-    right = set(table[i].tolist())
-    left = set(table[:, i].tolist())
-    both = set(table[sorted(left)].ravel().tolist())
-    members = {i} | right | left | both
-    return frozenset(v.universe[j] for j in members)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,22 +233,23 @@ def _ideal_row_groups(mat: np.ndarray) -> list[list[int]]:
 
 def _factor_rows(v: VariantSemigroup) -> np.ndarray:
     """Membership of zS for each distinct left factor z . a, as a (|Sa|, |S|) matrix."""
-    rows, _ = v.factored_table()
+    rows, _ = v.table()
     mat = np.zeros(rows.shape, dtype=bool)
     mat[np.arange(rows.shape[0])[:, None], rows] = True
     return mat
 
 
-def _membership(v: VariantSemigroup, *, columns: bool, with_self: bool) -> np.ndarray:
+def _membership(v: VariantSemigroup, *, columns: bool) -> np.ndarray:
+    """Ideal rows with the identity adjoined: row x is {x} | x *_a S, or
+    {x} | S *_a x when columns is set."""
     s = v.size
-    rows, left_of = v.factored_table()
+    rows, left_of = v.table()
     if columns:  # S *_a x = (Sa) . x: column x of the distinct factor rows
         mat = np.zeros((s, s), dtype=bool)
         mat[np.arange(s)[:, None], rows.T] = True
     else:  # x *_a S = (x . a) . S: the factor row of x
         mat = _factor_rows(v)[left_of]
-    if with_self:
-        mat[np.arange(s), np.arange(s)] = True
+    mat[np.arange(s), np.arange(s)] = True
     return mat
 
 
@@ -307,24 +281,18 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
     _check_brute_limits(v)
     s = v.size
 
-    if relation == "r":
-        groups = _ideal_row_groups(_membership(v, columns=False, with_self=True))
-    elif relation == "l":
-        groups = _ideal_row_groups(_membership(v, columns=True, with_self=True))
+    if relation in ("r", "l"):
+        groups = _ideal_row_groups(_membership(v, columns=relation == "l"))
     elif relation == "h":
-        r_ids = _class_ids(
-            _ideal_row_groups(_membership(v, columns=False, with_self=True)), s
-        )
-        l_ids = _class_ids(
-            _ideal_row_groups(_membership(v, columns=True, with_self=True)), s
-        )
+        r_ids = _class_ids(_ideal_row_groups(_membership(v, columns=False)), s)
+        l_ids = _class_ids(_ideal_row_groups(_membership(v, columns=True)), s)
         pairs: dict[tuple[int, int], list[int]] = {}
         for i in range(s):
             pairs.setdefault((int(r_ids[i]), int(l_ids[i])), []).append(i)
         groups = list(pairs.values())
     elif relation == "d":
-        r_groups = _ideal_row_groups(_membership(v, columns=False, with_self=True))
-        l_groups = _ideal_row_groups(_membership(v, columns=True, with_self=True))
+        r_groups = _ideal_row_groups(_membership(v, columns=False))
+        l_groups = _ideal_row_groups(_membership(v, columns=True))
         parent = list(range(s))
 
         def find(i: int) -> int:
@@ -350,20 +318,20 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
             roots.setdefault(find(i), []).append(i)
         groups = list(roots.values())
     else:  # j: two-sided ideals; zS depends on z only through its left factor z . a
-        rows, left_of = v.factored_table()
+        rows, left_of = v.table()
         right = _factor_rows(v)
-        left = _membership(v, columns=True, with_self=False)
+        left = _membership(v, columns=True)
         # factors[x, k]: some z in Sx has left factor k, so SxS is the union
         # of the rows of right that factors[x] selects (a boolean product).
-        if len(rows) == s:  # left_of is the identity: factors[x] is Sx itself
+        # When left_of is the identity, left serves as factors: its diagonal
+        # adds only xS, which the ideal holds anyway.
+        if len(rows) == s:
             factors = left
         else:
             factors = np.zeros((s, len(rows)), dtype=bool)
             factors[np.arange(s)[:, None], left_of[rows.T]] = True
         sxs = (factors.astype(np.float32) @ right.astype(np.float32)) > 0
-        mat = right[left_of] | left | sxs
-        mat[np.arange(s), np.arange(s)] = True
-        groups = _ideal_row_groups(mat)
+        groups = _ideal_row_groups(right[left_of] | left | sxs)
 
     return GreenClassification(
         family=v.family,

@@ -29,16 +29,20 @@ from .elements import (
     UNDEFINED,
     family_of,
 )
-from .engine import brute_classification, variant_semigroup
-
-STRUCTURE_CAP = 5  # exhaustive pair checks over the product tables
+from .engine import BRUTE_CAP, VariantSemigroup, brute_classification, variant_semigroup
 
 
 def _check_is(a: PartialPerm) -> None:
     if family_of(a) != FAMILY_IS:
         raise TypeError("structure maps are defined for partial injections")
-    if a.n > STRUCTURE_CAP:
-        raise CapacityError(f"exhaustive checks are capped at n <= {STRUCTURE_CAP}")
+    if a.n > BRUTE_CAP:
+        raise CapacityError(f"exhaustive checks are capped at n <= {BRUTE_CAP}")
+
+
+def _dense_table(v: VariantSemigroup) -> np.ndarray:
+    # The pair checks compare every product, so they gather the full table.
+    rows, left_of = v.table()
+    return rows[left_of]
 
 
 def rank_representative(n: int, k: int) -> PartialPerm:
@@ -67,8 +71,8 @@ def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport
     a_inv = a.inverse()
     v = variant_semigroup(FAMILY_IS, a.n, a)
     inv = np.array([v.index[x.inverse()] for x in v.universe], dtype=np.int32)
-    table = v.table()
-    left = inv[variant_semigroup(FAMILY_IS, a.n, a_inv).table()]
+    table = _dense_table(v)
+    left = inv[_dense_table(variant_semigroup(FAMILY_IS, a.n, a_inv))]
     failing = np.argwhere(left != table[inv][:, inv].T)
     if len(failing):
         i, j = failing[0]
@@ -157,8 +161,8 @@ def verify_isomorphism(
             return False, (seen[fx], x)
         seen[fx] = x
     p = np.array([va.index[fx] for fx in seen], dtype=np.int32)
-    table_b = variant_semigroup(FAMILY_IS, b.n, b).table()
-    failing = np.argwhere(p[va.table()] != table_b[p][:, p])
+    table_b = _dense_table(variant_semigroup(FAMILY_IS, b.n, b))
+    failing = np.argwhere(p[_dense_table(va)] != table_b[p][:, p])
     if len(failing):
         i, j = failing[0]
         return False, (va.universe[i], va.universe[j])

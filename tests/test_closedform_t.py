@@ -14,7 +14,14 @@ from greenvar.closedform_t import (
     spread,
     stirling2,
 )
-from greenvar.elements import FAMILY_T, enumerate_family, identity, parse_element
+from greenvar.closedform_is import (
+    closed_classification_is,
+    d_class_is,
+    h_class_is,
+    l_class_is,
+    r_class_is,
+)
+from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family, identity, parse_element
 from greenvar.engine import brute_classification
 
 
@@ -81,12 +88,30 @@ def test_literal_d_counterexample_at_identity_n2():
 
 
 def test_single_class_functions_match_classification():
+    # Every a and x at n <= 3, both families, r/l/h/d, both modes: the
+    # class of x is its class in the whole-universe partition.
+    per_element = {
+        FAMILY_T: (closed_classification_t,
+                   dict(zip("rlhd", (r_class_t, l_class_t, h_class_t, d_class_t)))),
+        FAMILY_IS: (closed_classification_is,
+                    dict(zip("rlhd", (r_class_is, l_class_is, h_class_is, d_class_is)))),
+    }
+    cases = 0
+    for family, (classify, class_fns) in per_element.items():
+        for n in (1, 2, 3):
+            universe = enumerate_family(family, n)
+            for a in universe:
+                for relation, fn in class_fns.items():
+                    for mode in ("corrected", "literal"):
+                        whole = classify(n, a, relation, mode)
+                        for x in universe:
+                            assert fn(x, a, mode) == frozenset(whole.class_of(x)), (
+                                family, str(a), relation, mode, str(x)
+                            )
+                            cases += 1
+    assert cases == 15_640
     a = tr("1,1,2")
-    d = closed_classification_t(3, a, "d")
     for x in enumerate_family(FAMILY_T, 3):
-        assert d_class_t(x, a) == frozenset(d.class_of(x))
-        assert x in r_class_t(x, a)
-        assert x in l_class_t(x, a)
         assert h_class_t(x, a) == r_class_t(x, a) & l_class_t(x, a)
 
 

@@ -24,7 +24,6 @@ from greenvar.engine import (
     brute_classification,
     egg_box,
     green_classes_brute,
-    principal_ideal,
     summarize_classes_by_rank,
     variant_product,
     variant_semigroup,
@@ -65,32 +64,41 @@ def test_product_table_matches_direct_products():
     ):
         a = parse_element(family, a_text)
         v = variant_semigroup(family, n, a)
-        table = v.table()
-        assert table.dtype == np.int32 and table.shape == (v.size, v.size)
-        rows, left_of = v.factored_table()
+        rows, left_of = v.table()
+        assert rows.dtype == left_of.dtype == np.int32
+        assert rows.shape == (len(rows), v.size) and left_of.shape == (v.size,)
         assert (len(rows) == v.size) == injective
-        assert np.array_equal(rows[left_of], table)
         universe = v.universe
         for i, x in enumerate(universe):
             for j, y in enumerate(universe):
-                assert universe[table[i, j]] == variant_product(x, a, y)
+                assert universe[rows[left_of[i], j]] == variant_product(x, a, y)
+
+
+def _traced_peak(fn):
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_product_table_memory_bound():
     # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors of
-    # 3125 elements.  The table itself is 39 MB of int32; building it from
-    # the factors needs little more, where going through an (s, s, n) int8
-    # product array and its int64 copy peaks near 490 MB.  numpy reports
-    # its buffers to tracemalloc, so the peak is deterministic.
+    # 3125 elements.  The 243 x 3125 block of their products is 3 MB of
+    # int32; a dense table would be 39 MB, and going through an (s, s, n)
+    # int8 product array and its int64 copy peaks near 490 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
-    tracemalloc.start()
-    try:
-        v.table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(v.factored_table()[0]) == 243
+    peak = _traced_peak(v.table)
+    assert len(v.table()[0]) == 243
     assert peak < 64 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
+    # A whole d classification (table, r and l ideal rows, union-find) on a
+    # fresh semigroup stays below the size of one dense |S| x |S| table.
+    fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
+    peak = _traced_peak(lambda: green_classes_brute(fresh, "d"))
+    assert peak < 32 * 2**20, f"d classification peaked at {peak / 2**20:.1f} MB"
 
 
 def test_variant_semigroup_cache_returns_same_object():
@@ -165,19 +173,6 @@ def test_brute_classes_match_naive_oracle_n2(family):
         for relation in RELATIONS:
             got = brute_classification(family, n, a, relation)
             assert list(got.classes) == expected[relation], (a, relation)
-
-
-def test_principal_ideal_matches_naive():
-    for family, n, a_text in ((FAMILY_IS, 2, "2,1"), (FAMILY_T, 2, "1,1")):
-        a = parse_element(family, a_text)
-        v = variant_semigroup(family, n, a)
-        right, left, two = naive_ideals(family, n, a)
-        for x in v.universe:
-            assert principal_ideal(v, x, "right") == right[x]
-            assert principal_ideal(v, x, "left") == left[x]
-            assert principal_ideal(v, x, "two-sided") == two[x]
-    with pytest.raises(ValueError):
-        principal_ideal(v, x, "sideways")
 
 
 # ---------------------------------------------------------------------------

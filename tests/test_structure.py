@@ -65,15 +65,19 @@ def test_dual_check_rejects_transformations_and_big_n():
 
 
 def test_dual_check_reports_first_failing_pair(monkeypatch):
-    # Corrupt two cells of the table for a^{-1}; the one first in row-major
-    # order is reported, although its column comes later.
+    # Corrupt the factor rows of universe[1] (column 5) and universe[2]
+    # (column 0) in the table for a^{-1}.  universe[0] shares its left factor
+    # with universe[1], so the first failing pair in row-major order is
+    # (universe[0], universe[5]), although a failing column 0 comes later.
     a = pp("2,3,-")
     a_inv = a.inverse()
     corrupted = VariantSemigroup(FAMILY_IS, 3, a_inv)
-    table = corrupted.table().copy()
+    rows, left_of = corrupted.table()
+    assert left_of[0] == left_of[1] != left_of[2]
+    rows = rows.copy()
     for i, j in ((1, 5), (2, 0)):
-        table[i, j] = (table[i, j] + 1) % corrupted.size
-    corrupted._table = table
+        rows[left_of[i], j] = (rows[left_of[i], j] + 1) % corrupted.size
+    corrupted._table = rows, left_of
     genuine = structure.variant_semigroup
     monkeypatch.setattr(
         structure,
@@ -82,7 +86,7 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     )
     report = dual_check(a)
     assert not report.holds and report.classes_match is None
-    assert report.counterexample == (corrupted.universe[1], corrupted.universe[5])
+    assert report.counterexample == (corrupted.universe[0], corrupted.universe[5])
 
 
 # ---------------------------------------------------------------------------
