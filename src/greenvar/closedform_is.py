@@ -17,6 +17,11 @@ equal-rank restriction is required.  "literal" evaluates the description
 exactly as stated, "corrected" applies the repair.  r, l and h need no
 repair and ignore the mode.
 
+Each description is evaluated once over the whole universe, on its image
+array (elements.universe_images): dom and ran are bitmasks, and the case
+split in _class_key_is gives every row one integer key, so that equal keys
+share a class.  Elements are looked up only to list the finished classes.
+
 The class-count formulas audited by count_is_classes follow the same split:
 the literal singleton count misses the nowhere-defined map's class (always
 a singleton), so corrected = literal + 1 whenever p > 1.
@@ -25,17 +30,21 @@ a singleton), so corrected = literal + 1 whenever p > 1.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from math import comb, factorial
+
+import numpy as np
 
 from .elements import (
     FAMILY_IS,
+    UNDEFINED,
     Element,
     PartialPerm,
     check_deformation,
     enumerate_family,
     family_of,
     family_size,
+    universe_images,
 )
 from .engine import (
     ClassCountSummary,
@@ -53,26 +62,60 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+# Class keys are int64: clause t of a case split keys a row as
+# (t + 1) * _CLAUSE + value, and a row no clause takes keeps its own index.
+# Every value (a mask, a kernel code, a rank) stays below _CLAUSE.
+_CLAUSE = 1 << 40
+
+
+def clause_keys(clauses: list[tuple[np.ndarray, np.ndarray | int]], rows: int) -> np.ndarray:
+    """One key per row from the first (condition, value) clause that holds,
+    as an if-chain would take them; rows no clause takes stay singletons."""
+    keys = np.arange(rows, dtype=np.int64)
+    for t in reversed(range(len(clauses))):  # earlier clauses overwrite later ones
+        cond, value = clauses[t]
+        keys = np.where(cond, np.add(value, (t + 1) * _CLAUSE, dtype=np.int64), keys)
+    return keys
+
+
+def point_mask(points: Iterable[int]) -> int:
+    """The bitmask of a set of points: bit i - 1 for point i."""
+    return sum(1 << (i - 1) for i in points)
+
+
+def range_masks(images: np.ndarray) -> np.ndarray:
+    """ran of each row as a bitmask; undefined entries set no bit."""
+    bits = (np.int64(1) << images.astype(np.int64)) >> 1
+    return np.bitwise_or.reduce(bits, axis=1)
+
+
 def classify_by_key(
     family: str, n: int, a: Element, relation: str, mode: str, key: Callable
 ) -> GreenClassification:
     """The whole universe partitioned in one pass by a family's class key:
-    x and y share a class exactly when key(x, a, relation, mode) equals
-    key(y, a, relation, mode)."""
+    rows of the image array share a class exactly when
+    key(images, a, relation, mode) gives them equal keys."""
     check_mode(mode)
     if relation not in CLOSED_RELATIONS:
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
     check_deformation(family, n, a)
-    groups: dict[object, list[Element]] = {}
-    for y in enumerate_family(family, n):
-        groups.setdefault(key(y, a, relation, mode), []).append(y)
+    keys = key(universe_images(family, n), a, relation, mode)
+    # Number the classes by least member (canonical order is index order),
+    # then list members class by class, ascending within each.
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    class_of = np.argsort(np.argsort(first))[inverse]
+    universe = enumerate_family(family, n)
+    members = [universe[i] for i in np.argsort(class_of, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(class_of)).tolist()
     return GreenClassification(
         family=family,
         n=n,
         a=a,
         relation=relation,
         method=f"closed-{mode}",
-        classes=tuple(sorted(tuple(sorted(g)) for g in groups.values())),
+        classes=tuple(
+            tuple(members[start:end]) for start, end in zip([0, *ends], ends)
+        ),
     )
 
 
@@ -158,23 +201,23 @@ def d_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> froze
     return _class_of(x, a, "d", mode)
 
 
-def _class_key_is(y: PartialPerm, a: PartialPerm, relation: str, mode: str):
-    """The closed-form case split: equal keys share a class, ("s", y) is alone."""
-    r_ok = y.ran <= a.dom
-    l_ok = y.dom <= a.ran
+def _class_key_is(images: np.ndarray, a: PartialPerm, relation: str, mode: str) -> np.ndarray:
+    """The closed-form case split, one key per row: equal keys share a class."""
+    n = images.shape[1]
+    dom = (images != UNDEFINED) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    ran = range_masks(images)
+    r_ok = (ran & ~point_mask(a.dom)) == 0
+    l_ok = (dom & ~point_mask(a.ran)) == 0
     if relation == "r":
-        return ("m", y.dom) if r_ok else ("s", y)
-    if relation == "l":
-        return ("m", y.ran) if l_ok else ("s", y)
-    if relation == "h":
-        return ("m", y.dom, y.ran) if (r_ok and l_ok) else ("s", y)
-    if r_ok and l_ok:
-        return ("j", y.rank) if mode == "corrected" else ("j",)
-    if r_ok:
-        return ("r", y.dom)
-    if l_ok:
-        return ("l", y.ran)
-    return ("s", y)
+        clauses = [(r_ok, dom)]
+    elif relation == "l":
+        clauses = [(l_ok, ran)]
+    elif relation == "h":
+        clauses = [(r_ok & l_ok, (dom << n) | ran)]
+    else:
+        joint = np.bitwise_count(ran) if mode == "corrected" else 0
+        clauses = [(r_ok & l_ok, joint), (r_ok, dom), (l_ok, ran)]
+    return clause_keys(clauses, len(images))
 
 
 def closed_classification_is(

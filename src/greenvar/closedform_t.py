@@ -19,6 +19,13 @@ The classes of (T_n, *_a):
   predicates hold, all y with spread(y) and fed(y), restricted to
   rank(y) = rank(x) in corrected mode.
 
+The descriptions are evaluated once over the whole universe, on its image
+array: ran is a bitmask, ker is an integer code (the least point of each
+point's fiber, read in base n), spread(x) holds when m & (m - 1) == 0 for
+m = ran(x) & B and every fiber B of a, fed(x) when the bits of x(ran(a))
+make up all of ran(x), and the case split in _class_key_t gives every row
+one integer key.
+
 Literal mode again follows the known published description word for word.
 It deviates twice, and exhaustive computation pins both deviations: the
 middle d case is printed with "every fiber of a meets ran(x) more than
@@ -37,6 +44,8 @@ import dataclasses
 import functools
 from math import comb, factorial
 
+import numpy as np
+
 from .elements import (
     FAMILY_T,
     Transformation,
@@ -44,7 +53,7 @@ from .elements import (
     family_of,
     family_size,
 )
-from .closedform_is import check_mode, classify_by_key
+from .closedform_is import check_mode, classify_by_key, clause_keys, point_mask, range_masks
 from .engine import (
     ClassCountSummary,
     GreenClassification,
@@ -69,16 +78,43 @@ def stirling2(q: int, k: int) -> int:
     return k * stirling2(q - 1, k) + stirling2(q - 1, k - 1)
 
 
+def kernel_codes(images: np.ndarray) -> np.ndarray:
+    """ker of each row as a code: the least point of each point's fiber,
+    0-based, read as a base-n integer.  Equal codes mean equal kernels."""
+    rows, n = images.shape
+    codes = np.zeros(rows, dtype=np.int64)
+    for i in range(n):
+        codes = codes * n + np.argmax(images[:, : i + 1] == images[:, i : i + 1], axis=1)
+    return codes
+
+
+def _overfull_blocks(ran: np.ndarray, a: Transformation) -> np.ndarray:
+    # Row per fiber B of a: whether the range mask meets B more than once,
+    # i.e. m & (m - 1) != 0 for m = ran & B.
+    blocks = np.array([point_mask(b) for b in a.kernel()], dtype=np.int64)[:, None]
+    m = ran & blocks
+    return (m & (m - 1)) != 0
+
+
+def _fed(images: np.ndarray, ran: np.ndarray, a: Transformation) -> np.ndarray:
+    # Every fiber of x meets ran(a) exactly when x(ran(a)) is all of ran(x).
+    return range_masks(images[:, [i - 1 for i in sorted(a.ran)]]) == ran
+
+
+def _one_row(x: Transformation) -> tuple[np.ndarray, np.ndarray]:
+    images = np.array([x.images])
+    return images, range_masks(images)
+
+
 def spread(x: Transformation, a: Transformation) -> bool:
     """ran(x) meets each fiber of a at most once."""
-    ran_x = x.ran
-    return all(sum(1 for i in block if i in ran_x) <= 1 for block in a.kernel())
+    _, ran = _one_row(x)
+    return not _overfull_blocks(ran, a).any()
 
 
 def fed(x: Transformation, a: Transformation) -> bool:
     """Every fiber of x contains a point of ran(a)."""
-    ran_a = a.ran
-    return all(any(i in ran_a for i in block) for block in x.kernel())
+    return bool(_fed(*_one_row(x), a)[0])
 
 
 def _class_of(x: Transformation, a: Transformation, relation: str, mode: str) -> frozenset[Transformation]:
@@ -114,29 +150,33 @@ def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
     # The literal middle d condition: every fiber of a meets ran(x) more than
     # once.  With rank(x) <= rank(a) alongside it forces 2 rank(a) <= rank(a),
     # so it never holds; kept verbatim for the audit.
-    ran_x = x.ran
-    return all(sum(1 for i in block if i in ran_x) > 1 for block in a.kernel())
+    _, ran = _one_row(x)
+    return bool(_overfull_blocks(ran, a).all())
 
 
-def _class_key_t(y: Transformation, a: Transformation, relation: str, mode: str):
-    """The closed-form case split: equal keys share a class, ("s", y) is alone."""
-    sp, fd = spread(y, a), fed(y, a)
+def _class_key_t(images: np.ndarray, a: Transformation, relation: str, mode: str) -> np.ndarray:
+    """The closed-form case split, one key per row: equal keys share a class."""
+    n = images.shape[1]
+    ran = range_masks(images)
+    ker = kernel_codes(images)
+    overfull = _overfull_blocks(ran, a)
+    sp, fd = ~overfull.any(axis=0), _fed(images, ran, a)
     if relation == "r":
-        return ("m", y.kernel()) if sp else ("s", y)
-    if relation == "l":
-        return ("m", y.ran) if (a.rank > 1 and fd) else ("s", y)
-    if relation == "h":
-        return ("m", y.kernel(), y.ran) if (sp and fd) else ("s", y)
-    if sp and (not fd or a.rank == 1):
-        return ("r", y.kernel())
-    if mode == "corrected":
-        if not sp and a.rank > 1 and fd:
-            return ("l", y.ran)
-    elif y.rank <= a.rank and _crowded_everywhere(y, a) and fd:
-        return ("l", y.ran)
-    if sp and fd:
-        return ("j", y.rank) if mode == "corrected" else ("j",)
-    return ("s", y)
+        clauses = [(sp, ker)]
+    elif relation == "l":
+        clauses = [(fd & (a.rank > 1), ran)]
+    elif relation == "h":
+        clauses = [(sp & fd, (ker << n) | ran)]
+    else:
+        rank = np.bitwise_count(ran)
+        clauses = [(sp & (~fd | (a.rank == 1)), ker)]
+        if mode == "corrected":
+            clauses.append((~sp & (a.rank > 1) & fd, ran))
+            clauses.append((sp & fd, rank))
+        else:
+            clauses.append(((rank <= a.rank) & overfull.all(axis=0) & fd, ran))
+            clauses.append((sp & fd, 0))
+    return clause_keys(clauses, len(images))
 
 
 def closed_classification_t(

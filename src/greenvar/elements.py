@@ -22,6 +22,8 @@ import itertools
 from math import comb, factorial
 from typing import Iterable, Iterator
 
+import numpy as np
+
 UNDEFINED = 0
 
 FAMILY_IS = "is"
@@ -278,11 +280,15 @@ def family_size(family: str, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
-    """All elements of the family on n points, in canonical order.
+def universe_images(family: str, n: int) -> np.ndarray:
+    """The family's image tuples as a read-only (s, n) int8 array, in canonical order.
 
-    >>> [str(x) for x in enumerate_family("is", 2)]
-    ['-,-', '-,1', '-,2', '1,-', '1,2', '2,-', '2,1']
+    Row i holds ``enumerate_family(family, n)[i].images``: the mixed-radix
+    digits of i, plus one, for ``t``; for ``is`` the base-(n+1) digits of
+    0..(n+1)^n - 1, keeping the rows with no repeated defined image.
+
+    >>> universe_images("is", 2).tolist()
+    [[0, 0], [0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
     """
     check_family(family)
     cap = ENUMERATION_CAP[family]
@@ -291,17 +297,31 @@ def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
         raise CapacityError(
             f"listing {family.upper()}_{n} ({size} elements) exceeds the cap n <= {cap}"
         )
+    base = n if family == FAMILY_T else n + 1
+    codes = np.arange(base**n, dtype=np.int32)
+    images = np.empty((base**n, n), dtype=np.int8)
+    for i in range(n):
+        images[:, i] = codes // base ** (n - 1 - i) % base
     if family == FAMILY_T:
-        return tuple(
-            Transformation(images)
-            for images in itertools.product(range(1, n + 1), repeat=n)
-        )
-    out = []
-    for images in itertools.product(range(n + 1), repeat=n):
-        defined = [v for v in images if v != UNDEFINED]
-        if len(defined) == len(set(defined)):
-            out.append(PartialPerm(images))
-    return tuple(out)
+        images += 1
+    else:
+        injective = np.ones(len(images), dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            injective &= (images[:, i] != images[:, j]) | (images[:, i] == UNDEFINED)
+        images = images[injective]
+    images.setflags(write=False)
+    return images
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
+    """All elements of the family on n points, in canonical order.
+
+    >>> [str(x) for x in enumerate_family("is", 2)]
+    ['-,-', '-,1', '-,2', '1,-', '1,2', '2,-', '2,1']
+    """
+    cls = Transformation if family == FAMILY_T else PartialPerm
+    return tuple(cls(tuple(row)) for row in universe_images(family, n).tolist())
 
 
 def family_of(x: Element) -> str:

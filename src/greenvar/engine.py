@@ -41,6 +41,7 @@ from .elements import (
     check_family,
     enumerate_family,
     family_size,
+    universe_images,
 )
 
 RELATIONS = ("r", "l", "h", "d", "j")
@@ -124,7 +125,7 @@ class VariantSemigroup:
                 f"product tables are capped at n <= {BRUTE_CAP}, got n = {self.n}"
             )
         n, s = self.n, self.size
-        images = np.array([x.images for x in self.universe], dtype=np.int8)
+        images = universe_images(self.family, n)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
         a_pad = np.zeros(n + 1, dtype=np.int8)
         a_pad[1:] = self.a.images

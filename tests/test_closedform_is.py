@@ -1,4 +1,5 @@
 import itertools
+from math import comb, factorial
 
 import pytest
 
@@ -19,7 +20,8 @@ from greenvar.elements import (
     identity,
     parse_element,
 )
-from greenvar.engine import brute_classification, variant_product
+from greenvar.engine import brute_classification, summarize_classes_by_rank, variant_product
+from greenvar.structure import rank_representative
 
 
 def pp(text):
@@ -182,3 +184,31 @@ def test_count_census_identity_all_a_is3():
             covered = sum(count * size for _, size, count in report.size_lines)
             assert report.singleton_corrected + covered == 34
         assert not any(f.startswith("corrected:") for f in report.flags)
+
+
+# ---------------------------------------------------------------------------
+# census beyond brute range: the corrected closed-form partition against the
+# corrected count formulas, with no brute force
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_is6_census_matches_corrected_formulas(k):
+    n, a = 6, rank_representative(6, k)
+    p = a.rank
+    size = sum(comb(n, j) ** 2 * factorial(j) for j in range(n + 1))
+    if p <= 1:
+        expected = (size, 0, ())
+    else:
+        # The printed singleton count misses the nowhere-defined map.
+        literal = sum(
+            comb(n - p, m) * comb(p, j - m) * comb(n, j) * factorial(j)
+            for j in range(n + 1)
+            for m in range(1, j + 1)
+        )
+        lines = tuple((j, falling_factorial(p, j), comb(n, j)) for j in range(1, p + 1))
+        expected = (literal + 1, sum(comb(n, j) for j in range(1, p + 1)), lines)
+    for relation in ("r", "l"):
+        summary = summarize_classes_by_rank(closed_classification_is(n, a, relation))
+        assert (
+            summary.singleton_count, summary.multi_class_count, summary.size_lines
+        ) == expected, relation

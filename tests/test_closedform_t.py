@@ -1,7 +1,13 @@
+import itertools
+import random
+from math import comb, factorial, prod
+
 import pytest
 
 from greenvar.closedform_t import (
     _crowded_everywhere,
+    _fed,
+    _overfull_blocks,
     _l_size_corrected,
     _l_size_literal,
     closed_classification_t,
@@ -9,6 +15,7 @@ from greenvar.closedform_t import (
     d_class_t,
     fed,
     h_class_t,
+    kernel_codes,
     l_class_t,
     r_class_t,
     spread,
@@ -21,8 +28,16 @@ from greenvar.closedform_is import (
     l_class_is,
     r_class_is,
 )
-from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family, identity, parse_element
-from greenvar.engine import brute_classification
+from greenvar.closedform_is import range_masks
+from greenvar.elements import (
+    FAMILY_IS,
+    FAMILY_T,
+    enumerate_family,
+    identity,
+    parse_element,
+    universe_images,
+)
+from greenvar.engine import brute_classification, summarize_classes_by_rank
 
 
 def tr(text):
@@ -46,6 +61,60 @@ def test_fed_requires_range_points_in_every_fiber():
     assert not fed(tr("1,2,3"), a)  # fiber {3} misses {1,2}
     assert fed(tr("3,3,3"), a)  # the single fiber {1,2,3} contains 1 and 2
     assert not fed(tr("3,3,1"), a)  # fiber {3} of value 1 misses {1,2}
+
+
+# The set-based definitions the array predicates must agree with.
+
+
+def naive_blocks(a):
+    return [{i for i in range(1, a.n + 1) if a(i) == v} for v in set(a.images)]
+
+
+def naive_hits(x, a):
+    return [len(set(x.images) & block) for block in naive_blocks(a)]
+
+
+def naive_fed(x, a):
+    ran_a = set(a.images)
+    return all(
+        any(x(i) == v for i in ran_a) for v in set(x.images)
+    )
+
+
+def naive_kernel(x):
+    return frozenset(
+        frozenset(i for i in range(1, x.n + 1) if x(i) == v) for v in set(x.images)
+    )
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_array_predicates_match_set_definitions(n):
+    # Every (x, a) in T_3; every x in T_4 against a seeded sample of a.
+    universe = enumerate_family(FAMILY_T, n)
+    images = universe_images(FAMILY_T, n)
+    ran = range_masks(images)
+    deformations = universe if n == 3 else random.Random(4).sample(universe, 32)
+    for a in deformations:
+        overfull = _overfull_blocks(ran, a)
+        spread_rows, crowded_rows = ~overfull.any(axis=0), overfull.all(axis=0)
+        fed_rows = _fed(images, ran, a)
+        for i, x in enumerate(universe):
+            hits = naive_hits(x, a)
+            expect_spread = all(h <= 1 for h in hits)
+            expect_crowded = all(h > 1 for h in hits)
+            expect_fed = naive_fed(x, a)
+            assert (spread_rows[i], fed_rows[i], crowded_rows[i]) == (
+                expect_spread, expect_fed, expect_crowded
+            ), (str(x), str(a))
+            assert spread(x, a) is expect_spread
+            assert fed(x, a) is expect_fed
+            assert _crowded_everywhere(x, a) is expect_crowded
+    # Equal kernel codes exactly when equal kernels, both set-based and as
+    # Transformation.kernel() partitions.
+    code_of = dict(zip(universe, kernel_codes(images).tolist()))
+    for x, y in itertools.product(universe, repeat=2):
+        same = code_of[x] == code_of[y]
+        assert same == (naive_kernel(x) == naive_kernel(y)) == (x.kernel() == y.kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +283,36 @@ def test_count_no_corrected_flags_t3():
     for a in enumerate_family(FAMILY_T, 3):
         report = count_t_classes(3, a)
         assert not any(f.startswith("corrected:") for f in report.flags), str(a)
+
+
+# ---------------------------------------------------------------------------
+# census beyond brute range: the corrected closed-form partition against the
+# corrected count formulas, with no brute force
+
+
+def elementary_symmetric(values, m):
+    return sum(prod(c) for c in itertools.combinations(values, m))
+
+
+def census(lines, size):
+    covered = sum(count * sz for _, sz, count in lines)
+    return size - covered, sum(count for _, _, count in lines), tuple(lines)
+
+
+@pytest.mark.parametrize(
+    "a_text",
+    ("1,1,1,1,1,1", "1,1,2,3,3,3", "1,1,2,2,3,3", "1,1,1,2,3,4", "1,2,3,4,5,5", "1,2,3,4,5,6"),
+)
+def test_t6_census_matches_corrected_formulas(a_text):
+    n, a = 6, tr(a_text)
+    p = a.rank
+    fibers = [a.images.count(v) for v in sorted(set(a.images))]
+    r_lines = [(m, elementary_symmetric(fibers, m) * factorial(m), stirling2(n, m))
+               for m in range(1, p + 1)]
+    l_lines = [(m, factorial(m) * stirling2(p, m) * m ** (n - p), comb(n, m))
+               for m in range(2, p + 1)]
+    for relation, lines in (("r", r_lines), ("l", l_lines)):
+        summary = summarize_classes_by_rank(closed_classification_t(n, a, relation))
+        assert (
+            summary.singleton_count, summary.multi_class_count, summary.size_lines
+        ) == census(lines, n**n), relation

@@ -1,6 +1,7 @@
 import doctest
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,7 @@ from greenvar.elements import (
     format_element,
     identity,
     parse_element,
+    universe_images,
 )
 
 
@@ -151,6 +153,21 @@ def test_enumeration_capacity():
         enumerate_family(FAMILY_IS, 7)
     with pytest.raises(CapacityError):
         enumerate_family(FAMILY_T, 8)
+
+
+def test_universe_images_match_enumeration_and_are_read_only():
+    # The engine and the closed forms share one cached array per (family, n):
+    # an in-place write anywhere would corrupt both, so writes must fail.
+    for family in (FAMILY_IS, FAMILY_T):
+        for n in range(1, 5):
+            images = universe_images(family, n)
+            assert images.dtype == np.int8
+            assert images.tolist() == [list(x.images) for x in enumerate_family(family, n)]
+            assert universe_images(family, n) is images
+            with pytest.raises(ValueError):
+                images[0, 0] = 1
+            with pytest.raises(ValueError):
+                images += 0
 
 
 def test_family_of():
