@@ -31,6 +31,8 @@ import re
 import sys
 from collections.abc import Sequence
 
+import numpy as np
+
 from .closedform_is import (
     CLOSED_RELATIONS,
     MODES,
@@ -48,6 +50,7 @@ from .elements import (
     ParseError,
     enumerate_family,
     parse_element,
+    universe_texts,
 )
 from .engine import (
     EggBox,
@@ -155,32 +158,41 @@ def _count_report(family: str, n: int, a: Element) -> ISCountReport | TCountRepo
 # shared rendering
 
 
+def _listed(size: int, full: bool) -> bool:
+    """Whether a class's members are printed rather than elided."""
+    return full or size <= MEMBER_LIMIT
+
+
 def _class_entry(cls: tuple[Element, ...], full: bool) -> dict:
-    members = None
-    if full or len(cls) <= MEMBER_LIMIT:
-        members = [str(x) for x in cls]
+    members = [str(x) for x in cls] if _listed(len(cls), full) else None
     return {"representative": str(cls[0]), "size": len(cls), "members": members}
 
 
-def _classification_payload(c: GreenClassification, full: bool) -> dict:
-    return {
-        "method": c.method,
-        "class_count": len(c.classes),
-        "singleton_count": c.singleton_count,
-        "classes": [_class_entry(cls, full) for cls in c.classes],
-    }
+def _json_class_list(groups: list[list[str]], full: bool) -> str:
+    # A green result's "classes" list exactly as json.dumps(indent=2,
+    # sort_keys=True) lays it out at its depth in the payload (class objects
+    # 8 spaces in); element texts need no escaping.
+    pad = " " * 8
+    entries = []
+    for group in groups:
+        members = "null"
+        if _listed(len(group), full):
+            members = f'[\n{pad}    "' + f'",\n{pad}    "'.join(group) + f'"\n{pad}  ]'
+        entries.append(
+            f'{pad}{{\n{pad}  "members": {members},\n{pad}  "representative":'
+            f' "{group[0]}",\n{pad}  "size": {len(group)}\n{pad}}}'
+        )
+    return "[\n" + ",\n".join(entries) + "\n      ]"
 
 
-def _classification_text(c: GreenClassification, full: bool) -> list[str]:
-    lines = [
-        f"{c.method}: {len(c.classes)} classes ({c.singleton_count} singletons)"
-    ]
-    for i, cls in enumerate(c.classes):
-        head = f"  [{i}] size {len(cls)} rep {cls[0]}"
-        if len(cls) == 1:
+def _classification_text(c: GreenClassification, groups: list[list[str]], full: bool) -> list[str]:
+    lines = [f"{c.method}: {len(groups)} classes ({c.singleton_count} singletons)"]
+    for i, group in enumerate(groups):
+        head = f"  [{i}] size {len(group)} rep {group[0]}"
+        if len(group) == 1:
             lines.append(head)
-        elif (members := _class_entry(cls, full)["members"]) is not None:
-            lines.append(head + ": " + " ".join(members))
+        elif _listed(len(group), full):
+            lines.append(head + ": " + " ".join(group))
         else:
             lines.append(head + " (members elided; --full to show)")
     return lines
@@ -192,16 +204,6 @@ def _emit_json(payload: dict) -> None:
 
 def _emit_text(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _first_divergence(
-    closed: GreenClassification, brute: GreenClassification
-) -> tuple[Element, tuple[Element, ...], tuple[Element, ...]]:
-    for cls in brute.classes:
-        x = cls[0]
-        if set(closed.class_of(x)) != set(cls):
-            return x, closed.class_of(x), cls
-    raise AssertionError("partitions differ but every class matched")
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +241,36 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if not all(entry["matches_brute"] for entry in agreement):
             exit_code = 1
 
+    texts = universe_texts(family, n)
+    groups = [c.grouped(texts) for c in results]
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "green",
-                "family": family,
-                "n": n,
-                "a": str(a),
-                "relation": relation,
-                "method": method,
-                "mode": args.mode,
-                "results": [_classification_payload(c, args.full) for c in results],
-                "agreement": agreement,
-            }
+        # The class lists are written from the texts and spliced in where
+        # json.dumps put a placeholder; the indenting encoder is pure Python.
+        placeholder = "<classes>"
+        payload = {
+            "command": "green",
+            "family": family,
+            "n": n,
+            "a": str(a),
+            "relation": relation,
+            "method": method,
+            "mode": args.mode,
+            "results": [
+                {
+                    "method": c.method,
+                    "class_count": len(c.sizes),
+                    "singleton_count": c.singleton_count,
+                    "classes": placeholder,
+                }
+                for c in results
+            ],
+            "agreement": agreement,
+        }
+        pieces = json.dumps(payload, indent=2, sort_keys=True).split(f'"{placeholder}"')
+        sys.stdout.write(
+            pieces[0]
+            + "".join(_json_class_list(g, args.full) + p for g, p in zip(groups, pieces[1:]))
+            + "\n"
         )
     elif args.format == "csv":
         buf = io.StringIO()
@@ -260,12 +279,11 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             ["family", "n", "a", "relation", "method", "class_index", "size",
              "representative", "members"]
         )
-        for c in results:
-            for i, cls in enumerate(c.classes):
-                members = _class_entry(cls, args.full)["members"]
+        for c, class_groups in zip(results, groups):
+            for i, group in enumerate(class_groups):
                 writer.writerow(
-                    [family, n, str(a), relation, c.method, i, len(cls), str(cls[0]),
-                     " ".join(members or ())]
+                    [family, n, str(a), relation, c.method, i, len(group), group[0],
+                     " ".join(group) if _listed(len(group), args.full) else ""]
                 )
         sys.stdout.write(buf.getvalue())
     else:
@@ -273,18 +291,22 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             f"green family={family} n={n} a=\"{a}\" relation={relation}"
             f" method={method} mode={args.mode}"
         ]
-        for c in results:
-            lines.extend(_classification_text(c, args.full))
+        for c, class_groups in zip(results, groups):
+            lines.extend(_classification_text(c, class_groups, args.full))
         if agreement is not None:
+            brute = results[0]
             for c, entry in zip(results[1:], agreement):
                 if entry["matches_brute"]:
                     lines.append(f"diff {c.method} vs brute: none")
                 else:
-                    x, closed_cls, brute_cls = _first_divergence(c, results[0])
+                    x = c.first_divergence(brute)
+                    closed_cls, brute_cls = (
+                        " ".join(texts[i] for i in np.flatnonzero(k.labels == k.labels[x]))
+                        for k in (c, brute)
+                    )
                     lines.append(
-                        f"diff {c.method} vs brute: class of {x} differs;"
-                        f" {c.method} has {{{' '.join(str(y) for y in closed_cls)}}},"
-                        f" brute has {{{' '.join(str(y) for y in brute_cls)}}}"
+                        f"diff {c.method} vs brute: class of {texts[x]} differs;"
+                        f" {c.method} has {{{closed_cls}}}, brute has {{{brute_cls}}}"
                     )
         _emit_text(lines)
     return exit_code

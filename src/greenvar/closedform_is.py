@@ -20,7 +20,8 @@ repair and ignore the mode.
 Each description is evaluated once over the whole universe, on its image
 array (elements.universe_images): dom and ran are bitmasks, and the case
 split in _class_key_is gives every row one integer key, so that equal keys
-share a class.  Elements are looked up only to list the finished classes.
+share a class; the classification is one class id per row.  No element
+object is built on the way.
 
 The class-count formulas audited by count_is_classes follow the same split:
 the literal singleton count misses the nowhere-defined map's class (always
@@ -41,15 +42,16 @@ from .elements import (
     Element,
     PartialPerm,
     check_deformation,
-    enumerate_family,
     family_of,
     family_size,
+    range_masks,
     universe_images,
 )
 from .engine import (
     ClassCountSummary,
     GreenClassification,
     brute_classification,
+    canonical_labels,
     summarize_classes_by_rank,
 )
 
@@ -83,12 +85,6 @@ def point_mask(points: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in points)
 
 
-def range_masks(images: np.ndarray) -> np.ndarray:
-    """ran of each row as a bitmask; undefined entries set no bit."""
-    bits = (np.int64(1) << images.astype(np.int64)) >> 1
-    return np.bitwise_or.reduce(bits, axis=1)
-
-
 def classify_by_key(
     family: str, n: int, a: Element, relation: str, mode: str, key: Callable
 ) -> GreenClassification:
@@ -100,22 +96,13 @@ def classify_by_key(
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
     check_deformation(family, n, a)
     keys = key(universe_images(family, n), a, relation, mode)
-    # Number the classes by least member (canonical order is index order),
-    # then list members class by class, ascending within each.
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    class_of = np.argsort(np.argsort(first))[inverse]
-    universe = enumerate_family(family, n)
-    members = [universe[i] for i in np.argsort(class_of, kind="stable").tolist()]
-    ends = np.cumsum(np.bincount(class_of)).tolist()
     return GreenClassification(
         family=family,
         n=n,
         a=a,
         relation=relation,
         method=f"closed-{mode}",
-        classes=tuple(
-            tuple(members[start:end]) for start, end in zip([0, *ends], ends)
-        ),
+        labels=canonical_labels(keys),
     )
 
 

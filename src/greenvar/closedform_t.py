@@ -52,8 +52,9 @@ from .elements import (
     check_deformation,
     family_of,
     family_size,
+    range_masks,
 )
-from .closedform_is import check_mode, classify_by_key, clause_keys, point_mask, range_masks
+from .closedform_is import check_mode, classify_by_key, clause_keys, point_mask
 from .engine import (
     ClassCountSummary,
     GreenClassification,

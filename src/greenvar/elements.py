@@ -314,6 +314,24 @@ def universe_images(family: str, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def universe_texts(family: str, n: int) -> tuple[str, ...]:
+    """The element texts of the family on n points, in canonical order.
+
+    Entry i is ``format_element(enumerate_family(family, n)[i])``.  Every
+    image is one character (n is at most 7), so each row of the image array
+    becomes a fixed-width byte string in one vectorised pass.
+
+    >>> universe_texts("is", 2)[:3]
+    ('-,-', '-,1', '-,2')
+    """
+    images = universe_images(family, n)
+    width = 2 * n - 1
+    chars = np.full((len(images), width), ord(","), dtype=np.uint8)
+    chars[:, ::2] = np.where(images == UNDEFINED, ord("-"), images + ord("0"))
+    return tuple(chars.view(f"S{width}").ravel().astype(f"U{width}").tolist())
+
+
+@functools.lru_cache(maxsize=None)
 def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
     """All elements of the family on n points, in canonical order.
 
@@ -322,6 +340,13 @@ def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
     """
     cls = Transformation if family == FAMILY_T else PartialPerm
     return tuple(cls(tuple(row)) for row in universe_images(family, n).tolist())
+
+
+def range_masks(images: np.ndarray) -> np.ndarray:
+    """ran of each row of an image array as a bitmask (bit i - 1 for point i);
+    undefined entries set no bit."""
+    bits = (np.int64(1) << images.astype(np.int64)) >> 1
+    return np.bitwise_or.reduce(bits, axis=1)
 
 
 def family_of(x: Element) -> str:

@@ -7,7 +7,7 @@ classic equivalences are computed here from first principles:
 - r: equal right ideals  {x} | x *_a S
 - l: equal left ideals   {x} | S *_a x
 - h: r and l together
-- d: smallest equivalence containing r and l (join, via union-find)
+- d: smallest equivalence containing r and l (their join)
 - j: equal two-sided ideals  {x} | xS | Sx | SxS
 
 The adjoined identity never enters products; it only contributes the {x}
@@ -22,7 +22,8 @@ index of its factor's row; no full |S| x |S| table is ever formed.  Right
 ideals read the factor rows, left ideals read their columns, and the j
 ideals reuse the same factoring: the right ideal of z depends only on
 z . a, so SxS is a union of |Sa| distinct rows.  Ideal families are packed
-into bit rows, so grouping is byte comparison.
+into bit rows, so grouping is byte comparison, and every classification
+is one class id per universe index.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from typing import Iterable
+from collections import Counter
+from collections.abc import Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .elements import (
     check_family,
     enumerate_family,
     family_size,
+    range_masks,
     universe_images,
 )
 
@@ -48,6 +52,9 @@ RELATIONS = ("r", "l", "h", "d", "j")
 
 BRUTE_CAP = 5  # classification, product-table and structure-check cap
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
+J_BLOCK_ROWS = 512  # rows of the j ideal widened per float32 product
+
+T = TypeVar("T")
 
 BUDGET_ENV = "GREENVAR_MAX_PRODUCTS"
 DEFAULT_PRODUCT_BUDGET = 20_000_000
@@ -162,13 +169,15 @@ def variant_semigroup(family: str, n: int, a: Element) -> VariantSemigroup:
     return VariantSemigroup(family, n, a)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GreenClassification:
     """A full partition of a variant semigroup under one of the equivalences.
 
-    Classes are canonically ordered: members ascending, classes by least
-    member.  Two classifications describe the same partition exactly when
-    their ``classes`` attributes are equal.
+    labels[i] is the class id of the i-th universe element (canonical
+    order), and classes are numbered by least member, so two
+    classifications describe the same partition exactly when their labels
+    are equal.  The labels are a read-only int64 array; the element tuples
+    of ``classes`` (members ascending) are built on first use.
     """
 
     family: str
@@ -176,18 +185,42 @@ class GreenClassification:
     a: Element
     relation: str
     method: str  # "brute", "closed-corrected" or "closed-literal"
-    classes: tuple[tuple[Element, ...], ...]
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        total = sum(len(c) for c in self.classes)
-        if total != family_size(self.family, self.n):
-            raise ValueError("classes do not partition the universe")
-        for c in self.classes:
-            if not c or list(c) != sorted(c):
-                raise ValueError("class members must be sorted and nonempty")
-        reps = [c[0] for c in self.classes]
-        if reps != sorted(reps):
-            raise ValueError("classes must be sorted by least member")
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.shape != (family_size(self.family, self.n),):
+            raise ValueError("labels do not cover the universe")
+        if labels.min() < 0 or not np.bincount(labels).all():
+            raise ValueError("class ids must be 0..k-1, each one used")
+        # Ids first occur in increasing order exactly when no label exceeds
+        # every label before it by more than one.
+        if labels[0] != 0 or (labels[1:] > np.maximum.accumulate(labels)[:-1] + 1).any():
+            raise ValueError("classes must be numbered by least member")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    @functools.cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.labels).tolist())
+
+    @property
+    def singleton_count(self) -> int:
+        return self.sizes.count(1)
+
+    def grouped(self, values: Sequence[T]) -> list[list[T]]:
+        """values[i] for every universe index i, class by class, in class
+        order and ascending within each class."""
+        ordered = [values[i] for i in np.argsort(self.labels, kind="stable").tolist()]
+        groups, start = [], 0
+        for size in self.sizes:
+            groups.append(ordered[start : start + size])
+            start += size
+        return groups
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(map(tuple, self.grouped(enumerate_family(self.family, self.n))))
 
     @functools.cached_property
     def _position(self) -> dict[Element, int]:
@@ -201,35 +234,43 @@ class GreenClassification:
         return tuple(c[0] for c in self.classes)
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    @property
-    def singleton_count(self) -> int:
-        return sum(1 for c in self.classes if len(c) == 1)
-
-    @property
     def multi_classes(self) -> tuple[tuple[Element, ...], ...]:
         return tuple(c for c in self.classes if len(c) > 1)
 
     def same_partition(self, other: "GreenClassification") -> bool:
-        return self.classes == other.classes
+        return np.array_equal(self.labels, other.labels)
+
+    def first_divergence(self, other: "GreenClassification") -> int | None:
+        """The least universe index whose class differs between the two
+        partitions; None when they agree."""
+        if self.same_partition(other):
+            return None
+        # The classes of i agree when the pair (self, other) of labels of i
+        # is shared by as many elements as each of its two classes holds.
+        _, pair, shared = np.unique(
+            self.labels * len(other.sizes) + other.labels,
+            return_inverse=True,
+            return_counts=True,
+        )
+        shared = shared[pair.ravel()]
+        differs = (shared != np.bincount(self.labels)[self.labels]) | (
+            shared != np.bincount(other.labels)[other.labels]
+        )
+        return int(np.argmax(differs))
 
 
-def _grouping_to_classes(
-    v: VariantSemigroup, groups: Iterable[Iterable[int]]
-) -> tuple[tuple[Element, ...], ...]:
-    classes = [tuple(v.universe[i] for i in sorted(g)) for g in groups]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+def canonical_labels(keys: np.ndarray) -> np.ndarray:
+    """Class ids for rows grouped by equal keys, numbered by least row."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()]
 
 
-def _ideal_row_groups(mat: np.ndarray) -> list[list[int]]:
-    packed = np.packbits(mat, axis=1)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(packed.shape[0]):
-        groups.setdefault(packed[i].tobytes(), []).append(i)
-    return list(groups.values())
+def _row_ids(mat: np.ndarray) -> np.ndarray:
+    # Equal rows share an id; ids are numbered by first row, so canonically.
+    seen: dict[bytes, int] = {}
+    return np.array(
+        [seen.setdefault(row.tobytes(), len(seen)) for row in np.packbits(mat, axis=1)]
+    )
 
 
 def _factor_rows(v: VariantSemigroup) -> np.ndarray:
@@ -268,13 +309,6 @@ def _check_brute_limits(v: VariantSemigroup) -> None:
         )
 
 
-def _class_ids(groups: list[list[int]], size: int) -> np.ndarray:
-    ids = np.empty(size, dtype=np.int64)
-    for gid, members in enumerate(groups):
-        ids[members] = gid
-    return ids
-
-
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
     """Classify the whole universe by ideal comparison (or their join for d)."""
     if relation not in RELATIONS:
@@ -283,56 +317,47 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
     s = v.size
 
     if relation in ("r", "l"):
-        groups = _ideal_row_groups(_membership(v, columns=relation == "l"))
-    elif relation == "h":
-        r_ids = _class_ids(_ideal_row_groups(_membership(v, columns=False)), s)
-        l_ids = _class_ids(_ideal_row_groups(_membership(v, columns=True)), s)
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for i in range(s):
-            pairs.setdefault((int(r_ids[i]), int(l_ids[i])), []).append(i)
-        groups = list(pairs.values())
-    elif relation == "d":
-        r_groups = _ideal_row_groups(_membership(v, columns=False))
-        l_groups = _ideal_row_groups(_membership(v, columns=True))
-        parent = list(range(s))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                return
-            if ri < rj:  # keep the least member as root
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-
-        for members in r_groups + l_groups:
-            for m in members[1:]:
-                union(members[0], m)
-        roots: dict[int, list[int]] = {}
-        for i in range(s):
-            roots.setdefault(find(i), []).append(i)
-        groups = list(roots.values())
+        labels = _row_ids(_membership(v, columns=relation == "l"))
+    elif relation in ("h", "d"):
+        r_ids = _row_ids(_membership(v, columns=False))
+        l_ids = _row_ids(_membership(v, columns=True))
+        if relation == "h":
+            labels = canonical_labels(r_ids * s + l_ids)
+        else:
+            # The join: each element takes the least index it reaches through
+            # shared r- and l-classes, until nothing changes.
+            least = np.arange(s)
+            while True:
+                reached = least
+                for ids in (r_ids, l_ids):
+                    low = np.full(s, s)
+                    np.minimum.at(low, ids, reached)
+                    reached = low[ids]
+                if np.array_equal(reached, least):
+                    break
+                least = reached
+            labels = canonical_labels(least)
     else:  # j: two-sided ideals; zS depends on z only through its left factor z . a
         rows, left_of = v.table()
         right = _factor_rows(v)
-        left = _membership(v, columns=True)
+        ideal = _membership(v, columns=True)  # S x, widened in place to the whole ideal
         # factors[x, k]: some z in Sx has left factor k, so SxS is the union
         # of the rows of right that factors[x] selects (a boolean product).
-        # When left_of is the identity, left serves as factors: its diagonal
-        # adds only xS, which the ideal holds anyway.
+        # When left_of is the identity, the left ideal rows serve as factors:
+        # their diagonal adds only xS, which the ideal holds anyway.  Each
+        # block of rows is read as factors before it is widened.
         if len(rows) == s:
-            factors = left
+            factors = ideal
         else:
             factors = np.zeros((s, len(rows)), dtype=bool)
             factors[np.arange(s)[:, None], left_of[rows.T]] = True
-        sxs = (factors.astype(np.float32) @ right.astype(np.float32)) > 0
-        groups = _ideal_row_groups(right[left_of] | left | sxs)
+        right32 = right.astype(np.float32)
+        for start in range(0, s, J_BLOCK_ROWS):
+            block = slice(start, start + J_BLOCK_ROWS)
+            sxs = (factors[block].astype(np.float32) @ right32) > 0
+            ideal[block] |= sxs
+            ideal[block] |= right[left_of[block]]
+        labels = _row_ids(ideal)
 
     return GreenClassification(
         family=v.family,
@@ -340,7 +365,7 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         a=v.a,
         relation=relation,
         method="brute",
-        classes=_grouping_to_classes(v, groups),
+        labels=labels,
     )
 
 
@@ -358,14 +383,11 @@ def verify_d_equals_j(
     """Check the finite-semigroup identity d = j; a witness pair on failure."""
     d = green_classes_brute(v, "d")
     j = green_classes_brute(v, "j")
-    if d.same_partition(j):
+    x = d.first_divergence(j)
+    if x is None:
         return True, None
-    for x in v.universe:
-        dc, jc = set(d.class_of(x)), set(j.class_of(x))
-        if dc != jc:
-            y = min(dc.symmetric_difference(jc))
-            return False, (x, y)
-    raise AssertionError("partitions differ but no witness found")
+    differ = (d.labels == d.labels[x]) != (j.labels == j.labels[x])
+    return False, (v.universe[x], v.universe[int(np.argmax(differ))])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,16 +463,14 @@ class ClassCountSummary:
 
 
 def summarize_classes_by_rank(classification: GreenClassification) -> ClassCountSummary:
-    singles = 0
-    lines: dict[tuple[int, int], int] = {}
-    for c in classification.classes:
-        if len(c) == 1:
-            singles += 1
-        else:
-            key = (c[0].rank, len(c))
-            lines[key] = lines.get(key, 0) + 1
+    c = classification
+    sizes = np.bincount(c.labels)
+    _, least = np.unique(c.labels, return_index=True)
+    ranks = np.bitwise_count(range_masks(universe_images(c.family, c.n)[least]))
+    multi = sizes > 1
+    lines = Counter(zip(ranks[multi].tolist(), sizes[multi].tolist()))
     return ClassCountSummary(
-        singleton_count=singles,
-        multi_class_count=sum(lines.values()),
+        singleton_count=int((sizes == 1).sum()),
+        multi_class_count=int(multi.sum()),
         size_lines=tuple(sorted((k, sz, cnt) for (k, sz), cnt in lines.items())),
     )

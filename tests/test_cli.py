@@ -9,6 +9,12 @@ import sys
 import jsonschema
 import pytest
 
+from greenvar.cli import MEMBER_LIMIT
+from greenvar.closedform_is import closed_classification_is
+from greenvar.closedform_t import closed_classification_t
+from greenvar.elements import enumerate_family, parse_element
+from greenvar.engine import brute_classification
+
 
 def load_schema():
     text = (
@@ -111,6 +117,64 @@ def test_green_elision_and_full(cli):
     payload = validated(out)
     for c in payload["results"][0]["classes"]:
         assert c["members"] is not None and len(c["members"]) == c["size"]
+
+
+def test_green_closed_builds_no_universe_elements(cli):
+    # The closed path renders from the class labels and the text table.
+    for fmt in ("text", "json", "csv"):
+        for relation in ("r", "l", "h", "d"):
+            enumerate_family.cache_clear()
+            code, out, _ = cli(
+                "green", "--family", "t", "--n", "4", "--a", "1,1,2,3",
+                "--relation", relation, "--method", "closed", "--mode", "both",
+                "--format", fmt,
+            )
+            assert code == 0 and out
+            assert enumerate_family.cache_info().misses == 0, (fmt, relation)
+
+
+def _green_json_cases():
+    for family in ("is", "t"):
+        for n in (1, 2, 3):
+            universe = enumerate_family(family, n)
+            for a in sorted({universe[0], universe[len(universe) // 2], universe[-1]}):
+                for relation in ("r", "l", "h", "d", "j"):
+                    yield family, n, str(a), relation
+    yield "is", 4, "1,2,3,4", "d"  # a class of more than MEMBER_LIMIT members
+
+
+def _expected_classes(family, n, a_text, relation, method, full):
+    a = parse_element(family, a_text)
+    if method == "brute":
+        c = brute_classification(family, n, a, relation)
+    else:
+        closed = closed_classification_is if family == "is" else closed_classification_t
+        c = closed(n, a, relation, method.removeprefix("closed-"))
+    return [
+        {
+            "members": [str(x) for x in cls] if full or len(cls) <= MEMBER_LIMIT else None,
+            "representative": str(cls[0]),
+            "size": len(cls),
+        }
+        for cls in c.classes
+    ]
+
+
+@pytest.mark.parametrize("full", (False, True))
+def test_green_json_matches_json_dumps(cli, full):
+    # The class lists are written from the element texts; they must read
+    # exactly as json.dumps(indent=2, sort_keys=True) writes the same payload.
+    for family, n, a, relation in _green_json_cases():
+        argv = ("green", "--family", family, "--n", str(n), "--a", a,
+                "--relation", relation, "--mode", "both", "--format", "json")
+        code, out, _ = cli(*argv, *(("--full",) if full else ()))
+        assert code in (0, 1), argv
+        payload = validated(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", argv
+        for result in payload["results"]:
+            assert result["classes"] == _expected_classes(
+                family, n, a, relation, result["method"], full
+            ), (argv, result["method"])
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +376,14 @@ def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "greenvar.cli", "--help"],
         capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert "green" in result.stdout and "eggbox" in result.stdout
+
+
+def test_python_m_greenvar():
+    result = subprocess.run(
+        [sys.executable, "-m", "greenvar", "--help"], capture_output=True, text=True
     )
     assert result.returncode == 0
     assert "green" in result.stdout and "eggbox" in result.stdout

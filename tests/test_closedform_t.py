@@ -28,13 +28,13 @@ from greenvar.closedform_is import (
     l_class_is,
     r_class_is,
 )
-from greenvar.closedform_is import range_masks
 from greenvar.elements import (
     FAMILY_IS,
     FAMILY_T,
     enumerate_family,
     identity,
     parse_element,
+    range_masks,
     universe_images,
 )
 from greenvar.engine import brute_classification, summarize_classes_by_rank
@@ -299,13 +299,8 @@ def census(lines, size):
     return size - covered, sum(count for _, _, count in lines), tuple(lines)
 
 
-@pytest.mark.parametrize(
-    "a_text",
-    ("1,1,1,1,1,1", "1,1,2,3,3,3", "1,1,2,2,3,3", "1,1,1,2,3,4", "1,2,3,4,5,5", "1,2,3,4,5,6"),
-)
-def test_t6_census_matches_corrected_formulas(a_text):
-    n, a = 6, tr(a_text)
-    p = a.rank
+def check_census(a):
+    n, p = a.n, a.rank
     fibers = [a.images.count(v) for v in sorted(set(a.images))]
     r_lines = [(m, elementary_symmetric(fibers, m) * factorial(m), stirling2(n, m))
                for m in range(1, p + 1)]
@@ -316,3 +311,19 @@ def test_t6_census_matches_corrected_formulas(a_text):
         assert (
             summary.singleton_count, summary.multi_class_count, summary.size_lines
         ) == census(lines, n**n), relation
+
+
+@pytest.mark.parametrize(
+    "a_text",
+    ("1,1,1,1,1,1", "1,1,2,3,3,3", "1,1,2,2,3,3", "1,1,1,2,3,4", "1,2,3,4,5,5", "1,2,3,4,5,6"),
+)
+def test_t6_census_matches_corrected_formulas(a_text):
+    check_census(tr(a_text))
+
+
+def test_t7_census_matches_corrected_formulas():
+    # 823,543 elements: the classification and its census read the image
+    # array and the labels only, so no element object is built.
+    enumerate_family.cache_clear()
+    check_census(tr("1,1,2,2,3,3,4"))
+    assert enumerate_family.cache_info().misses == 0

@@ -24,6 +24,7 @@ from greenvar.elements import (
     identity,
     parse_element,
     universe_images,
+    universe_texts,
 )
 
 
@@ -168,6 +169,14 @@ def test_universe_images_match_enumeration_and_are_read_only():
                 images[0, 0] = 1
             with pytest.raises(ValueError):
                 images += 0
+
+
+def test_universe_texts_match_format_element():
+    for family in (FAMILY_IS, FAMILY_T):
+        for n in range(1, 6):
+            texts = universe_texts(family, n)
+            assert texts == tuple(format_element(x) for x in enumerate_family(family, n))
+            assert universe_texts(family, n) is texts
 
 
 def test_family_of():

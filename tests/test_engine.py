@@ -15,6 +15,8 @@ from greenvar.elements import (
     identity,
     parse_element,
 )
+from greenvar.closedform_is import closed_classification_is
+from greenvar.closedform_t import closed_classification_t
 from greenvar.engine import (
     RELATIONS,
     BudgetError,
@@ -94,11 +96,13 @@ def test_product_table_memory_bound():
     peak = _traced_peak(v.table)
     assert len(v.table()[0]) == 243
     assert peak < 64 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
-    # A whole d classification (table, r and l ideal rows, union-find) on a
+    # A whole d classification (table, r and l ideal rows, their join) on a
     # fresh semigroup stays below the size of one dense |S| x |S| table.
-    fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
-    peak = _traced_peak(lambda: green_classes_brute(fresh, "d"))
-    assert peak < 32 * 2**20, f"d classification peaked at {peak / 2**20:.1f} MB"
+    # So does j, whose SxS product is taken a block of rows at a time.
+    for relation in ("d", "j"):
+        fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
+        peak = _traced_peak(lambda: green_classes_brute(fresh, relation))
+        assert peak < 32 * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
 
 
 def test_variant_semigroup_cache_returns_same_object():
@@ -209,17 +213,28 @@ def test_rank_zero_deformation_all_singletons():
 def test_classification_validates_partition():
     a = pp("1,2")
     good = brute_classification(FAMILY_IS, 2, a, "r")
-    with pytest.raises(ValueError):
-        GreenClassification(
-            family=FAMILY_IS, n=2, a=a, relation="r", method="brute",
-            classes=good.classes[:-1],  # not a partition of the universe
+    k = len(good.sizes)
+    assert k > 2
+
+    def build(labels):
+        return GreenClassification(
+            family=FAMILY_IS, n=2, a=a, relation="r", method="brute", labels=labels
         )
-    shuffled = (good.classes[-1],) + good.classes[:-1]
+
+    assert build(good.labels.tolist()).same_partition(good)
+    for not_a_partition in (
+        good.labels[:-1],  # an element without a class
+        np.append(good.labels, 0),  # a label beyond the universe
+        np.where(good.labels == k - 1, k, good.labels),  # id k - 1 unused
+        np.where(good.labels == k - 1, -1, good.labels),  # a negative id
+    ):
+        with pytest.raises(ValueError):
+            build(not_a_partition)
+    swapped = np.where(good.labels == 0, 1, np.where(good.labels == 1, 0, good.labels))
     with pytest.raises(ValueError):
-        GreenClassification(
-            family=FAMILY_IS, n=2, a=a, relation="r", method="brute",
-            classes=shuffled,  # classes out of canonical order
-        )
+        build(swapped)  # ids 0 and 1 exchanged: classes out of canonical order
+    with pytest.raises(ValueError):
+        good.labels[0] = 1  # the labels are read-only
 
 
 def test_class_sizes_cover_universe():
@@ -236,6 +251,31 @@ def test_class_of_and_accessors():
     assert c.representatives == (tr("1,1"), tr("1,2"), tr("2,1"))
     assert c.singleton_count == 2
     assert c.multi_classes == ((tr("1,1"), tr("2,2")),)
+
+
+def test_first_divergence_matches_naive_scan():
+    # The literal d description drifts from brute force at most
+    # deformations; the first divergence is the least element whose two
+    # classes differ as sets.
+    for family, n, closed in (
+        (FAMILY_IS, 3, closed_classification_is),
+        (FAMILY_T, 3, closed_classification_t),
+    ):
+        universe = enumerate_family(family, n)
+        for a in universe:
+            brute = brute_classification(family, n, a, "d")
+            literal = closed(n, a, "d", "literal")
+            expected = next(
+                (
+                    i
+                    for i, x in enumerate(universe)
+                    if set(literal.class_of(x)) != set(brute.class_of(x))
+                ),
+                None,
+            )
+            assert literal.first_divergence(brute) == expected, (family, str(a))
+            assert brute.first_divergence(literal) == expected
+            assert (expected is None) == literal.same_partition(brute)
 
 
 def test_d_equals_j_spot_checks():
