@@ -63,7 +63,6 @@ from .elements import (
 from .engine import (
     BRUTE_CAP,
     RELATIONS,
-    BudgetError,
     ClassCountSummary,
     EggBox,
     GreenClassification,
@@ -91,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRUTE_CAP",
-    "BudgetError",
     "CapacityError",
     "ClassCountSummary",
     "DivisibilityVerdict",

@@ -49,7 +49,9 @@ from .elements import (
     Element,
     ParseError,
     enumerate_family,
+    family_element,
     parse_element,
+    universe_images,
     universe_texts,
 )
 from .engine import (
@@ -133,11 +135,13 @@ def _select_deformations(
         if n > ALL_A_CAP:
             parser.error(f"--all-a is capped at n <= {ALL_A_CAP}; use --sample")
         return list(enumerate_family(family, n))
-    universe = enumerate_family(family, n)
-    if args.sample > len(universe):
-        parser.error(f"--sample {args.sample} exceeds the universe size {len(universe)}")
-    rng = random.Random(args.seed)
-    return sorted(rng.sample(universe, args.sample))
+    # Sampling indices draws what sampling the elements would; only the
+    # drawn elements are built.
+    images = universe_images(family, n)
+    if args.sample > len(images):
+        parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
+    picks = random.Random(args.seed).sample(range(len(images)), args.sample)
+    return [family_element(family, images[i].tolist()) for i in sorted(picks)]
 
 
 def _closed_classification(
@@ -408,88 +412,52 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # count
 
 
-def _size_rows(
-    side: str,
-    literal: tuple[tuple[int, int, int], ...],
-    corrected: tuple[tuple[int, int, int], ...],
-    enumerated: tuple[tuple[int, int, int], ...],
-) -> list[dict]:
-    lit = {(k, s): c for k, s, c in literal}
-    cor = {(k, s): c for k, s, c in corrected}
-    enu = {(k, s): c for k, s, c in enumerated}
-    rows = []
-    for k, s in sorted(set(lit) | set(cor) | set(enu)):
-        rows.append(
-            {
-                "side": side,
-                "quantity": f"classes_rank_{k}_size_{s}",
-                "literal_value": lit.get((k, s), 0),
-                "corrected_value": cor.get((k, s), 0),
-                "enumerated_value": enu.get((k, s), 0),
-            }
-        )
-    return rows
-
-
-def _scalar_row(side: str, quantity: str, lit: int, cor: int, enu: int) -> dict:
-    return {
-        "side": side,
-        "quantity": quantity,
-        "literal_value": lit,
-        "corrected_value": cor,
-        "enumerated_value": enu,
-    }
-
-
 def _count_rows(report: ISCountReport | TCountReport) -> list[dict]:
-    rows: list[dict] = []
+    # Per side: the enumerated census, then the (literal, corrected)
+    # formula values of the singleton count, the multi-class count and the
+    # size lines.
     if isinstance(report, ISCountReport):
-        for side, enum in (("r", report.enumerated_r), ("l", report.enumerated_l)):
-            rows.append(
-                _scalar_row(side, "singleton_count", report.singleton_literal,
-                            report.singleton_corrected, enum.singleton_count)
-            )
-            rows.append(
-                _scalar_row(side, "multi_class_count", report.multi_class_count,
-                            report.multi_class_count, enum.multi_class_count)
-            )
-            rows.extend(
-                _size_rows(side, report.size_lines, report.size_lines, enum.size_lines)
-            )
+        formulas = (
+            (report.singleton_literal, report.singleton_corrected),
+            (report.multi_class_count,) * 2,
+            (report.size_lines,) * 2,
+        )
+        sides = [("r", report.enumerated_r, *formulas), ("l", report.enumerated_l, *formulas)]
     else:
-        rows.append(
-            _scalar_row("r", "singleton_count", report.r_singleton,
-                        report.r_singleton, report.enumerated_r.singleton_count)
+        sides = [
+            ("r", report.enumerated_r, (report.r_singleton,) * 2,
+             (report.r_multi_count,) * 2, (report.r_size_lines,) * 2),
+            ("l", report.enumerated_l,
+             (report.l_singleton_literal, report.l_singleton_corrected),
+             (report.l_multi_count_literal, report.l_multi_count_corrected),
+             (report.l_size_lines_literal, report.l_size_lines_corrected)),
+        ]
+    rows = []
+    for side, enum, singletons, multis, size_lines in sides:
+        values = [
+            ("singleton_count", *singletons, enum.singleton_count),
+            ("multi_class_count", *multis, enum.multi_class_count),
+        ]
+        lit, cor, enu = (
+            {(k, sz): c for k, sz, c in lines} for lines in (*size_lines, enum.size_lines)
         )
-        rows.append(
-            _scalar_row("r", "multi_class_count", report.r_multi_count,
-                        report.r_multi_count, report.enumerated_r.multi_class_count)
-        )
-        rows.extend(
-            _size_rows("r", report.r_size_lines, report.r_size_lines,
-                       report.enumerated_r.size_lines)
-        )
-        rows.append(
-            _scalar_row("l", "singleton_count", report.l_singleton_literal,
-                        report.l_singleton_corrected,
-                        report.enumerated_l.singleton_count)
-        )
-        rows.append(
-            _scalar_row("l", "multi_class_count", report.l_multi_count_literal,
-                        report.l_multi_count_corrected,
-                        report.enumerated_l.multi_class_count)
-        )
-        rows.extend(
-            _size_rows("l", report.l_size_lines_literal,
-                       report.l_size_lines_corrected, report.enumerated_l.size_lines)
-        )
-    for row in rows:
-        marks = []
-        if row["literal_value"] != row["enumerated_value"]:
-            marks.append("literal")
-        if row["corrected_value"] != row["enumerated_value"]:
-            marks.append("corrected")
-        row["flag"] = ",".join(marks)
+        values += [
+            (f"classes_rank_{k}_size_{sz}", lit.get((k, sz), 0), cor.get((k, sz), 0),
+             enu.get((k, sz), 0))
+            for k, sz in sorted(set(lit) | set(cor) | set(enu))
+        ]
+        for quantity, literal, corrected, enumerated in values:
+            rows.append({
+                "side": side,
+                "quantity": quantity,
+                "literal_value": literal,
+                "corrected_value": corrected,
+                "enumerated_value": enumerated,
+                "flag": ",".join(
+                    mark for mark, value in (("literal", literal), ("corrected", corrected))
+                    if value != enumerated
+                ),
+            })
     return rows
 
 
@@ -531,7 +499,6 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         lines = [f"count family={family} n={n} deformations={len(tables)}"]
         for t in tables:
             lines.append(f"a=\"{t['a']}\" p={t['p']}")
-            widths = [4, 8, 7, 9, 10, 4]
             header = ("side", "quantity", "literal", "corrected", "enumerated", "flag")
             grid = [header] + [
                 (row["side"], row["quantity"], str(row["literal_value"]),

@@ -236,9 +236,13 @@ class Partition:
         return {i: block for block in self.blocks for i in block}
 
 
+def family_element(family: str, images: Iterable[int]) -> Element:
+    """The element of the family with these images (0 marks undefined)."""
+    return (Transformation if family == FAMILY_T else PartialPerm)(tuple(images))
+
+
 def identity(family: str, n: int) -> Element:
-    images = tuple(range(1, n + 1))
-    return PartialPerm(images) if family == FAMILY_IS else Transformation(images)
+    return family_element(family, range(1, n + 1))
 
 
 def empty_map(n: int) -> PartialPerm:
@@ -338,8 +342,37 @@ def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
     >>> [str(x) for x in enumerate_family("is", 2)]
     ['-,-', '-,1', '-,2', '1,-', '1,2', '2,-', '2,1']
     """
-    cls = Transformation if family == FAMILY_T else PartialPerm
-    return tuple(cls(tuple(row)) for row in universe_images(family, n).tolist())
+    return tuple(family_element(family, row) for row in universe_images(family, n).tolist())
+
+
+def _row_codes(images: np.ndarray, n: int) -> np.ndarray:
+    codes = np.zeros(images.shape[:-1], dtype=np.int32)
+    for i in range(n):
+        codes *= n + 1
+        codes += images[..., i]
+    return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _index_lookup(family: str, n: int) -> np.ndarray:
+    # Read-only: entry c is the canonical index of the row with base-(n+1)
+    # code c, or -1 when no element of the family has that row.
+    lookup = np.full((n + 1) ** n, -1, dtype=np.int32)
+    images = universe_images(family, n)
+    lookup[_row_codes(images, n)] = np.arange(len(images), dtype=np.int32)
+    lookup.setflags(write=False)
+    return lookup
+
+
+def universe_index(family: str, n: int, images: np.ndarray) -> np.ndarray:
+    """Canonical indices of image rows: the last axis of images holds n
+    images per row, and the result has the remaining shape, int32, with -1
+    for a row that is no element of the family on n points.
+
+    >>> universe_index("is", 2, np.array([[2, 1], [0, 0], [1, 1]])).tolist()
+    [6, 0, -1]
+    """
+    return _index_lookup(family, n)[_row_codes(images, n)]
 
 
 def range_masks(images: np.ndarray) -> np.ndarray:

@@ -13,24 +13,25 @@ classic equivalences are computed here from first principles:
 The adjoined identity never enters products; it only contributes the {x}
 term to each ideal, which is what the unions above encode.
 
-Everything is exact integer work on small universes.  By associativity
+Everything is exact integer work on small universes, under one size rule,
+checked before any universe is listed: n <= BRUTE_CAP.  By associativity
 ``x *_a y = (x . a) . y``, so a row of the product table depends on x only
 through its left factor x . a.  The table is built from the |Sa| distinct
-left factors: their |Sa| x |S| block of products is computed once (as
-mixed-radix int32 codes mapped back to indices), and each x keeps only the
-index of its factor's row; no full |S| x |S| table is ever formed.  Right
-ideals read the factor rows, left ideals read their columns, and the j
-ideals reuse the same factoring: the right ideal of z depends only on
+left factors: their |Sa| x |S| block of products is computed on the image
+array, a few rows at a time, and mapped back to indices; each x keeps only
+the index of its factor's row, so no full |S| x |S| table is ever formed.
+Right ideals read the factor rows, left ideals read their columns, and the
+j ideals reuse the same factoring: the right ideal of z depends only on
 z . a, so SxS is a union of |Sa| distinct rows.  Ideal families are packed
 into bit rows, so grouping is byte comparison, and every classification
-is one class id per universe index.
+is one class id per universe index.  Element objects are built only on
+request, for printing classes and witnesses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from collections import Counter
 from collections.abc import Sequence
 from typing import TypeVar
@@ -43,38 +44,28 @@ from .elements import (
     check_deformation,
     check_family,
     enumerate_family,
+    family_element,
+    family_of,
     family_size,
     range_masks,
     universe_images,
+    universe_index,
 )
 
 RELATIONS = ("r", "l", "h", "d", "j")
 
-BRUTE_CAP = 5  # classification, product-table and structure-check cap
+BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
+TABLE_BLOCK_ROWS = 64  # factor rows of the product table indexed per pass
 J_BLOCK_ROWS = 512  # rows of the j ideal widened per float32 product
 
 T = TypeVar("T")
 
-BUDGET_ENV = "GREENVAR_MAX_PRODUCTS"
-DEFAULT_PRODUCT_BUDGET = 20_000_000
 
-
-class BudgetError(ValueError):
-    """A classification would evaluate more products than the budget allows."""
-
-
-def product_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_PRODUCT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
+def check_brute_cap(n: int) -> None:
+    """Refuse brute force beyond n = BRUTE_CAP, before anything is listed."""
+    if n > BRUTE_CAP:
+        raise CapacityError(f"brute force is capped at n <= {BRUTE_CAP}, got n = {n}")
 
 
 def variant_product(x: Element, a: Element, y: Element) -> Element:
@@ -88,34 +79,16 @@ class VariantSemigroup:
     def __init__(self, family: str, n: int, a: Element):
         check_family(family)
         check_deformation(family, n, a)
+        check_brute_cap(n)
         self.family = family
         self.n = n
         self.a = a
-        self.universe: tuple[Element, ...] = enumerate_family(family, n)
-        self.index: dict[Element, int] = {x: i for i, x in enumerate(self.universe)}
+        self.size = family_size(family, n)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._spot_check_associativity()
 
     @property
-    def size(self) -> int:
-        return len(self.universe)
-
-    def product(self, x: Element, y: Element) -> Element:
-        if x not in self.index or y not in self.index:
-            raise ValueError("operands must belong to the universe")
-        return variant_product(x, self.a, y)
-
-    def _spot_check_associativity(self) -> None:
-        s = self.size
-        picks = sorted({0, s - 1, s // 2, s // 3, s // 7})
-        for i in picks:
-            for j in picks:
-                for k in picks:
-                    x, y, z = self.universe[i], self.universe[j], self.universe[k]
-                    left = self.product(self.product(x, y), z)
-                    right = self.product(x, self.product(y, z))
-                    if left != right:
-                        raise AssertionError("variant product is not associative")
+    def universe(self) -> tuple[Element, ...]:
+        return enumerate_family(self.family, self.n)
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The product table in factored form (rows, left_of), int32 indices.
@@ -127,40 +100,50 @@ class VariantSemigroup:
         """
         if self._table is not None:
             return self._table
-        if self.n > BRUTE_CAP:
-            raise CapacityError(
-                f"product tables are capped at n <= {BRUTE_CAP}, got n = {self.n}"
-            )
-        n, s = self.n, self.size
-        images = universe_images(self.family, n)
+        family, n, s = self.family, self.n, self.size
+        images = universe_images(family, n)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
         a_pad = np.zeros(n + 1, dtype=np.int8)
         a_pad[1:] = self.a.images
         xa = a_pad[images]  # (s, n): images of x . a
-        radix = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int32)
-        lookup = np.full((n + 1) ** n, -1, dtype=np.int32)
-        lookup[images.astype(np.int32) @ radix] = np.arange(s, dtype=np.int32)
         _, reps, left_of = np.unique(
-            xa.astype(np.int32) @ radix, return_index=True, return_inverse=True
+            universe_index(family, n, xa), return_index=True, return_inverse=True
         )
         left_of = left_of.ravel().astype(np.int32)
         if len(reps) == s:  # x -> x . a is injective: each row is its own factor
             reps = left_of = np.arange(s, dtype=np.int32)
-        # by_point[k, y] = y(k), so by_point[left[:, i]] holds point i of
-        # left . y for every distinct left factor and every y.
+        # by_point[k, y] = y(k), so by_point[left[f]] holds the images of
+        # left[f] . y for every y, one point per row.
         by_point = np.zeros((n + 1, s), dtype=np.int8)
         by_point[1:] = images.T
         left = xa[reps]
-        codes = np.zeros((len(reps), s), dtype=np.int32)
-        for i in range(n):
-            codes *= n + 1
-            codes += by_point[left[:, i]]
-        block = lookup[codes]
-        del codes
-        if block.min() < 0:
+        rows = np.empty((len(reps), s), dtype=np.int32)
+        for start in range(0, len(reps), TABLE_BLOCK_ROWS):
+            block = slice(start, start + TABLE_BLOCK_ROWS)
+            rows[block] = universe_index(family, n, by_point[left[block]].transpose(0, 2, 1))
+        if rows.min() < 0:
             raise AssertionError("a product left the universe")
-        self._table = block, left_of
+        self._spot_check_associativity(rows, left_of)
+        self._table = rows, left_of
         return self._table
+
+    def _spot_check_associativity(self, rows: np.ndarray, left_of: np.ndarray) -> None:
+        # On a few picked elements: the table is associative, and its
+        # pick-pair entries agree with the object-level product.
+        s = self.size
+        picks = sorted({0, s - 1, s // 2, s // 3, s // 7})
+
+        def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return rows[left_of[i], j]
+
+        x, y, z = np.ix_(picks, picks, picks)
+        if (product(product(x, y), z) != product(x, product(y, z))).any():
+            raise AssertionError("variant product is not associative")
+        images = universe_images(self.family, self.n)
+        picked = [family_element(self.family, images[i].tolist()) for i in picks]
+        expected = [variant_product(x, self.a, y).images for x in picked for y in picked]
+        if not np.array_equal(images[product(*np.ix_(picks, picks))].reshape(-1, self.n), expected):
+            raise AssertionError("product table disagrees with the variant product")
 
 
 @functools.lru_cache(maxsize=4)
@@ -295,25 +278,10 @@ def _membership(v: VariantSemigroup, *, columns: bool) -> np.ndarray:
     return mat
 
 
-def _check_brute_limits(v: VariantSemigroup) -> None:
-    if v.n > BRUTE_CAP:
-        raise CapacityError(
-            f"brute-force classification is capped at n <= {BRUTE_CAP}, got n = {v.n}"
-        )
-    budget = product_budget()
-    needed = v.size * v.size
-    if needed > budget:
-        raise BudgetError(
-            f"classification needs {needed} products, over the budget {budget} "
-            f"(override with {BUDGET_ENV})"
-        )
-
-
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
     """Classify the whole universe by ideal comparison (or their join for d)."""
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-    _check_brute_limits(v)
     s = v.size
 
     if relation in ("r", "l"):
@@ -424,7 +392,7 @@ def _egg_box(
     # Rows and columns are the r- and l-classes whose least member lies in
     # the d-class, found from the members themselves in ascending order.
     members = set(d_class)
-    ordered = sorted(x for x in members if x in v.index)
+    ordered = sorted(x for x in members if family_of(x) == v.family and x.n == v.n)
     rows = tuple(c for x in ordered if (c := r.class_of(x))[0] == x)
     cols = tuple(c for x in ordered if (c := l.class_of(x))[0] == x)
     for c in rows + cols:

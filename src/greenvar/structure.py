@@ -13,7 +13,10 @@ Two facts are made executable here:
   only the constructed witnesses are machine-verified.
 
 All checks are exhaustive over the universe (or all pairs), so they are
-capped at the brute-force sizes.
+capped at the brute-force size, n <= BRUTE_CAP.  Both maps are index
+arrays computed on the image array: the pair checks compare product
+tables through them, and a partition carried across a map is compared by
+its labels.  Element objects are built only for a reported pair.
 """
 
 from __future__ import annotations
@@ -24,19 +27,25 @@ import numpy as np
 
 from .elements import (
     FAMILY_IS,
-    CapacityError,
     PartialPerm,
     UNDEFINED,
     family_of,
+    universe_images,
+    universe_index,
 )
-from .engine import BRUTE_CAP, VariantSemigroup, brute_classification, variant_semigroup
+from .engine import (
+    VariantSemigroup,
+    brute_classification,
+    canonical_labels,
+    check_brute_cap,
+    variant_semigroup,
+)
 
 
 def _check_is(a: PartialPerm) -> None:
     if family_of(a) != FAMILY_IS:
         raise TypeError("structure maps are defined for partial injections")
-    if a.n > BRUTE_CAP:
-        raise CapacityError(f"exhaustive checks are capped at n <= {BRUTE_CAP}")
+    check_brute_cap(a.n)
 
 
 def _dense_table(v: VariantSemigroup) -> np.ndarray:
@@ -60,6 +69,16 @@ class DualCheckReport:
     classes_match: bool | None  # r-partition for a vs inverted l-partition for a^{-1}
 
 
+def _inversion_map(n: int) -> np.ndarray:
+    # inv[x] is the index of x^{-1}: where x sends point i to j, x^{-1}
+    # sends j to i.
+    images = universe_images(FAMILY_IS, n)
+    inverse = np.zeros_like(images)
+    xs, points = np.nonzero(images)
+    inverse[xs, images[xs, points] - 1] = points + 1
+    return universe_index(FAMILY_IS, n, inverse)
+
+
 def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport:
     """Verify inverse(x *_{a^{-1}} y) = inverse(y) *_a inverse(x) for all pairs,
     and optionally the induced r-to-l partition correspondence.
@@ -70,7 +89,7 @@ def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport
     _check_is(a)
     a_inv = a.inverse()
     v = variant_semigroup(FAMILY_IS, a.n, a)
-    inv = np.array([v.index[x.inverse()] for x in v.universe], dtype=np.int32)
+    inv = _inversion_map(a.n)
     table = _dense_table(v)
     left = inv[_dense_table(variant_semigroup(FAMILY_IS, a.n, a_inv))]
     failing = np.argwhere(left != table[inv][:, inv].T)
@@ -81,8 +100,7 @@ def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport
     if check_classes:
         r = brute_classification(FAMILY_IS, a.n, a, "r")
         l = brute_classification(FAMILY_IS, a.n, a_inv, "l")
-        inverted = {frozenset(x.inverse() for x in c) for c in r.classes}
-        classes_match = inverted == {frozenset(c) for c in l.classes}
+        classes_match = np.array_equal(canonical_labels(l.labels[inv]), r.labels)
     return DualCheckReport(a, True, None, classes_match)
 
 
@@ -132,13 +150,18 @@ def iso_witness(a: PartialPerm, b: PartialPerm) -> IsoWitness | None:
     dom_a, dom_b = sorted(a.dom), sorted(b.dom)
     g = _matched_permutation(dom_a, dom_b, n)
     # h must finish the chain i -> g(i) -> b(g(i)) -> a(i) on dom(a).
-    h_sources = []
-    h_targets = []
-    for i in dom_a:
-        h_sources.append(b(g(i)))
-        h_targets.append(a(i))
-    h = _matched_permutation(h_sources, h_targets, n)
+    h = _matched_permutation([b(g(i)) for i in dom_a], [a(i) for i in dom_a], n)
     return IsoWitness(a=a, b=b, g=g, h=h)
+
+
+def _iso_map(witness: IsoWitness) -> np.ndarray:
+    # p[x] is the index of phi(x) = h . x . g: point i of phi(x) is
+    # g(x(h(i))), undefined wherever x is.
+    n = witness.a.n
+    g_pad = np.zeros(n + 1, dtype=np.int8)
+    g_pad[1:] = witness.g.images
+    h_at = np.array(witness.h.images) - 1
+    return universe_index(FAMILY_IS, n, g_pad[universe_images(FAMILY_IS, n)[:, h_at]])
 
 
 def verify_isomorphism(
@@ -154,13 +177,13 @@ def verify_isomorphism(
     a, b = witness.a, witness.b
     _check_is(a)
     va = variant_semigroup(FAMILY_IS, a.n, a)
-    seen: dict[PartialPerm, PartialPerm] = {}
-    for x in va.universe:
-        fx = witness.apply(x)
-        if fx in seen:
-            return False, (seen[fx], x)
-        seen[fx] = x
-    p = np.array([va.index[fx] for fx in seen], dtype=np.int32)
+    p = _iso_map(witness)
+    _, first, image_of = np.unique(p, return_index=True, return_inverse=True)
+    earlier = first[image_of.ravel()]  # the least x with the same image as each x
+    collided = np.flatnonzero(earlier < np.arange(len(p)))
+    if len(collided):
+        x = collided[0]
+        return False, (va.universe[earlier[x]], va.universe[x])
     table_b = _dense_table(variant_semigroup(FAMILY_IS, b.n, b))
     failing = np.argwhere(p[_dense_table(va)] != table_b[p][:, p])
     if len(failing):
@@ -174,10 +197,10 @@ def iso_preserves_classes(
 ) -> bool:
     """phi must carry each equivalence class for a onto one for b."""
     a, b = witness.a, witness.b
+    p = _iso_map(witness)
     for relation in relations:
         ca = brute_classification(FAMILY_IS, a.n, a, relation)
         cb = brute_classification(FAMILY_IS, b.n, b, relation)
-        mapped = {frozenset(witness.apply(x) for x in c) for c in ca.classes}
-        if mapped != {frozenset(c) for c in cb.classes}:
+        if not np.array_equal(canonical_labels(cb.labels[p]), ca.labels):
             return False
     return True

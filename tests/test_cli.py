@@ -13,7 +13,7 @@ from greenvar.cli import MEMBER_LIMIT
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.elements import enumerate_family, parse_element
-from greenvar.engine import brute_classification
+from greenvar.engine import brute_classification, variant_semigroup
 
 
 def load_schema():
@@ -131,6 +131,33 @@ def test_green_closed_builds_no_universe_elements(cli):
             )
             assert code == 0 and out
             assert enumerate_family.cache_info().misses == 0, (fmt, relation)
+
+
+def _run_from_cold_caches(cli, *args):
+    # Cold caches, so the brute path really runs rather than reusing a
+    # classification or a semigroup built earlier.
+    for cache in (enumerate_family, brute_classification, variant_semigroup):
+        cache.cache_clear()
+    code, out, _ = cli(*args)
+    assert code == 0 and out
+    return enumerate_family.cache_info().misses
+
+
+def test_brute_path_builds_no_universe_elements(cli):
+    # The brute engine works on the image array and index tables, and the
+    # classes are rendered from their labels.
+    for fmt in ("text", "json", "csv"):
+        for relation in ("r", "l", "h", "d", "j"):
+            misses = _run_from_cold_caches(
+                cli, "green", "--family", "t", "--n", "4", "--a", "1,1,2,3",
+                "--relation", relation, "--method", "brute", "--format", fmt,
+            )
+            assert misses == 0, (fmt, relation)
+    for command in ("count", "verify"):
+        misses = _run_from_cold_caches(
+            cli, command, "--family", "is", "--n", "4", "--a", "1,2,-,-"
+        )
+        assert misses == 0, command
 
 
 def _green_json_cases():
@@ -341,6 +368,14 @@ def test_dual_all_a_n2(cli):
         ("verify", "--family", "is", "--n", "2", "--a", "1,2", "--all-a"),
         ("dual", "--n", "5", "--all-a"),
         ("bogus",),
+        # brute force beyond its cap, on every command that needs it
+        ("green", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3", "--relation", "d",
+         "--method", "both"),
+        ("count", "--family", "is", "--n", "6", "--a", "1,2,3,-,-,-"),
+        ("verify", "--family", "t", "--n", "6", "--sample", "1"),
+        ("eggbox", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3"),
+        ("iso", "--n", "6", "--a", "1,2,-,-,-,-", "--b", "1,-,-,-,-,-"),
+        ("dual", "--n", "6", "--a", "1,2,-,-,-,-"),
     ],
 )
 def test_usage_errors_exit_2(cli, args):

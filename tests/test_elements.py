@@ -24,6 +24,7 @@ from greenvar.elements import (
     identity,
     parse_element,
     universe_images,
+    universe_index,
     universe_texts,
 )
 
@@ -268,3 +269,19 @@ def test_bad_images_rejected():
         PartialPerm((1, 1))
     with pytest.raises(ValueError):
         PartialPerm((4, 0, 1))
+
+
+def test_universe_index_inverts_the_image_array():
+    for family in (FAMILY_IS, FAMILY_T):
+        for n in (1, 2, 3, 4):
+            images = universe_images(family, n)
+            index = universe_index(family, n, images)
+            assert index.dtype == np.int32
+            assert np.array_equal(index, np.arange(len(images)))
+            # any leading shape; rows outside the family map to -1
+            assert np.array_equal(
+                universe_index(family, n, images[::-1].reshape(-1, 1, n)).ravel(),
+                index[::-1],
+            )
+    assert universe_index(FAMILY_T, 2, np.array([[0, 1], [2, 1]])).tolist() == [-1, 2]
+    assert universe_index(FAMILY_IS, 3, np.array([[2, 2, 0], [0, 0, 3]])).tolist() == [-1, 3]

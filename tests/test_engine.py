@@ -14,12 +14,12 @@ from greenvar.elements import (
     enumerate_family,
     identity,
     parse_element,
+    universe_images,
 )
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.engine import (
     RELATIONS,
-    BudgetError,
     GreenClassification,
     VariantSemigroup,
     all_egg_boxes,
@@ -347,7 +347,7 @@ def test_summarize_classes_by_rank():
 
 
 # ---------------------------------------------------------------------------
-# caps and budget
+# the size cap and the table spot check
 
 
 def test_brute_capacity_cap():
@@ -357,12 +357,31 @@ def test_brute_capacity_cap():
         )
 
 
-def test_product_budget_env(monkeypatch):
-    monkeypatch.setenv("GREENVAR_MAX_PRODUCTS", "10")
-    a = tr("1,1,2")
-    v = variant_semigroup(FAMILY_T, 3, a).__class__(FAMILY_T, 3, a)  # fresh, uncached
-    with pytest.raises(BudgetError):
-        green_classes_brute(v, "r")
+def test_brute_cap_refused_before_listing():
+    # The cap is the one resource rule: a semigroup beyond it is refused
+    # before its universe is listed, as elements or as an image array.
+    enumerate_family.cache_clear()
+    universe_images.cache_clear()
+    with pytest.raises(CapacityError):
+        variant_semigroup(FAMILY_T, 6, tr("1,1,2,2,3,3"))
+    assert enumerate_family.cache_info().misses == 0
+    assert universe_images.cache_info().misses == 0
+
+
+def test_table_spot_check_catches_a_corrupted_pick_pair():
+    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    rows, left_of = v.table()
+    v._spot_check_associativity(rows, left_of)  # the genuine table passes
+    s = v.size
+    for i, j in ((0, s - 1), (s // 2, s // 3), (s - 1, 0)):
+        corrupted = rows.copy()
+        corrupted[left_of[i], j] = (corrupted[left_of[i], j] + 1) % s
+        with pytest.raises(AssertionError):
+            v._spot_check_associativity(corrupted, left_of)
+    # Another deformation's table is associative, but not the product for a.
+    other = VariantSemigroup(FAMILY_T, 3, tr("1,2,3"))
+    with pytest.raises(AssertionError, match="disagrees"):
+        v._spot_check_associativity(*other.table())
 
 
 def test_relation_name_checked():

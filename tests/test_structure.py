@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from greenvar.elements import (
@@ -11,7 +14,7 @@ from greenvar.elements import (
     parse_element,
 )
 from greenvar import structure
-from greenvar.engine import VariantSemigroup
+from greenvar.engine import VariantSemigroup, canonical_labels
 from greenvar.structure import (
     DualCheckReport,
     IsoWitness,
@@ -89,6 +92,30 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     assert report.counterexample == (corrupted.universe[0], corrupted.universe[5])
 
 
+def _merging_first_two_classes(monkeypatch, target):
+    # brute_classification as seen by structure, with classes 0 and 1
+    # merged for the deformation target only.
+    genuine = structure.brute_classification
+
+    def patched(family, n, x, relation):
+        c = genuine(family, n, x, relation)
+        if x != target:
+            return c
+        assert len(c.sizes) > 2
+        merged = np.where(c.labels == 1, 0, c.labels)
+        return dataclasses.replace(c, labels=canonical_labels(merged))
+
+    monkeypatch.setattr(structure, "brute_classification", patched)
+
+
+def test_dual_check_class_test_catches_merged_classes(monkeypatch):
+    a = pp("2,3,-")
+    assert a.inverse() != a
+    _merging_first_two_classes(monkeypatch, a.inverse())
+    report = dual_check(a)
+    assert report.holds and report.classes_match is False
+
+
 # ---------------------------------------------------------------------------
 # isomorphism witnesses
 
@@ -141,6 +168,32 @@ def test_verify_isomorphism_detects_corrupted_witness():
     assert counterexample == (pp("-,-,1"), pp("-,1,-"))
 
 
+def test_iso_preserves_classes_catches_merged_classes(monkeypatch):
+    a, b = pp("1,2,-"), pp("-,1,2")
+    witness = iso_witness(a, b)
+    _merging_first_two_classes(monkeypatch, b)
+    assert verify_isomorphism(witness) == (True, None)
+    assert not iso_preserves_classes(witness, ("r",))
+    assert not iso_preserves_classes(witness)
+
+
+def test_verify_isomorphism_reports_first_collision():
+    # A g that is no permutation makes phi non-injective; the reported pair
+    # is the first element whose image an earlier element already took.
+    a = pp("1,2,-")
+    corrupted = object.__new__(IsoWitness)
+    for name, value in (("a", a), ("b", a), ("g", pp("1,2,-")), ("h", pp("1,2,3"))):
+        object.__setattr__(corrupted, name, value)
+    seen = {}
+    for x in enumerate_family(FAMILY_IS, 3):
+        fx = corrupted.apply(x)
+        if fx in seen:
+            expected = (seen[fx], x)
+            break
+        seen[fx] = x
+    assert verify_isomorphism(corrupted) == (False, expected)
+
+
 def test_iso_witness_size_mismatch_rejected():
     with pytest.raises(ValueError):
         iso_witness(pp("1,2"), pp("1,2,-"))
@@ -150,6 +203,21 @@ def test_iso_witness_rank_zero_pair():
     witness = iso_witness(empty_map(3), empty_map(3))
     ok, _ = verify_isomorphism(witness)
     assert ok and iso_preserves_classes(witness)
+
+
+def test_index_maps_match_the_element_maps():
+    for n in (1, 2, 3, 4):
+        universe = enumerate_family(FAMILY_IS, n)
+        position = {x: i for i, x in enumerate(universe)}
+        assert structure._inversion_map(n).tolist() == [
+            position[x.inverse()] for x in universe
+        ]
+        for a, b in ((universe[0], universe[0]), (universe[-1], universe[len(universe) // 2])):
+            witness = iso_witness(a, b)
+            if witness is not None:
+                assert structure._iso_map(witness).tolist() == [
+                    position[witness.apply(x)] for x in universe
+                ]
 
 
 def test_seeded_equal_rank_pairs_n3():
