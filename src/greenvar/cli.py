@@ -167,9 +167,9 @@ def _listed(size: int, full: bool) -> bool:
     return full or size <= MEMBER_LIMIT
 
 
-def _class_entry(cls: tuple[Element, ...], full: bool) -> dict:
-    members = [str(x) for x in cls] if _listed(len(cls), full) else None
-    return {"representative": str(cls[0]), "size": len(cls), "members": members}
+def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict:
+    members = [texts[x] for x in cls] if _listed(len(cls), full) else None
+    return {"representative": texts[cls[0]], "size": len(cls), "members": members}
 
 
 def _json_class_list(groups: list[list[str]], full: bool) -> str:
@@ -523,17 +523,18 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 # eggbox
 
 
-def _cell_text(cell: tuple[Element, ...], full: bool) -> str:
+def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
     if not cell:
         return "&middot;"
     if full:
-        return " ".join(str(x) for x in cell)
+        return " ".join(texts[x] for x in cell)
     if len(cell) == 1:
-        return str(cell[0])
-    return f"{cell[0]} ({len(cell)})"
+        return texts[cell[0]]
+    return f"{texts[cell[0]]} ({len(cell)})"
 
 
 def _dot_document(boxes: Sequence[EggBox], family: str, n: int, a: Element, full: bool) -> str:
+    texts = universe_texts(family, n)
     lines = ["digraph eggbox {"]
     lines.append(
         f'  label="family={family} n={n} a=\\"{a}\\" d_classes={len(boxes)}";'
@@ -543,14 +544,14 @@ def _dot_document(boxes: Sequence[EggBox], family: str, n: int, a: Element, full
     for i, box in enumerate(boxes):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(
-            f'    label="d{i} rep {box.representative} size {len(box.d_class)}'
-            f' ({len(box.rows)}x{len(box.cols)})";'
+            f'    label="d{i} rep {texts[box.members[0]]} size {len(box.members)}'
+            f' ({len(box.row_members)}x{len(box.col_members)})";'
         )
         rows_html = "".join(
             "<TR>"
-            + "".join(f"<TD>{_cell_text(cell, full)}</TD>" for cell in row)
+            + "".join(f"<TD>{_cell_text(cell, texts, full)}</TD>" for cell in row)
             + "</TR>"
-            for row in box.cells
+            for row in box.cell_members
         )
         lines.append(
             f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
@@ -573,6 +574,7 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         boxes = all_egg_boxes(v)
 
     if args.format == "json":
+        texts = universe_texts(family, n)
         _emit_json(
             {
                 "command": "eggbox",
@@ -581,13 +583,13 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 "a": str(a),
                 "d_classes": [
                     {
-                        "representative": str(box.representative),
-                        "size": len(box.d_class),
-                        "rows": [str(r[0]) for r in box.rows],
-                        "cols": [str(c[0]) for c in box.cols],
+                        "representative": texts[box.members[0]],
+                        "size": len(box.members),
+                        "rows": [texts[r[0]] for r in box.row_members],
+                        "cols": [texts[c[0]] for c in box.col_members],
                         "cells": [
-                            [_class_entry(cell, args.full) for cell in row]
-                            for row in box.cells
+                            [_class_entry(cell, texts, args.full) for cell in row]
+                            for row in box.cell_members
                         ],
                     }
                     for box in boxes

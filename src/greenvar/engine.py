@@ -18,14 +18,22 @@ checked before any universe is listed: n <= BRUTE_CAP.  By associativity
 ``x *_a y = (x . a) . y``, so a row of the product table depends on x only
 through its left factor x . a.  The table is built from the |Sa| distinct
 left factors: their |Sa| x |S| block of products is computed on the image
-array, a few rows at a time, and mapped back to indices; each x keeps only
-the index of its factor's row, so no full |S| x |S| table is ever formed.
-Right ideals read the factor rows, left ideals read their columns, and the
-j ideals reuse the same factoring: the right ideal of z depends only on
-z . a, so SxS is a union of |Sa| distinct rows.  Ideal families are packed
-into bit rows, so grouping is byte comparison, and every classification
-is one class id per universe index.  Element objects are built only on
-request, for printing classes and witnesses.
+array, a few rows at a time, checked to stay in the universe and stored as
+uint16 indices (every universe with n <= 6 has fewer than 65,536
+elements); each x keeps only the index of its factor's row, so no full
+|S| x |S| table is ever formed.
+
+Ideal families are packed bit rows, one bit per universe element, built a
+block at a time, so no |S| x |S| matrix of any dtype is formed and grouping
+is byte comparison.  Right ideals gather the packed factor rows and add
+each x's own bit; left ideals pack the columns of the factor block.  The j
+ideal of x is L(x) | xS | SxS, and SxS depends on x only through L(x): if
+L(x) = L(y) then x is in Sy and y in Sx, so SxS = SyS.  So SxS is taken
+once per l-class, as the union of the factor rows of the left factors in
+Sx (a float32 product blocked over rows and columns), and read back
+through the l ids.  Every classification is one class id per universe
+index.  Element objects are built only on request, for printing classes
+and witnesses.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ RELATIONS = ("r", "l", "h", "d", "j")
 BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 TABLE_BLOCK_ROWS = 64  # factor rows of the product table indexed per pass
-J_BLOCK_ROWS = 512  # rows of the j ideal widened per float32 product
+IDEAL_BLOCK = 512  # ideal rows or columns unpacked per pass; a multiple of 8
 
 T = TypeVar("T")
 
@@ -91,7 +99,8 @@ class VariantSemigroup:
         return enumerate_family(self.family, self.n)
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The product table in factored form (rows, left_of), int32 indices.
+        """The product table in factored form (rows, left_of) of indices,
+        uint16 when |S| < 65,536 and int32 otherwise.
 
         rows[k, j] is the index of z . universe[j] for the k-th distinct left
         factor z = x . a, and left_of[i] is the row of universe[i]'s factor,
@@ -101,6 +110,7 @@ class VariantSemigroup:
         if self._table is not None:
             return self._table
         family, n, s = self.family, self.n, self.size
+        index = np.uint16 if s < 2**16 else np.int32
         images = universe_images(family, n)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
         a_pad = np.zeros(n + 1, dtype=np.int8)
@@ -109,20 +119,22 @@ class VariantSemigroup:
         _, reps, left_of = np.unique(
             universe_index(family, n, xa), return_index=True, return_inverse=True
         )
-        left_of = left_of.ravel().astype(np.int32)
+        left_of = left_of.ravel().astype(index)
         if len(reps) == s:  # x -> x . a is injective: each row is its own factor
-            reps = left_of = np.arange(s, dtype=np.int32)
+            reps = left_of = np.arange(s, dtype=index)
         # by_point[k, y] = y(k), so by_point[left[f]] holds the images of
         # left[f] . y for every y, one point per row.
         by_point = np.zeros((n + 1, s), dtype=np.int8)
         by_point[1:] = images.T
         left = xa[reps]
-        rows = np.empty((len(reps), s), dtype=np.int32)
+        rows = np.empty((len(reps), s), dtype=index)
         for start in range(0, len(reps), TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
-            rows[block] = universe_index(family, n, by_point[left[block]].transpose(0, 2, 1))
-        if rows.min() < 0:
-            raise AssertionError("a product left the universe")
+            products = universe_index(family, n, by_point[left[block]].transpose(0, 2, 1))
+            # Checked on the int32 indices: cast to uint16, a -1 would pass.
+            if products.min() < 0:
+                raise AssertionError("a product left the universe")
+            rows[block] = products
         self._spot_check_associativity(rows, left_of)
         self._table = rows, left_of
         return self._table
@@ -248,34 +260,71 @@ def canonical_labels(keys: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse.ravel()]
 
 
-def _row_ids(mat: np.ndarray) -> np.ndarray:
-    # Equal rows share an id; ids are numbered by first row, so canonically.
+def _row_ids(packed: np.ndarray) -> np.ndarray:
+    # Equal packed rows share an id; ids are numbered by first row, so
+    # canonically.
     seen: dict[bytes, int] = {}
-    return np.array(
-        [seen.setdefault(row.tobytes(), len(seen)) for row in np.packbits(mat, axis=1)]
-    )
+    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in packed])
+
+
+def _pack(members: np.ndarray, s: int) -> np.ndarray:
+    """Bit rows over the universe: row i has the bits of members[i], an
+    array of indices, set; built IDEAL_BLOCK rows at a time."""
+    packed = np.empty((len(members), (s + 7) // 8), dtype=np.uint8)
+    for start in range(0, len(members), IDEAL_BLOCK):
+        block = members[start : start + IDEAL_BLOCK]
+        bits = np.zeros((len(block), s), dtype=bool)
+        bits[np.arange(len(block))[:, None], block] = True
+        packed[start : start + IDEAL_BLOCK] = np.packbits(bits, axis=1)
+    return packed
+
+
+def _with_self(packed: np.ndarray) -> np.ndarray:
+    """Set bit x of row x in place (the adjoined identity's {x} term)."""
+    x = np.arange(len(packed))
+    packed[x, x >> 3] |= (0x80 >> (x & 7)).astype(np.uint8)
+    return packed
 
 
 def _factor_rows(v: VariantSemigroup) -> np.ndarray:
-    """Membership of zS for each distinct left factor z . a, as a (|Sa|, |S|) matrix."""
-    rows, _ = v.table()
-    mat = np.zeros(rows.shape, dtype=bool)
-    mat[np.arange(rows.shape[0])[:, None], rows] = True
-    return mat
+    """zS for each distinct left factor z . a, packed: the rows of the table."""
+    return _pack(v.table()[0], v.size)
 
 
-def _membership(v: VariantSemigroup, *, columns: bool) -> np.ndarray:
-    """Ideal rows with the identity adjoined: row x is {x} | x *_a S, or
-    {x} | S *_a x when columns is set."""
-    s = v.size
+def _right_rows(v: VariantSemigroup) -> np.ndarray:
+    """{x} | x *_a S, packed: x *_a S = (x . a) . S is the factor row of x."""
+    return _with_self(_factor_rows(v)[v.table()[1]])
+
+
+def _left_rows(v: VariantSemigroup) -> np.ndarray:
+    """{x} | S *_a x, packed: S *_a x = (Sa) . x is column x of the factor rows."""
+    return _with_self(_pack(v.table()[0].T, v.size))
+
+
+def _sxs_rows(v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """S x S for each x in reps, packed.
+
+    S x S is the union of zS over z in Sx, and zS is the factor row of z's
+    left factor, so it is the boolean product of the factor rows by the
+    left factors of column x.  The product is taken in float32, exact
+    while the sums stay below 2**24 (they are at most |Sa|), IDEAL_BLOCK
+    reps by IDEAL_BLOCK columns at a time, unpacking only that block of
+    columns of the factor rows.
+    """
     rows, left_of = v.table()
-    if columns:  # S *_a x = (Sa) . x: column x of the distinct factor rows
-        mat = np.zeros((s, s), dtype=bool)
-        mat[np.arange(s)[:, None], rows.T] = True
-    else:  # x *_a S = (x . a) . S: the factor row of x
-        mat = _factor_rows(v)[left_of]
-    mat[np.arange(s), np.arange(s)] = True
-    return mat
+    s = v.size
+    sxs = np.empty((len(reps), factor_rows.shape[1]), dtype=np.uint8)
+    for start in range(0, len(reps), IDEAL_BLOCK):
+        block = reps[start : start + IDEAL_BLOCK]
+        factors = np.zeros((len(block), len(rows)), dtype=np.float32)
+        factors[np.arange(len(block))[:, None], left_of[rows[:, block].T]] = 1
+        for col in range(0, s, IDEAL_BLOCK):
+            width = min(IDEAL_BLOCK, s - col)
+            packed = slice(col // 8, (col + width + 7) // 8)
+            right = np.unpackbits(factor_rows[:, packed], axis=1, count=width)
+            product = factors @ right.astype(np.float32)
+            sxs[start : start + IDEAL_BLOCK, packed] = np.packbits(product > 0, axis=1)
+    return sxs
 
 
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
@@ -284,11 +333,13 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     s = v.size
 
-    if relation in ("r", "l"):
-        labels = _row_ids(_membership(v, columns=relation == "l"))
+    if relation == "r":
+        labels = _row_ids(_right_rows(v))
+    elif relation == "l":
+        labels = _row_ids(_left_rows(v))
     elif relation in ("h", "d"):
-        r_ids = _row_ids(_membership(v, columns=False))
-        l_ids = _row_ids(_membership(v, columns=True))
+        r_ids = _row_ids(_right_rows(v))
+        l_ids = _row_ids(_left_rows(v))
         if relation == "h":
             labels = canonical_labels(r_ids * s + l_ids)
         else:
@@ -305,26 +356,13 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
                     break
                 least = reached
             labels = canonical_labels(least)
-    else:  # j: two-sided ideals; zS depends on z only through its left factor z . a
-        rows, left_of = v.table()
-        right = _factor_rows(v)
-        ideal = _membership(v, columns=True)  # S x, widened in place to the whole ideal
-        # factors[x, k]: some z in Sx has left factor k, so SxS is the union
-        # of the rows of right that factors[x] selects (a boolean product).
-        # When left_of is the identity, the left ideal rows serve as factors:
-        # their diagonal adds only xS, which the ideal holds anyway.  Each
-        # block of rows is read as factors before it is widened.
-        if len(rows) == s:
-            factors = ideal
-        else:
-            factors = np.zeros((s, len(rows)), dtype=bool)
-            factors[np.arange(s)[:, None], left_of[rows.T]] = True
-        right32 = right.astype(np.float32)
-        for start in range(0, s, J_BLOCK_ROWS):
-            block = slice(start, start + J_BLOCK_ROWS)
-            sxs = (factors[block].astype(np.float32) @ right32) > 0
-            ideal[block] |= sxs
-            ideal[block] |= right[left_of[block]]
+    else:  # j: J(x) = L(x) | xS | SxS, with SxS taken once per l-class
+        factor_rows = _factor_rows(v)
+        ideal = _left_rows(v)
+        l_ids = _row_ids(ideal)
+        _, reps = np.unique(l_ids, return_index=True)  # least member of each l-class
+        ideal |= factor_rows[v.table()[1]]
+        ideal |= _sxs_rows(v, factor_rows, reps)[l_ids]
         labels = _row_ids(ideal)
 
     return GreenClassification(
@@ -361,15 +399,42 @@ def verify_d_equals_j(
 @dataclasses.dataclass(frozen=True)
 class EggBox:
     """One d-class laid out as a grid: rows are r-classes, columns l-classes,
-    and each cell the h-class where they cross (cell = row intersect column)."""
+    and each cell the h-class where they cross (cell = row intersect column).
+
+    The layout is held as universe indices, ascending within each tuple:
+    ``members`` is the d-class, and ``row_members``, ``col_members`` and
+    ``cell_members`` its rows, columns and cells.  Rows and columns are
+    ordered by least member.  The element tuples d_class, rows, cols and
+    cells are built from the indices on first use.
+    """
 
     family: str
     n: int
     a: Element
-    d_class: tuple[Element, ...]
-    rows: tuple[tuple[Element, ...], ...]
-    cols: tuple[tuple[Element, ...], ...]
-    cells: tuple[tuple[tuple[Element, ...], ...], ...]
+    members: tuple[int, ...]
+    row_members: tuple[tuple[int, ...], ...]
+    col_members: tuple[tuple[int, ...], ...]
+    cell_members: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def _elements(self, indices: tuple[int, ...]) -> tuple[Element, ...]:
+        universe = enumerate_family(self.family, self.n)
+        return tuple(universe[i] for i in indices)
+
+    @functools.cached_property
+    def d_class(self) -> tuple[Element, ...]:
+        return self._elements(self.members)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(map(self._elements, self.row_members))
+
+    @functools.cached_property
+    def cols(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(map(self._elements, self.col_members))
+
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[tuple[Element, ...], ...], ...]:
+        return tuple(tuple(map(self._elements, row)) for row in self.cell_members)
 
     @property
     def representative(self) -> Element:
@@ -378,42 +443,61 @@ class EggBox:
 
 def egg_box(v: VariantSemigroup, d_class: tuple[Element, ...]) -> EggBox:
     """Grid layout of one d-class from green_classes_brute(v, "d")."""
+    if any(family_of(x) != v.family or x.n != v.n for x in d_class):
+        raise ValueError("d_class holds an element outside the universe")
+    images = np.array([x.images for x in d_class], dtype=np.int8).reshape(-1, v.n)
+    members = np.unique(universe_index(v.family, v.n, images))
     r = brute_classification(v.family, v.n, v.a, "r")
     l = brute_classification(v.family, v.n, v.a, "l")
-    return _egg_box(v, d_class, r, l)
+    return _egg_boxes(v, members, np.zeros(len(members), dtype=np.int64), r, l)[0]
 
 
-def _egg_box(
+def _egg_boxes(
     v: VariantSemigroup,
-    d_class: tuple[Element, ...],
+    members: np.ndarray,
+    box_of: np.ndarray,
     r: GreenClassification,
     l: GreenClassification,
-) -> EggBox:
-    # Rows and columns are the r- and l-classes whose least member lies in
-    # the d-class, found from the members themselves in ascending order.
-    members = set(d_class)
-    ordered = sorted(x for x in members if family_of(x) == v.family and x.n == v.n)
-    rows = tuple(c for x in ordered if (c := r.class_of(x))[0] == x)
-    cols = tuple(c for x in ordered if (c := l.class_of(x))[0] == x)
-    for c in rows + cols:
-        if not members.issuperset(c):
+) -> tuple[EggBox, ...]:
+    # members are ascending universe indices and box_of[i] the box of
+    # members[i], boxes numbered by least member.  A line (row or column)
+    # is a (box, class) pair; sorted, the lines of each box come out by
+    # least member, since class ids are, and each class must lie wholly in
+    # its box.
+    boxes = int(box_of.max()) + 1
+    places, counts = [], []
+    for c in (r, l):
+        k = len(c.sizes)
+        lines, line_of, size = np.unique(
+            box_of * k + c.labels[members], return_inverse=True, return_counts=True
+        )
+        if (size != np.bincount(c.labels)[lines % k]).any():
             raise ValueError("d_class is not a union of r- and l-classes")
-    row_of = {x: i for i, c in enumerate(rows) for x in c}
-    col_of = {x: j for j, c in enumerate(cols) for x in c}
-    grid: list[list[list[Element]]] = [[[] for _ in cols] for _ in rows]
-    for x in ordered:
-        if x in row_of and x in col_of:
-            grid[row_of[x]][col_of[x]].append(x)
-    cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
-    return EggBox(
-        family=v.family, n=v.n, a=v.a, d_class=tuple(d_class),
-        rows=rows, cols=cols, cells=cells,
+        first = np.searchsorted(lines // k, np.arange(boxes + 1))  # each box's first line
+        places.append((line_of.ravel() - first[box_of]).tolist())
+        counts.append(np.diff(first).tolist())
+    grids = [[[[] for _ in range(w)] for _ in range(h)] for h, w in zip(*counts)]
+    row_lists = [[[] for _ in range(h)] for h in counts[0]]
+    col_lists = [[[] for _ in range(w)] for w in counts[1]]
+    member_lists: list[list[int]] = [[] for _ in range(boxes)]
+    for x, b, i, j in zip(members.tolist(), box_of.tolist(), *places):
+        grids[b][i][j].append(x)
+        row_lists[b][i].append(x)
+        col_lists[b][j].append(x)
+        member_lists[b].append(x)
+    return tuple(
+        EggBox(
+            family=v.family, n=v.n, a=v.a, members=tuple(m),
+            row_members=tuple(map(tuple, rows)), col_members=tuple(map(tuple, cols)),
+            cell_members=tuple(tuple(map(tuple, row)) for row in grid),
+        )
+        for m, rows, cols, grid in zip(member_lists, row_lists, col_lists, grids)
     )
 
 
 def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
     r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
-    return tuple(_egg_box(v, c, r, l) for c in d.classes)
+    return _egg_boxes(v, np.arange(v.size), d.labels, r, l)
 
 
 @dataclasses.dataclass(frozen=True)

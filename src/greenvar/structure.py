@@ -15,13 +15,15 @@ Two facts are made executable here:
 All checks are exhaustive over the universe (or all pairs), so they are
 capped at the brute-force size, n <= BRUTE_CAP.  Both maps are index
 arrays computed on the image array: the pair checks compare product
-tables through them, and a partition carried across a map is compared by
-its labels.  Element objects are built only for a reported pair.
+tables through them, a block of rows at a time read from the factored
+tables, and a partition carried across a map is compared by its labels.
+Element objects are built only for a reported pair.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .elements import (
     universe_index,
 )
 from .engine import (
+    IDEAL_BLOCK,
     VariantSemigroup,
     brute_classification,
     canonical_labels,
@@ -48,10 +51,26 @@ def _check_is(a: PartialPerm) -> None:
     check_brute_cap(a.n)
 
 
-def _dense_table(v: VariantSemigroup) -> np.ndarray:
-    # The pair checks compare every product, so they gather the full table.
+def _products(v: VariantSemigroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # The indices of xs *_a ys, broadcast, read through the factored table.
     rows, left_of = v.table()
-    return rows[left_of]
+    return rows[left_of[xs], ys]
+
+
+def _first_failing_pair(
+    v: VariantSemigroup, mismatch: Callable[[np.ndarray], np.ndarray]
+) -> tuple[PartialPerm, PartialPerm] | None:
+    # mismatch(xs) marks the failing pairs (x, y) of a column xs of
+    # consecutive indices, one row per x; it is asked IDEAL_BLOCK rows at a
+    # time, and the first failing pair in row-major order is returned as
+    # elements.
+    for start in range(0, v.size, IDEAL_BLOCK):
+        xs = np.arange(start, min(start + IDEAL_BLOCK, v.size))[:, None]
+        failing = np.argwhere(mismatch(xs))
+        if len(failing):
+            i, j = failing[0]
+            return v.universe[start + i], v.universe[j]
+    return None
 
 
 def rank_representative(n: int, k: int) -> PartialPerm:
@@ -84,18 +103,21 @@ def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport
     and optionally the induced r-to-l partition correspondence.
 
     Over the product tables T this is the identity
-    inv[T_{a^{-1}}] == T_a[inv][:, inv].T, with inv the index map of inversion.
+    inv[T_{a^{-1}}] == T_a[inv][:, inv].T, with inv the index map of inversion,
+    compared a block of rows at a time.
     """
     _check_is(a)
     a_inv = a.inverse()
     v = variant_semigroup(FAMILY_IS, a.n, a)
+    v_inv = variant_semigroup(FAMILY_IS, a.n, a_inv)
     inv = _inversion_map(a.n)
-    table = _dense_table(v)
-    left = inv[_dense_table(variant_semigroup(FAMILY_IS, a.n, a_inv))]
-    failing = np.argwhere(left != table[inv][:, inv].T)
-    if len(failing):
-        i, j = failing[0]
-        return DualCheckReport(a, False, (v.universe[i], v.universe[j]), None)
+    # Row x of T_a[inv][:, inv].T holds T_a[inv[y], inv[x]] for every y.
+    failing = _first_failing_pair(
+        v,
+        lambda xs: inv[_products(v_inv, xs, np.arange(v.size))] != _products(v, inv, inv[xs]),
+    )
+    if failing is not None:
+        return DualCheckReport(a, False, failing, None)
     classes_match = None
     if check_classes:
         r = brute_classification(FAMILY_IS, a.n, a, "r")
@@ -171,8 +193,8 @@ def verify_isomorphism(
     otherwise (the bijection check reports a pair of colliding elements).
 
     With p the index map of phi, the homomorphism law over the product
-    tables is p[T_a] == T_b[p][:, p]; the first failing pair is reported in
-    row-major order.
+    tables is p[T_a] == T_b[p][:, p], compared a block of rows at a time;
+    the first failing pair is reported in row-major order.
     """
     a, b = witness.a, witness.b
     _check_is(a)
@@ -184,11 +206,12 @@ def verify_isomorphism(
     if len(collided):
         x = collided[0]
         return False, (va.universe[earlier[x]], va.universe[x])
-    table_b = _dense_table(variant_semigroup(FAMILY_IS, b.n, b))
-    failing = np.argwhere(p[_dense_table(va)] != table_b[p][:, p])
-    if len(failing):
-        i, j = failing[0]
-        return False, (va.universe[i], va.universe[j])
+    vb = variant_semigroup(FAMILY_IS, b.n, b)
+    failing = _first_failing_pair(
+        va, lambda xs: p[_products(va, xs, np.arange(va.size))] != _products(vb, p[xs], p)
+    )
+    if failing is not None:
+        return False, failing
     return True, None
 
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -67,7 +69,7 @@ def test_product_table_matches_direct_products():
         a = parse_element(family, a_text)
         v = variant_semigroup(family, n, a)
         rows, left_of = v.table()
-        assert rows.dtype == left_of.dtype == np.int32
+        assert rows.dtype == left_of.dtype == np.uint16  # |S| < 65,536
         assert rows.shape == (len(rows), v.size) and left_of.shape == (v.size,)
         assert (len(rows) == v.size) == injective
         universe = v.universe
@@ -89,20 +91,56 @@ def _traced_peak(fn):
 
 def test_product_table_memory_bound():
     # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors of
-    # 3125 elements.  The 243 x 3125 block of their products is 3 MB of
-    # int32; a dense table would be 39 MB, and going through an (s, s, n)
+    # 3125 elements.  The 243 x 3125 block of their products is 1.5 MB of
+    # uint16; a dense table would be 20 MB, and going through an (s, s, n)
     # int8 product array and its int64 copy peaks near 490 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
     peak = _traced_peak(v.table)
     assert len(v.table()[0]) == 243
     assert peak < 64 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
-    # A whole d classification (table, r and l ideal rows, their join) on a
-    # fresh semigroup stays below the size of one dense |S| x |S| table.
-    # So does j, whose SxS product is taken a block of rows at a time.
-    for relation in ("d", "j"):
+    # Every classification on a fresh semigroup, table included, stays
+    # within 12 MB, under a third of one dense |S| x |S| int32 table: the
+    # ideals are packed bit rows, built a block at a time.
+    for relation in RELATIONS:
         fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
         peak = _traced_peak(lambda: green_classes_brute(fresh, relation))
-        assert peak < 32 * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
+        assert peak <= 12 * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
+
+
+def test_full_rank_j_memory_bound():
+    # At full rank |Sa| = |S|, so the table alone is 3125 x 3125 uint16
+    # (19.5 MB).  j takes SxS once per l-class (31 of them here), in blocks
+    # of rows and columns, with no |S| x |S| bool or float32 matrix beside
+    # the table; those held 107 MB together.
+    v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
+    peak = _traced_peak(lambda: green_classes_brute(v, "j"))
+    assert len(v.table()[0]) == v.size
+    assert peak <= 40 * 2**20, f"j classification peaked at {peak / 2**20:.1f} MB"
+
+
+def test_table_rejects_a_product_outside_the_universe_under_optimize():
+    # universe_index maps an image row that is no element to -1.  The table
+    # checks the int32 indices of each block before storing them as uint16,
+    # where a -1 would become 65,535 and pass any range check; python -O
+    # must not drop the check either.
+    rows, left_of = VariantSemigroup(FAMILY_T, 3, tr("1,1,2")).table()
+    target = int(rows[left_of[-1], -1])  # some product's index
+    script = f"""
+import numpy as np
+from greenvar import elements
+from greenvar.engine import VariantSemigroup
+
+genuine = elements._index_lookup("t", 3)
+corrupted = np.where(genuine == {target}, -1, genuine)
+elements._index_lookup = lambda family, n: corrupted
+try:
+    VariantSemigroup("t", 3, elements.parse_element("t", "1,1,2")).table()
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: a product left the universe\n"
 
 
 def test_variant_semigroup_cache_returns_same_object():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,49 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     report = dual_check(a)
     assert not report.holds and report.classes_match is None
     assert report.counterexample == (corrupted.universe[0], corrupted.universe[5])
+
+
+def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
+    # IS_5 has 1546 elements, so the pairs are compared over four blocks of
+    # rows.  At full rank each element is its own left factor; corrupt a
+    # product in the last block (column 0) and one in the second block (last
+    # column): the earlier row is reported, whatever its column.
+    a = pp("2,3,4,5,1")
+    a_inv = a.inverse()
+    corrupted = VariantSemigroup(FAMILY_IS, 5, a_inv)
+    rows, left_of = corrupted.table()
+    s = corrupted.size
+    assert len(rows) == s and s > 3 * structure.IDEAL_BLOCK
+    rows = rows.copy()
+    for i, j in ((s - 1, 0), (structure.IDEAL_BLOCK + 1, s - 1)):
+        rows[left_of[i], j] = (rows[left_of[i], j] + 1) % s
+    corrupted._table = rows, left_of
+    genuine = structure.variant_semigroup
+    monkeypatch.setattr(
+        structure,
+        "variant_semigroup",
+        lambda family, n, x: corrupted if x == a_inv else genuine(family, n, x),
+    )
+    report = dual_check(a)
+    assert not report.holds
+    universe = corrupted.universe
+    assert report.counterexample == (universe[structure.IDEAL_BLOCK + 1], universe[s - 1])
+
+
+def test_dual_check_memory_bound():
+    # IS_5 at full rank: the tables for a and a^{-1} are 1546 x 1546 uint16
+    # each (4.8 MB).  The identity is checked a block of rows at a time, so
+    # no |S| x |S| dense or permuted copy is formed beside them.
+    structure.variant_semigroup.cache_clear()
+    structure.brute_classification.cache_clear()
+    tracemalloc.start()
+    try:
+        report = dual_check(pp("2,3,4,5,1"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.classes_match
+    assert peak <= 25 * 2**20, f"dual_check peaked at {peak / 2**20:.1f} MB"
 
 
 def _merging_first_two_classes(monkeypatch, target):
