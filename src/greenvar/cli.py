@@ -670,7 +670,7 @@ def cmd_dual(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     entries = []
     all_ok = True
     for a in deformations:
-        report = dual_check(a, check_classes=True)
+        report = dual_check(a)
         ok = report.holds and report.classes_match
         all_ok = all_ok and ok
         entries.append(

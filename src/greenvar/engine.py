@@ -28,10 +28,10 @@ block at a time, so no |S| x |S| matrix of any dtype is formed and grouping
 is byte comparison.  Right ideals gather the packed factor rows and add
 each x's own bit; left ideals pack the columns of the factor block.  The j
 ideal of x is L(x) | xS | SxS, and SxS depends on x only through L(x): if
-L(x) = L(y) then x is in Sy and y in Sx, so SxS = SyS.  So SxS is taken
-once per l-class, as the union of the factor rows of the left factors in
-Sx (a float32 product blocked over rows and columns), and read back
-through the l ids.  Every classification is one class id per universe
+L(x) = L(y) then x is in Sy and y in Sx, so SxS = SyS.  SxS is the union
+of the factor rows of the left factors in Sx, so it is taken once per
+distinct set of those factors among the l-class representatives, and read
+back through the l ids.  Every classification is one class id per universe
 index.  Element objects are built only on request, for printing classes
 and witnesses.
 """
@@ -65,7 +65,7 @@ RELATIONS = ("r", "l", "h", "d", "j")
 BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 TABLE_BLOCK_ROWS = 64  # factor rows of the product table indexed per pass
-IDEAL_BLOCK = 512  # ideal rows or columns unpacked per pass; a multiple of 8
+IDEAL_BLOCK = 512  # ideal or factor-set rows unpacked, or pair rows compared, per pass
 
 T = TypeVar("T")
 
@@ -138,6 +138,12 @@ class VariantSemigroup:
         self._spot_check_associativity(rows, left_of)
         self._table = rows, left_of
         return self._table
+
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The indices of universe[xs] *_a universe[ys], for index arrays
+        that broadcast together."""
+        rows, left_of = self.table()
+        return rows[left_of[xs], ys]
 
     def _spot_check_associativity(self, rows: np.ndarray, left_of: np.ndarray) -> None:
         # On a few picked elements: the table is associative, and its
@@ -305,26 +311,18 @@ def _sxs_rows(v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray) ->
     """S x S for each x in reps, packed.
 
     S x S is the union of zS over z in Sx, and zS is the factor row of z's
-    left factor, so it is the boolean product of the factor rows by the
-    left factors of column x.  The product is taken in float32, exact
-    while the sums stay below 2**24 (they are at most |Sa|), IDEAL_BLOCK
-    reps by IDEAL_BLOCK columns at a time, unpacking only that block of
-    columns of the factor rows.
+    left factor.  Sx is column x of the table, so S x S depends on x only
+    through the set of left factors in that column.  The sets are packed
+    IDEAL_BLOCK reps at a time and grouped, and the factor rows are OR-ed
+    once per distinct set.
     """
     rows, left_of = v.table()
-    s = v.size
-    sxs = np.empty((len(reps), factor_rows.shape[1]), dtype=np.uint8)
-    for start in range(0, len(reps), IDEAL_BLOCK):
-        block = reps[start : start + IDEAL_BLOCK]
-        factors = np.zeros((len(block), len(rows)), dtype=np.float32)
-        factors[np.arange(len(block))[:, None], left_of[rows[:, block].T]] = 1
-        for col in range(0, s, IDEAL_BLOCK):
-            width = min(IDEAL_BLOCK, s - col)
-            packed = slice(col // 8, (col + width + 7) // 8)
-            right = np.unpackbits(factor_rows[:, packed], axis=1, count=width)
-            product = factors @ right.astype(np.float32)
-            sxs[start : start + IDEAL_BLOCK, packed] = np.packbits(product > 0, axis=1)
-    return sxs
+    blocks = (reps[i : i + IDEAL_BLOCK] for i in range(0, len(reps), IDEAL_BLOCK))
+    sets = np.concatenate([_pack(left_of[rows[:, block].T], len(rows)) for block in blocks])
+    set_ids = _row_ids(sets)
+    _, first = np.unique(set_ids, return_index=True)
+    masks = (np.unpackbits(sets[i], count=len(rows)).view(bool) for i in first)
+    return np.array([np.bitwise_or.reduce(factor_rows[mask]) for mask in masks])[set_ids]
 
 
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
@@ -356,7 +354,7 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
                     break
                 least = reached
             labels = canonical_labels(least)
-    else:  # j: J(x) = L(x) | xS | SxS, with SxS taken once per l-class
+    else:  # j: J(x) = L(x) | xS | SxS, with SxS read through the l ids
         factor_rows = _factor_rows(v)
         ideal = _left_rows(v)
         l_ids = _row_ids(ideal)

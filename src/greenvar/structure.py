@@ -14,16 +14,16 @@ Two facts are made executable here:
 
 All checks are exhaustive over the universe (or all pairs), so they are
 capped at the brute-force size, n <= BRUTE_CAP.  Both maps are index
-arrays computed on the image array: the pair checks compare product
-tables through them, a block of rows at a time read from the factored
-tables, and a partition carried across a map is compared by its labels.
-Element objects are built only for a reported pair.
+arrays computed on the image array: one pair check compares the products
+of two semigroups through a map, a block of rows at a time read through
+``VariantSemigroup.products``, and one partition check compares a
+partition carried across a map by its labels.  Element objects are built
+only for a reported pair.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .elements import (
 )
 from .engine import (
     IDEAL_BLOCK,
+    GreenClassification,
     VariantSemigroup,
     brute_classification,
     canonical_labels,
@@ -51,26 +52,27 @@ def _check_is(a: PartialPerm) -> None:
     check_brute_cap(a.n)
 
 
-def _products(v: VariantSemigroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # The indices of xs *_a ys, broadcast, read through the factored table.
-    rows, left_of = v.table()
-    return rows[left_of[xs], ys]
-
-
 def _first_failing_pair(
-    v: VariantSemigroup, mismatch: Callable[[np.ndarray], np.ndarray]
+    v: VariantSemigroup, w: VariantSemigroup, p: np.ndarray, *, reverse: bool = False
 ) -> tuple[PartialPerm, PartialPerm] | None:
-    # mismatch(xs) marks the failing pairs (x, y) of a column xs of
-    # consecutive indices, one row per x; it is asked IDEAL_BLOCK rows at a
-    # time, and the first failing pair in row-major order is returned as
-    # elements.
+    # The first pair (x, y) in row-major order with p[x *_v y] unequal to
+    # p[x] *_w p[y] (to p[y] *_w p[x] when reverse), as elements; None when
+    # p carries every product.  Compared IDEAL_BLOCK rows at a time.
+    ys = np.arange(v.size)
     for start in range(0, v.size, IDEAL_BLOCK):
-        xs = np.arange(start, min(start + IDEAL_BLOCK, v.size))[:, None]
-        failing = np.argwhere(mismatch(xs))
+        xs = ys[start : start + IDEAL_BLOCK, None]
+        image = w.products(p[ys], p[xs]) if reverse else w.products(p[xs], p[ys])
+        failing = np.argwhere(p[v.products(xs, ys)] != image)
         if len(failing):
             i, j = failing[0]
             return v.universe[start + i], v.universe[j]
     return None
+
+
+def _carries(p: np.ndarray, source: GreenClassification, target: GreenClassification) -> bool:
+    # p carries each class of source onto a class of target exactly when
+    # target's labels, read through p and renumbered, are source's.
+    return np.array_equal(canonical_labels(target.labels[p]), source.labels)
 
 
 def rank_representative(n: int, k: int) -> PartialPerm:
@@ -98,9 +100,9 @@ def _inversion_map(n: int) -> np.ndarray:
     return universe_index(FAMILY_IS, n, inverse)
 
 
-def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport:
+def dual_check(a: PartialPerm) -> DualCheckReport:
     """Verify inverse(x *_{a^{-1}} y) = inverse(y) *_a inverse(x) for all pairs,
-    and optionally the induced r-to-l partition correspondence.
+    then the induced r-to-l partition correspondence.
 
     Over the product tables T this is the identity
     inv[T_{a^{-1}}] == T_a[inv][:, inv].T, with inv the index map of inversion,
@@ -111,19 +113,12 @@ def dual_check(a: PartialPerm, *, check_classes: bool = True) -> DualCheckReport
     v = variant_semigroup(FAMILY_IS, a.n, a)
     v_inv = variant_semigroup(FAMILY_IS, a.n, a_inv)
     inv = _inversion_map(a.n)
-    # Row x of T_a[inv][:, inv].T holds T_a[inv[y], inv[x]] for every y.
-    failing = _first_failing_pair(
-        v,
-        lambda xs: inv[_products(v_inv, xs, np.arange(v.size))] != _products(v, inv, inv[xs]),
-    )
+    failing = _first_failing_pair(v_inv, v, inv, reverse=True)
     if failing is not None:
         return DualCheckReport(a, False, failing, None)
-    classes_match = None
-    if check_classes:
-        r = brute_classification(FAMILY_IS, a.n, a, "r")
-        l = brute_classification(FAMILY_IS, a.n, a_inv, "l")
-        classes_match = np.array_equal(canonical_labels(l.labels[inv]), r.labels)
-    return DualCheckReport(a, True, None, classes_match)
+    r = brute_classification(FAMILY_IS, a.n, a, "r")
+    l = brute_classification(FAMILY_IS, a.n, a_inv, "l")
+    return DualCheckReport(a, True, None, _carries(inv, r, l))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,23 +202,19 @@ def verify_isomorphism(
         x = collided[0]
         return False, (va.universe[earlier[x]], va.universe[x])
     vb = variant_semigroup(FAMILY_IS, b.n, b)
-    failing = _first_failing_pair(
-        va, lambda xs: p[_products(va, xs, np.arange(va.size))] != _products(vb, p[xs], p)
-    )
+    failing = _first_failing_pair(va, vb, p)
     if failing is not None:
         return False, failing
     return True, None
 
 
-def iso_preserves_classes(
-    witness: IsoWitness, relations: tuple[str, ...] = ("r", "l", "h", "d")
-) -> bool:
-    """phi must carry each equivalence class for a onto one for b."""
+def iso_preserves_classes(witness: IsoWitness) -> bool:
+    """phi must carry each r, l, h and d class for a onto one for b."""
     a, b = witness.a, witness.b
     p = _iso_map(witness)
-    for relation in relations:
+    for relation in "rlhd":
         ca = brute_classification(FAMILY_IS, a.n, a, relation)
         cb = brute_classification(FAMILY_IS, b.n, b, relation)
-        if not np.array_equal(canonical_labels(cb.labels[p]), ca.labels):
+        if not _carries(p, ca, cb):
             return False
     return True

@@ -202,11 +202,11 @@ def test_a6_duality_identity_exhaustive_n3_sampled_n4():
     start = time.monotonic()
     for n in (1, 2, 3):
         for a in enumerate_family(FAMILY_IS, n):
-            report = dual_check(a, check_classes=False)
+            report = dual_check(a)
             assert report.holds, str(a)
     rng = random.Random(SEED)
     for a in sorted(rng.sample(enumerate_family(FAMILY_IS, 4), 5)):
-        report = dual_check(a, check_classes=False)
+        report = dual_check(a)
         assert report.holds, str(a)
     elapsed = time.monotonic() - start
     assert elapsed < 60

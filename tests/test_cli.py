@@ -452,3 +452,20 @@ def test_package_has_no_assert_statements():
             tree = ast.parse(path.read_text())
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not lines, f"{path.name} asserts at lines {lines}"
+
+
+def test_only_engine_reads_the_product_table():
+    # Other modules multiply through VariantSemigroup.products, so the
+    # factored table's layout stays known to engine.py alone.
+    package = importlib.resources.files("greenvar")
+    for path in package.iterdir():
+        if path.name.endswith(".py") and path.name != "engine.py":
+            tree = ast.parse(path.read_text())
+            lines = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "table"
+            ]
+            assert not lines, f"{path.name} calls .table() at lines {lines}"

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,8 @@ from greenvar.engine import (
     RELATIONS,
     GreenClassification,
     VariantSemigroup,
+    _factor_rows,
+    _sxs_rows,
     all_egg_boxes,
     brute_classification,
     egg_box,
@@ -109,13 +112,15 @@ def test_product_table_memory_bound():
 
 def test_full_rank_j_memory_bound():
     # At full rank |Sa| = |S|, so the table alone is 3125 x 3125 uint16
-    # (19.5 MB).  j takes SxS once per l-class (31 of them here), in blocks
-    # of rows and columns, with no |S| x |S| bool or float32 matrix beside
-    # the table; those held 107 MB together.
+    # (19.5 MB).  j packs the sets of left factors of its 31 l-class
+    # representatives and ORs whole factor rows once per distinct set, so
+    # nothing of |S| x |S| size is formed beside the table: a float32
+    # product over blocks of factor-row columns peaked near 29 MB, and
+    # dense bool and float32 matrices at 107 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "j"))
     assert len(v.table()[0]) == v.size
-    assert peak <= 40 * 2**20, f"j classification peaked at {peak / 2**20:.1f} MB"
+    assert peak <= 27 * 2**20, f"j classification peaked at {peak / 2**20:.1f} MB"
 
 
 def test_table_rejects_a_product_outside_the_universe_under_optimize():
@@ -215,6 +220,36 @@ def test_brute_classes_match_naive_oracle_n2(family):
         for relation in RELATIONS:
             got = brute_classification(family, n, a, relation)
             assert list(got.classes) == expected[relation], (a, relation)
+
+
+def naive_sxs(v, reps):
+    # S x S for each x in reps as a set of universe indices, from object
+    # products: Sx first, then the union of yS over y in Sx.
+    universe = v.universe
+    index = {x: i for i, x in enumerate(universe)}
+    table = [[index[variant_product(x, v.a, y)] for y in universe] for x in universe]
+    right = [set(row) for row in table]
+    return [set().union(*(right[y] for y in {row[x] for row in table})) for x in reps]
+
+
+def test_sxs_rows_match_naive_sets():
+    # Every a at n <= 3 in both families with every x, plus seeded a and x
+    # at n = 4: SxS is shared by x with the same set of left factors in Sx,
+    # so the grouping is exercised as well as each union.
+    rng = random.Random(7)
+    cases = [(family, n, a, None) for family in (FAMILY_IS, FAMILY_T) for n in (1, 2, 3)
+             for a in enumerate_family(family, n)]
+    cases += [(family, 4, a, rng.sample(range(len(enumerate_family(family, 4))), 24))
+              for family in (FAMILY_IS, FAMILY_T)
+              for a in rng.sample(enumerate_family(family, 4), 2)]
+    for family, n, a, reps in cases:
+        v = VariantSemigroup(family, n, a)
+        reps = np.arange(v.size) if reps is None else np.array(reps)
+        sxs = np.unpackbits(_sxs_rows(v, _factor_rows(v), reps), axis=1, count=v.size)
+        expected = np.zeros((len(reps), v.size), dtype=np.uint8)
+        for row, members in zip(expected, naive_sxs(v, reps.tolist())):
+            row[list(members)] = 1
+        assert np.array_equal(sxs, expected), (family, n, str(a))
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,6 @@ def test_dual_check_holds_with_class_correspondence():
         assert report.classes_match
 
 
-def test_dual_check_without_classes():
-    report = dual_check(pp("1,2,-"), check_classes=False)
-    assert report.holds
-    assert report.classes_match is None
-
-
 def test_dual_check_rejects_transformations_and_big_n():
     with pytest.raises(TypeError):
         dual_check(Transformation((1, 1)))
@@ -217,7 +211,6 @@ def test_iso_preserves_classes_catches_merged_classes(monkeypatch):
     witness = iso_witness(a, b)
     _merging_first_two_classes(monkeypatch, b)
     assert verify_isomorphism(witness) == (True, None)
-    assert not iso_preserves_classes(witness, ("r",))
     assert not iso_preserves_classes(witness)
 
 
