@@ -26,10 +26,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .elements import (
     enumerate_family,
     family_element,
     parse_element,
+    universe_chars,
     universe_images,
     universe_texts,
 )
@@ -73,6 +75,7 @@ from .structure import (
 )
 
 MEMBER_LIMIT = 50  # longest member list printed without --full
+RENDER_BLOCK = 2048  # classes of a green class list rendered per write
 DEFAULT_SEED = 7
 ALL_A_CAP = 4  # --all-a sweeps stop here; sample larger universes instead
 
@@ -172,36 +175,6 @@ def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict
     return {"representative": texts[cls[0]], "size": len(cls), "members": members}
 
 
-def _json_class_list(groups: list[list[str]], full: bool) -> str:
-    # A green result's "classes" list exactly as json.dumps(indent=2,
-    # sort_keys=True) lays it out at its depth in the payload (class objects
-    # 8 spaces in); element texts need no escaping.
-    pad = " " * 8
-    entries = []
-    for group in groups:
-        members = "null"
-        if _listed(len(group), full):
-            members = f'[\n{pad}    "' + f'",\n{pad}    "'.join(group) + f'"\n{pad}  ]'
-        entries.append(
-            f'{pad}{{\n{pad}  "members": {members},\n{pad}  "representative":'
-            f' "{group[0]}",\n{pad}  "size": {len(group)}\n{pad}}}'
-        )
-    return "[\n" + ",\n".join(entries) + "\n      ]"
-
-
-def _classification_text(c: GreenClassification, groups: list[list[str]], full: bool) -> list[str]:
-    lines = [f"{c.method}: {len(groups)} classes ({c.singleton_count} singletons)"]
-    for i, group in enumerate(groups):
-        head = f"  [{i}] size {len(group)} rep {group[0]}"
-        if len(group) == 1:
-            lines.append(head)
-        elif _listed(len(group), full):
-            lines.append(head + ": " + " ".join(group))
-        else:
-            lines.append(head + " (members elided; --full to show)")
-    return lines
-
-
 def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -212,6 +185,79 @@ def _emit_text(lines: list[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # green
+
+_PAD = " " * 8  # indent of a class object in a green JSON payload
+_JSON_SEP = f'",\n{_PAD}    "'  # between the member texts of one class object
+
+
+def _text_entry(i: object, size: object, rep: str, members: str | None) -> str:
+    if size != 1:
+        rep += " (members elided; --full to show)" if members is None else f": {members}"
+    return f"  [{i}] size {size} rep {rep}"
+
+
+def _json_entry(i: object, size: object, rep: str, members: str | None) -> str:
+    # One class object exactly as json.dumps(indent=2, sort_keys=True) lays
+    # it out at its depth in the payload; element texts need no escaping.
+    listed = "null" if members is None else f'[\n{_PAD}    "{members}"\n{_PAD}  ]'
+    return (
+        f'{_PAD}{{\n{_PAD}  "members": {listed},\n{_PAD}  "representative":'
+        f' "{rep}",\n{_PAD}  "size": {size}\n{_PAD}}}'
+    )
+
+
+def _texts(chars: np.ndarray, members: Sequence[int], sep: str) -> str:
+    """The texts of the universe indices in members, joined by sep."""
+    rows = chars[members].view(f"S{chars.shape[1]}").ravel().tolist()
+    return sep.encode().join(rows).decode()
+
+
+def _singleton_rows(template: str, index: np.ndarray, reps: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """template as one row of bytes per singleton class index[k]: {i}
+    becomes the class index, which has the same number of digits for all
+    of them, and {x} the text of the class's one member reps[k]."""
+    digits = index[:, None] // 10 ** np.arange(len(str(index.max(initial=0))))[::-1] % 10
+    fields = {"x": chars[reps], "i": (digits + ord("0")).astype(np.uint8)}
+    parts = re.split(r"\{([ix])\}", template)  # literal, field, literal, ..., literal
+    return np.hstack([
+        fields[p] if k % 2 else np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (len(reps), len(p)))
+        for k, p in enumerate(parts)
+    ])
+
+
+def _write_classes(
+    c: GreenClassification, chars: np.ndarray, full: bool,
+    entry: Callable[[object, object, str, str | None], str], sep: str,
+    *, first: str = "", end: str = "\n", last: str = "\n",
+) -> None:
+    """Write first, then entry(i, size, rep, members) for each class i of c,
+    followed by end, or by last for the final class; members is the member
+    texts joined by sep, or None when elided.  Classes go out RENDER_BLOCK
+    to a write.  The singletons among a block's indices of one number of
+    digits are byte rows of the template entry("{i}", 1, "{x}", "{x}")."""
+    sizes = np.bincount(c.labels)
+    order = np.argsort(c.labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    template = entry("{i}", 1, "{x}", "{x}") + end
+    k = len(sizes)
+    for lo in range(0, k, RENDER_BLOCK):
+        hi = min(lo + RENDER_BLOCK, k)
+        tens = [10**d for d in range(len(str(lo)), len(str(hi - 1)))]
+        pieces = [first] if lo == 0 else []
+        for p, q in zip([lo, *tens], [*tens, hi]):
+            ids = np.arange(p, q)
+            one = sizes[p:q] == 1
+            rows = _singleton_rows(template, ids[one], order[starts[ids[one]]], chars)
+            text, width, done = rows.tobytes().decode(), rows.shape[1], 0
+            for m, i in enumerate(ids[~one].tolist()):  # i - p - m singletons precede i
+                pieces.append(text[done * width : (i - p - m) * width])
+                done = i - p - m
+                members = order[starts[i] : starts[i] + sizes[i]]
+                listed = _texts(chars, members, sep) if _listed(int(sizes[i]), full) else None
+                pieces.append(entry(i, int(sizes[i]), _texts(chars, members[:1], ""), listed) + end)
+            pieces.append(text[done * width :])
+        block = "".join(pieces)
+        sys.stdout.write(block[: len(block) - len(end)] + last if hi == k else block)
 
 
 def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -244,12 +290,12 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         ]
         if not all(entry["matches_brute"] for entry in agreement):
             exit_code = 1
+    args.status = exit_code  # main's status if the reader leaves early
 
-    texts = universe_texts(family, n)
-    groups = [c.grouped(texts) for c in results]
+    chars = universe_chars(family, n)
     if args.format == "json":
-        # The class lists are written from the texts and spliced in where
-        # json.dumps put a placeholder; the indenting encoder is pure Python.
+        # The class lists are written from the text table where json.dumps
+        # put a placeholder; the indenting encoder is pure Python.
         placeholder = "<classes>"
         payload = {
             "command": "green",
@@ -270,49 +316,46 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             ],
             "agreement": agreement,
         }
-        pieces = json.dumps(payload, indent=2, sort_keys=True).split(f'"{placeholder}"')
-        sys.stdout.write(
-            pieces[0]
-            + "".join(_json_class_list(g, args.full) + p for g, p in zip(groups, pieces[1:]))
-            + "\n"
-        )
+        pieces = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split(f'"{placeholder}"')
+        sys.stdout.write(pieces[0])
+        for c, piece in zip(results, pieces[1:]):
+            _write_classes(c, chars, args.full, _json_entry, _JSON_SEP,
+                           first="[\n", end=",\n", last="\n      ]" + piece)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["family", "n", "a", "relation", "method", "class_index", "size",
-             "representative", "members"]
-        )
-        for c, class_groups in zip(results, groups):
-            for i, group in enumerate(class_groups):
-                writer.writerow(
-                    [family, n, str(a), relation, c.method, i, len(group), group[0],
-                     " ".join(group) if _listed(len(group), args.full) else ""]
-                )
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write("family,n,a,relation,method,class_index,size,representative,members\n")
+        # Element texts hold a comma from n = 2 on, so csv quotes them.
+        q = '"' if chars.shape[1] > 1 else ""
+        for c in results:
+            prefix = f"{family},{n},{q}{a}{q},{relation},{c.method},"
+            _write_classes(c, chars, args.full, lambda i, size, rep, members: (
+                f"{prefix}{i},{size},{q}{rep}{q}," + ("" if members is None else f"{q}{members}{q}")
+            ), " ")
     else:
-        lines = [
+        sys.stdout.write(
             f"green family={family} n={n} a=\"{a}\" relation={relation}"
-            f" method={method} mode={args.mode}"
-        ]
-        for c, class_groups in zip(results, groups):
-            lines.extend(_classification_text(c, class_groups, args.full))
+            f" method={method} mode={args.mode}\n"
+        )
+        for c in results:
+            _write_classes(
+                c, chars, args.full, _text_entry, " ",
+                first=f"{c.method}: {len(c.sizes)} classes ({c.singleton_count} singletons)\n",
+            )
         if agreement is not None:
-            brute = results[0]
+            brute, lines = results[0], []
             for c, entry in zip(results[1:], agreement):
                 if entry["matches_brute"]:
                     lines.append(f"diff {c.method} vs brute: none")
                 else:
                     x = c.first_divergence(brute)
                     closed_cls, brute_cls = (
-                        " ".join(texts[i] for i in np.flatnonzero(k.labels == k.labels[x]))
+                        _texts(chars, np.flatnonzero(k.labels == k.labels[x]), " ")
                         for k in (c, brute)
                     )
                     lines.append(
-                        f"diff {c.method} vs brute: class of {texts[x]} differs;"
+                        f"diff {c.method} vs brute: class of {_texts(chars, [x], '')} differs;"
                         f" {c.method} has {{{closed_cls}}}, brute has {{{brute_cls}}}"
                     )
-        _emit_text(lines)
+            _emit_text(lines)
     return exit_code
 
 
@@ -721,6 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equivalence classes of variant semigroups, two ways,"
         " cross-checked.",
     )
+    parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     green = sub.add_parser("green", help="classify one variant semigroup")
@@ -814,6 +858,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early, as `| head` does: keep the flush at exit
+        # quiet.  green, which writes a block at a time, set its status first.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return args.status
 
 
 if __name__ == "__main__":

@@ -318,21 +318,26 @@ def universe_images(family: str, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def universe_texts(family: str, n: int) -> tuple[str, ...]:
-    """The element texts of the family on n points, in canonical order.
+def universe_chars(family: str, n: int) -> np.ndarray:
+    """The element texts of the family on n points as a read-only (s, 2n - 1)
+    uint8 array, in canonical order: every image is one character (n is at
+    most 7), so row i spells ``format_element(enumerate_family(family, n)[i])``.
+    """
+    images = universe_images(family, n)
+    chars = np.full((len(images), 2 * n - 1), ord(","), dtype=np.uint8)
+    chars[:, ::2] = np.where(images == UNDEFINED, ord("-"), images + ord("0"))
+    chars.setflags(write=False)
+    return chars
 
-    Entry i is ``format_element(enumerate_family(family, n)[i])``.  Every
-    image is one character (n is at most 7), so each row of the image array
-    becomes a fixed-width byte string in one vectorised pass.
+
+@functools.lru_cache(maxsize=None)
+def universe_texts(family: str, n: int) -> tuple[str, ...]:
+    """The rows of ``universe_chars(family, n)``, decoded.
 
     >>> universe_texts("is", 2)[:3]
     ('-,-', '-,1', '-,2')
     """
-    images = universe_images(family, n)
-    width = 2 * n - 1
-    chars = np.full((len(images), width), ord(","), dtype=np.uint8)
-    chars[:, ::2] = np.where(images == UNDEFINED, ord("-"), images + ord("0"))
-    return tuple(chars.view(f"S{width}").ravel().astype(f"U{width}").tolist())
+    return tuple(universe_chars(family, n).view(f"S{2 * n - 1}").ravel().astype(str).tolist())
 
 
 @functools.lru_cache(maxsize=None)

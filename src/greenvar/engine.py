@@ -93,6 +93,7 @@ class VariantSemigroup:
         self.a = a
         self.size = family_size(family, n)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._ideal_ids: dict[str, np.ndarray] = {}  # r and l ids, reused by h and d
 
     @property
     def universe(self) -> tuple[Element, ...]:
@@ -307,6 +308,13 @@ def _left_rows(v: VariantSemigroup) -> np.ndarray:
     return _with_self(_pack(v.table()[0].T, v.size))
 
 
+def _ideal_ids(v: VariantSemigroup, relation: str) -> np.ndarray:
+    """The r or l class ids of v, packed and grouped once per semigroup."""
+    if relation not in v._ideal_ids:
+        v._ideal_ids[relation] = _row_ids((_right_rows if relation == "r" else _left_rows)(v))
+    return v._ideal_ids[relation]
+
+
 def _sxs_rows(v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """S x S for each x in reps, packed.
 
@@ -331,13 +339,10 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     s = v.size
 
-    if relation == "r":
-        labels = _row_ids(_right_rows(v))
-    elif relation == "l":
-        labels = _row_ids(_left_rows(v))
+    if relation in ("r", "l"):
+        labels = _ideal_ids(v, relation)
     elif relation in ("h", "d"):
-        r_ids = _row_ids(_right_rows(v))
-        l_ids = _row_ids(_left_rows(v))
+        r_ids, l_ids = _ideal_ids(v, "r"), _ideal_ids(v, "l")
         if relation == "h":
             labels = canonical_labels(r_ids * s + l_ids)
         else:

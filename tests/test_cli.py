@@ -1,18 +1,29 @@
 import ast
+import contextlib
 import csv
 import importlib.resources
 import io
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 
+from greenvar import cli as cli_module
 from greenvar.cli import MEMBER_LIMIT
-from greenvar.closedform_is import closed_classification_is
+from greenvar.closedform_is import MODES, closed_classification_is
 from greenvar.closedform_t import closed_classification_t
-from greenvar.elements import enumerate_family, parse_element
+from greenvar.elements import (
+    enumerate_family,
+    parse_element,
+    universe_chars,
+    universe_images,
+    universe_texts,
+)
 from greenvar.engine import brute_classification, variant_semigroup
 
 
@@ -202,6 +213,159 @@ def test_green_json_matches_json_dumps(cli, full):
             assert result["classes"] == _expected_classes(
                 family, n, a, relation, result["method"], full
             ), (argv, result["method"])
+
+
+def _reference_green(family, n, a_text, relation, fmt, full):
+    """stdout of green --method both --mode both, rendered one class at a
+    time from element text lists, the way the class lists were first
+    written: the reference for the block writer."""
+    a = parse_element(family, a_text)
+    closed = closed_classification_is if family == "is" else closed_classification_t
+    results = [brute_classification(family, n, a, relation)]
+    results += [closed(n, a, relation, mode) for mode in MODES]
+    agreement = [
+        {"closed": c.method, "matches_brute": c.same_partition(results[0])}
+        for c in results[1:]
+    ]
+    texts = universe_texts(family, n)
+    groups = [c.grouped(texts) for c in results]
+
+    def listed(group):
+        return full or len(group) <= MEMBER_LIMIT
+
+    if fmt == "json":
+        payload = {
+            "command": "green", "family": family, "n": n, "a": a_text,
+            "relation": relation, "method": "both", "mode": "both",
+            "results": [
+                {
+                    "method": c.method,
+                    "class_count": len(g),
+                    "singleton_count": sum(len(group) == 1 for group in g),
+                    "classes": [
+                        {"members": group if listed(group) else None,
+                         "representative": group[0], "size": len(group)}
+                        for group in g
+                    ],
+                }
+                for c, g in zip(results, groups)
+            ],
+            "agreement": agreement,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["family", "n", "a", "relation", "method", "class_index", "size",
+                         "representative", "members"])
+        for c, g in zip(results, groups):
+            for i, group in enumerate(g):
+                writer.writerow([family, n, a_text, relation, c.method, i, len(group),
+                                 group[0], " ".join(group) if listed(group) else ""])
+        return buf.getvalue()
+    lines = [f'green family={family} n={n} a="{a_text}" relation={relation}'
+             " method=both mode=both"]
+    for c, g in zip(results, groups):
+        lines.append(f"{c.method}: {len(g)} classes ({sum(len(x) == 1 for x in g)} singletons)")
+        for i, group in enumerate(g):
+            head = f"  [{i}] size {len(group)} rep {group[0]}"
+            if len(group) == 1:
+                lines.append(head)
+            elif listed(group):
+                lines.append(head + ": " + " ".join(group))
+            else:
+                lines.append(head + " (members elided; --full to show)")
+    for c, entry in zip(results[1:], agreement):
+        if entry["matches_brute"]:
+            lines.append(f"diff {c.method} vs brute: none")
+        else:
+            x = c.first_divergence(results[0])
+            closed_cls, brute_cls = (
+                " ".join(texts[i] for i in np.flatnonzero(k.labels == k.labels[x]))
+                for k in (c, results[0])
+            )
+            lines.append(f"diff {c.method} vs brute: class of {texts[x]} differs;"
+                         f" {c.method} has {{{closed_cls}}}, brute has {{{brute_cls}}}")
+    return "\n".join(lines) + "\n"
+
+
+def _renderer_cases():
+    for family in ("is", "t"):
+        for n in (1, 2, 3, 4):
+            texts = universe_texts(family, n)
+            for a in sorted({texts[0], texts[len(texts) // 3], texts[-1]}):
+                for relation in ("r", "l", "h", "d"):
+                    yield family, n, a, relation
+    yield "t", 5, random.Random(5).choice(universe_texts("t", 5)), "d"
+
+
+@pytest.mark.parametrize("block", (7, 1))
+def test_green_block_writer_matches_per_class_reference(cli, monkeypatch, block):
+    # Blocks of 7 and of 1 split runs of equal index width and cross the
+    # index widths at 9 -> 10 and 99 -> 100, so a block boundary that drops,
+    # repeats or pads a class shows.
+    monkeypatch.setattr(cli_module, "RENDER_BLOCK", block)
+    crossed = False
+    for family, n, a, relation in _renderer_cases():
+        for fmt in ("text", "json", "csv"):
+            for full in (False, True):
+                argv = ("green", "--family", family, "--n", str(n), "--a", a,
+                        "--relation", relation, "--method", "both", "--mode", "both",
+                        "--format", fmt, *(("--full",) if full else ()))
+                code, out, err = cli(*argv)
+                assert out == _reference_green(family, n, a, relation, fmt, full), argv
+                assert code in (0, 1) and not err, argv
+                crossed = crossed or "[100] size" in out
+    assert crossed
+
+
+def test_green_streams_a_t6_export_in_small_writes():
+    # The T_6 r export is 5.9 MB of JSON; its class lists go out a block at
+    # a time from the label array and the text table, so no whole document
+    # (nor a string per class) is ever held.
+    class Sink:
+        def __init__(self):
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    for cache in (universe_images, universe_chars, universe_texts, enumerate_family):
+        cache.cache_clear()
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli_module.main([
+                "green", "--family", "t", "--n", "6", "--a", "3,5,2,3,5,2", "--relation", "r",
+                "--method", "closed", "--format", "json", "--full",
+            ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sum(sink.sizes) > 5 * 2**20
+    assert peak < 10 * 2**20, f"export peaked at {peak / 2**20:.1f} MB"
+    assert max(sink.sizes) <= 2**20, f"a write of {max(sink.sizes)} characters"
+
+
+def test_green_exits_quietly_when_the_reader_leaves():
+    # A reader that stops after one line, as `| head -1` does, closes the
+    # pipe while the T_6 class lists are still being written.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "greenvar", "green", "--family", "t", "--n", "6",
+         "--a", "3,5,2,3,5,2", "--relation", "d", "--method", "closed"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"green family=t n=6")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

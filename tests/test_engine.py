@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from greenvar import engine
 from greenvar.elements import (
     FAMILY_IS,
     FAMILY_T,
@@ -382,6 +383,27 @@ def test_egg_box_grid_invariants():
                     assert cell
                     assert cell in h.classes
         assert covered == set(v.universe)
+
+
+def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
+    # h and d group the r and l ids that the semigroup already holds from
+    # the r and l classifications, so packing each ideal family once serves
+    # every egg box; a fresh semigroup still classifies h and d on its own.
+    calls = {"_right_rows": 0, "_left_rows": 0}
+    for name in calls:
+        def counted(v, _pack=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _pack(v)
+        monkeypatch.setattr(engine, name, counted)
+    a = tr("2,3,4,5,1")
+    brute_classification.cache_clear()
+    variant_semigroup.cache_clear()
+    all_egg_boxes(variant_semigroup(FAMILY_T, 5, a))
+    assert calls == {"_right_rows": 1, "_left_rows": 1}
+    for relation in ("h", "d"):
+        fresh = green_classes_brute(VariantSemigroup(FAMILY_T, 5, a), relation)
+        assert fresh.same_partition(brute_classification(FAMILY_T, 5, a, relation))
+    assert calls == {"_right_rows": 3, "_left_rows": 3}
 
 
 def test_egg_box_frozen_shapes():
