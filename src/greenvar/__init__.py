@@ -47,11 +47,11 @@ from .elements import (
     CapacityError,
     Element,
     ParseError,
-    Partition,
     PartialPerm,
     Transformation,
     compose,
     constant,
+    elements_at,
     empty_map,
     enumerate_family,
     family_of,
@@ -104,7 +104,6 @@ __all__ = [
     "IsoWitness",
     "ParseError",
     "PartialPerm",
-    "Partition",
     "RELATIONS",
     "TCountReport",
     "Transformation",
@@ -122,6 +121,7 @@ __all__ = [
     "d_class_t",
     "dual_check",
     "egg_box",
+    "elements_at",
     "empty_map",
     "enumerate_family",
     "falling_factorial",

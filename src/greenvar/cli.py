@@ -49,8 +49,8 @@ from .elements import (
     CapacityError,
     Element,
     ParseError,
+    elements_at,
     enumerate_family,
-    family_element,
     parse_element,
     universe_chars,
     universe_images,
@@ -144,7 +144,7 @@ def _select_deformations(
     if args.sample > len(images):
         parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
     picks = random.Random(args.seed).sample(range(len(images)), args.sample)
-    return [family_element(family, images[i].tolist()) for i in sorted(picks)]
+    return list(elements_at(family, n, sorted(picks)))
 
 
 def _closed_classification(
@@ -611,8 +611,7 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     v = variant_semigroup(family, n, a)
     if args.d_rep is not None:
         x = _parse_or_error(parser, family, n, args.d_rep)
-        d = brute_classification(family, n, a, "d")
-        boxes: tuple[EggBox, ...] = (egg_box(v, d.class_of(x)),)
+        boxes: tuple[EggBox, ...] = (egg_box(v, x),)
     else:
         boxes = all_egg_boxes(v)
 

@@ -92,7 +92,7 @@ def kernel_codes(images: np.ndarray) -> np.ndarray:
 def _overfull_blocks(ran: np.ndarray, a: Transformation) -> np.ndarray:
     # Row per fiber B of a: whether the range mask meets B more than once,
     # i.e. m & (m - 1) != 0 for m = ran & B.
-    blocks = np.array([point_mask(b) for b in a.kernel()], dtype=np.int64)[:, None]
+    blocks = np.array([point_mask(a.preimage(v)) for v in sorted(a.ran)], dtype=np.int64)[:, None]
     m = ran & blocks
     return (m & (m - 1)) != 0
 

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 import itertools
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -142,8 +142,6 @@ class Transformation:
     >>> x = Transformation((2, 3, 1))
     >>> str(x * Transformation((1, 1, 2)))
     '1,2,1'
-    >>> Transformation((1, 1, 2)).kernel().blocks
-    ((1, 2), (3,))
     """
 
     images: tuple[int, ...]
@@ -179,17 +177,6 @@ class Transformation:
     def preimage(self, v: int) -> frozenset[int]:
         return frozenset(i for i, w in enumerate(self.images, start=1) if w == v)
 
-    @functools.cached_property
-    def _kernel(self) -> "Partition":
-        fibers: dict[int, list[int]] = {}
-        for i, v in enumerate(self.images, start=1):
-            fibers.setdefault(v, []).append(i)
-        return Partition.of_blocks(fibers.values())
-
-    def kernel(self) -> "Partition":
-        """The partition of {1..n} into fibers (preimages of range points)."""
-        return self._kernel
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -198,42 +185,6 @@ class Transformation:
 
 
 Element = PartialPerm | Transformation
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class Partition:
-    """A partition into disjoint nonempty blocks, held in canonical form.
-
-    Blocks are sorted tuples, ordered by their least point, so equal
-    partitions compare and hash equal.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            for i in block:
-                if i in seen:
-                    raise ValueError(f"point {i} appears in two blocks")
-                seen.add(i)
-
-    @classmethod
-    def of_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        return cls(canon)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.blocks)
-
-    @functools.cached_property
-    def block_of(self) -> dict[int, tuple[int, ...]]:
-        return {i: block for block in self.blocks for i in block}
 
 
 def family_element(family: str, images: Iterable[int]) -> Element:
@@ -340,6 +291,17 @@ def universe_texts(family: str, n: int) -> tuple[str, ...]:
     return tuple(universe_chars(family, n).view(f"S{2 * n - 1}").ravel().astype(str).tolist())
 
 
+def elements_at(family: str, n: int, indices: Iterable[int]) -> tuple[Element, ...]:
+    """The elements at these canonical indices, built from their image rows
+    alone: the one way from universe indices back to Element objects.
+
+    >>> [str(x) for x in elements_at("is", 2, [6, 0])]
+    ['2,1', '-,-']
+    """
+    rows = universe_images(family, n)[np.fromiter(indices, dtype=np.intp)]
+    return tuple(family_element(family, row) for row in rows.tolist())
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
     """All elements of the family on n points, in canonical order.
@@ -347,7 +309,7 @@ def enumerate_family(family: str, n: int) -> tuple[Element, ...]:
     >>> [str(x) for x in enumerate_family("is", 2)]
     ['-,-', '-,1', '-,2', '1,-', '1,2', '2,-', '2,1']
     """
-    return tuple(family_element(family, row) for row in universe_images(family, n).tolist())
+    return elements_at(family, n, range(len(universe_images(family, n))))
 
 
 def _row_codes(images: np.ndarray, n: int) -> np.ndarray:

@@ -32,8 +32,9 @@ L(x) = L(y) then x is in Sy and y in Sx, so SxS = SyS.  SxS is the union
 of the factor rows of the left factors in Sx, so it is taken once per
 distinct set of those factors among the l-class representatives, and read
 back through the l ids.  Every classification is one class id per universe
-index.  Element objects are built only on request, for printing classes
-and witnesses.
+index, and an egg box is tuples of universe indices.  Element objects are
+built only at the edges, through ``elements_at``: the members of one class
+asked for by element, a failure witness, and the spot-checked products.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
-from collections.abc import Sequence
-from typing import TypeVar
 
 import numpy as np
 
@@ -51,10 +50,10 @@ from .elements import (
     Element,
     check_deformation,
     check_family,
-    enumerate_family,
-    family_element,
+    elements_at,
     family_of,
     family_size,
+    format_element,
     range_masks,
     universe_images,
     universe_index,
@@ -66,8 +65,6 @@ BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure che
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 TABLE_BLOCK_ROWS = 64  # factor rows of the product table indexed per pass
 IDEAL_BLOCK = 512  # ideal or factor-set rows unpacked, or pair rows compared, per pass
-
-T = TypeVar("T")
 
 
 def check_brute_cap(n: int) -> None:
@@ -94,10 +91,6 @@ class VariantSemigroup:
         self.size = family_size(family, n)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._ideal_ids: dict[str, np.ndarray] = {}  # r and l ids, reused by h and d
-
-    @property
-    def universe(self) -> tuple[Element, ...]:
-        return enumerate_family(self.family, self.n)
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The product table in factored form (rows, left_of) of indices,
@@ -159,7 +152,7 @@ class VariantSemigroup:
         if (product(product(x, y), z) != product(x, product(y, z))).any():
             raise AssertionError("variant product is not associative")
         images = universe_images(self.family, self.n)
-        picked = [family_element(self.family, images[i].tolist()) for i in picks]
+        picked = elements_at(self.family, self.n, picks)
         expected = [variant_product(x, self.a, y).images for x in picked for y in picked]
         if not np.array_equal(images[product(*np.ix_(picks, picks))].reshape(-1, self.n), expected):
             raise AssertionError("product table disagrees with the variant product")
@@ -178,8 +171,8 @@ class GreenClassification:
     labels[i] is the class id of the i-th universe element (canonical
     order), and classes are numbered by least member, so two
     classifications describe the same partition exactly when their labels
-    are equal.  The labels are a read-only int64 array; the element tuples
-    of ``classes`` (members ascending) are built on first use.
+    are equal.  The labels are a read-only int64 array.  Elements are built
+    only by ``class_of``, and only the members of the one class asked for.
     """
 
     family: str
@@ -210,34 +203,18 @@ class GreenClassification:
     def singleton_count(self) -> int:
         return self.sizes.count(1)
 
-    def grouped(self, values: Sequence[T]) -> list[list[T]]:
-        """values[i] for every universe index i, class by class, in class
-        order and ascending within each class."""
-        ordered = [values[i] for i in np.argsort(self.labels, kind="stable").tolist()]
-        groups, start = [], 0
-        for size in self.sizes:
-            groups.append(ordered[start : start + size])
-            start += size
-        return groups
-
-    @functools.cached_property
-    def classes(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(map(tuple, self.grouped(enumerate_family(self.family, self.n))))
-
-    @functools.cached_property
-    def _position(self) -> dict[Element, int]:
-        return {x: i for i, c in enumerate(self.classes) for x in c}
+    def _members(self, x: Element) -> np.ndarray:
+        """The universe indices of x's class, ascending."""
+        # n is checked first: universe_index would read only n of x's images.
+        if family_of(x) == self.family and x.n == self.n:
+            i = int(universe_index(self.family, self.n, np.array(x.images)))
+            if i >= 0:
+                return np.flatnonzero(self.labels == self.labels[i])
+        raise ValueError(f"{format_element(x)} is not an element of {self.family.upper()}_{self.n}")
 
     def class_of(self, x: Element) -> tuple[Element, ...]:
-        return self.classes[self._position[x]]
-
-    @property
-    def representatives(self) -> tuple[Element, ...]:
-        return tuple(c[0] for c in self.classes)
-
-    @property
-    def multi_classes(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(c for c in self.classes if len(c) > 1)
+        """The members of x's class, ascending; no other element is built."""
+        return elements_at(self.family, self.n, self._members(x))
 
     def same_partition(self, other: "GreenClassification") -> bool:
         return np.array_equal(self.labels, other.labels)
@@ -396,7 +373,8 @@ def verify_d_equals_j(
     if x is None:
         return True, None
     differ = (d.labels == d.labels[x]) != (j.labels == j.labels[x])
-    return False, (v.universe[x], v.universe[int(np.argmax(differ))])
+    first, second = elements_at(v.family, v.n, (x, int(np.argmax(differ))))
+    return False, (first, second)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -404,63 +382,27 @@ class EggBox:
     """One d-class laid out as a grid: rows are r-classes, columns l-classes,
     and each cell the h-class where they cross (cell = row intersect column).
 
-    The layout is held as universe indices, ascending within each tuple:
-    ``members`` is the d-class, and ``row_members``, ``col_members`` and
-    ``cell_members`` its rows, columns and cells.  Rows and columns are
-    ordered by least member.  The element tuples d_class, rows, cols and
-    cells are built from the indices on first use.
+    The layout is held as universe indices only, ascending within each
+    tuple: ``members`` is the d-class, and ``row_members``, ``col_members``
+    and ``cell_members`` its rows, columns and cells.  Rows and columns are
+    ordered by least member, so ``members[0]`` represents the d-class.
     """
 
-    family: str
-    n: int
-    a: Element
     members: tuple[int, ...]
     row_members: tuple[tuple[int, ...], ...]
     col_members: tuple[tuple[int, ...], ...]
     cell_members: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def _elements(self, indices: tuple[int, ...]) -> tuple[Element, ...]:
-        universe = enumerate_family(self.family, self.n)
-        return tuple(universe[i] for i in indices)
 
-    @functools.cached_property
-    def d_class(self) -> tuple[Element, ...]:
-        return self._elements(self.members)
-
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(map(self._elements, self.row_members))
-
-    @functools.cached_property
-    def cols(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(map(self._elements, self.col_members))
-
-    @functools.cached_property
-    def cells(self) -> tuple[tuple[tuple[Element, ...], ...], ...]:
-        return tuple(tuple(map(self._elements, row)) for row in self.cell_members)
-
-    @property
-    def representative(self) -> Element:
-        return self.d_class[0]
-
-
-def egg_box(v: VariantSemigroup, d_class: tuple[Element, ...]) -> EggBox:
-    """Grid layout of one d-class from green_classes_brute(v, "d")."""
-    if any(family_of(x) != v.family or x.n != v.n for x in d_class):
-        raise ValueError("d_class holds an element outside the universe")
-    images = np.array([x.images for x in d_class], dtype=np.int8).reshape(-1, v.n)
-    members = np.unique(universe_index(v.family, v.n, images))
-    r = brute_classification(v.family, v.n, v.a, "r")
-    l = brute_classification(v.family, v.n, v.a, "l")
-    return _egg_boxes(v, members, np.zeros(len(members), dtype=np.int64), r, l)[0]
+def egg_box(v: VariantSemigroup, x: Element) -> EggBox:
+    """Grid layout of x's d-class, read from the cached r, l and d labels."""
+    r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
+    members = d._members(x)
+    return _egg_boxes(members, np.zeros(len(members), dtype=np.int64), r, l)[0]
 
 
 def _egg_boxes(
-    v: VariantSemigroup,
-    members: np.ndarray,
-    box_of: np.ndarray,
-    r: GreenClassification,
-    l: GreenClassification,
+    members: np.ndarray, box_of: np.ndarray, r: GreenClassification, l: GreenClassification
 ) -> tuple[EggBox, ...]:
     # members are ascending universe indices and box_of[i] the box of
     # members[i], boxes numbered by least member.  A line (row or column)
@@ -475,7 +417,7 @@ def _egg_boxes(
             box_of * k + c.labels[members], return_inverse=True, return_counts=True
         )
         if (size != np.bincount(c.labels)[lines % k]).any():
-            raise ValueError("d_class is not a union of r- and l-classes")
+            raise ValueError("a box is not a union of r- and l-classes")
         first = np.searchsorted(lines // k, np.arange(boxes + 1))  # each box's first line
         places.append((line_of.ravel() - first[box_of]).tolist())
         counts.append(np.diff(first).tolist())
@@ -490,7 +432,7 @@ def _egg_boxes(
         member_lists[b].append(x)
     return tuple(
         EggBox(
-            family=v.family, n=v.n, a=v.a, members=tuple(m),
+            members=tuple(m),
             row_members=tuple(map(tuple, rows)), col_members=tuple(map(tuple, cols)),
             cell_members=tuple(tuple(map(tuple, row)) for row in grid),
         )
@@ -500,7 +442,7 @@ def _egg_boxes(
 
 def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
     r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
-    return _egg_boxes(v, np.arange(v.size), d.labels, r, l)
+    return _egg_boxes(np.arange(v.size), d.labels, r, l)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .elements import (
     FAMILY_IS,
     PartialPerm,
     UNDEFINED,
+    elements_at,
     family_of,
     universe_images,
     universe_index,
@@ -65,7 +66,8 @@ def _first_failing_pair(
         failing = np.argwhere(p[v.products(xs, ys)] != image)
         if len(failing):
             i, j = failing[0]
-            return v.universe[start + i], v.universe[j]
+            x, y = elements_at(FAMILY_IS, v.n, (start + i, j))
+            return x, y
     return None
 
 
@@ -199,8 +201,8 @@ def verify_isomorphism(
     earlier = first[image_of.ravel()]  # the least x with the same image as each x
     collided = np.flatnonzero(earlier < np.arange(len(p)))
     if len(collided):
-        x = collided[0]
-        return False, (va.universe[earlier[x]], va.universe[x])
+        x, y = elements_at(FAMILY_IS, a.n, (earlier[collided[0]], collided[0]))
+        return False, (x, y)
     vb = variant_semigroup(FAMILY_IS, b.n, b)
     failing = _first_failing_pair(va, vb, p)
     if failing is not None:

@@ -12,6 +12,7 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from conftest import class_lists
 
 from greenvar import cli as cli_module
 from greenvar.cli import MEMBER_LIMIT
@@ -190,11 +191,11 @@ def _expected_classes(family, n, a_text, relation, method, full):
         c = closed(n, a, relation, method.removeprefix("closed-"))
     return [
         {
-            "members": [str(x) for x in cls] if full or len(cls) <= MEMBER_LIMIT else None,
-            "representative": str(cls[0]),
+            "members": cls if full or len(cls) <= MEMBER_LIMIT else None,
+            "representative": cls[0],
             "size": len(cls),
         }
-        for cls in c.classes
+        for cls in class_lists(c, universe_texts(family, n))
     ]
 
 
@@ -228,7 +229,7 @@ def _reference_green(family, n, a_text, relation, fmt, full):
         for c in results[1:]
     ]
     texts = universe_texts(family, n)
-    groups = [c.grouped(texts) for c in results]
+    groups = [class_lists(c, texts) for c in results]
 
     def listed(group):
         return full or len(group) <= MEMBER_LIMIT
@@ -633,3 +634,22 @@ def test_only_engine_reads_the_product_table():
                 and node.func.attr == "table"
             ]
             assert not lines, f"{path.name} calls .table() at lines {lines}"
+
+
+def test_only_elements_and_cli_list_the_universe():
+    # Element objects are built at the edges: elements.py lists the
+    # universe, and cli.py sweeps it for --all-a.  Every other module reads
+    # labels and index arrays and builds elements through elements_at.  An
+    # import, such as the package's re-export, is not a use.
+    package = importlib.resources.files("greenvar")
+    for path in package.iterdir():
+        if path.name.endswith(".py") and path.name not in ("elements.py", "cli.py"):
+            tree = ast.parse(path.read_text())
+            lines = [
+                node.lineno
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == "enumerate_family")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr in ("enumerate_family", "universe"))
+            ]
+            assert not lines, f"{path.name} lists the universe at lines {lines}"

@@ -10,10 +10,11 @@ preceded the array one.
 import hashlib
 
 import pytest
+from conftest import class_lists
 
 from greenvar.closedform_is import CLOSED_RELATIONS, MODES, closed_classification_is
 from greenvar.closedform_t import closed_classification_t
-from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family
+from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family, universe_texts
 
 PINNED = {
     FAMILY_IS: "5e3670ff4fc88126659b74e5879406b391189f6b98b7fdea4dacbbdfdbf29dcd",
@@ -26,13 +27,14 @@ CLASSIFY = {FAMILY_IS: closed_classification_is, FAMILY_T: closed_classification
 def closed_partitions_digest(family: str, max_n: int = 4) -> str:
     digest = hashlib.sha256()
     for n in range(1, max_n + 1):
+        texts = universe_texts(family, n)
         for a in enumerate_family(family, n):
             for relation in CLOSED_RELATIONS:
                 for mode in MODES:
                     c = CLASSIFY[family](n, a, relation, mode)
                     digest.update(f"{n} {a} {relation} {mode}\n".encode())
-                    for cls in c.classes:
-                        digest.update((" ".join(map(str, cls)) + "\n").encode())
+                    for cls in class_lists(c, texts):
+                        digest.update((" ".join(cls) + "\n").encode())
     return digest.hexdigest()
 
 

@@ -12,7 +12,6 @@ from greenvar.elements import (
     CapacityError,
     ParseError,
     PartialPerm,
-    Partition,
     Transformation,
     compose,
     constant,
@@ -106,15 +105,9 @@ def test_empty_map_and_constant():
 
 def test_kernel_partition():
     x = Transformation((1, 1, 2))
-    assert x.kernel() == Partition.of_blocks([[1, 2], [3]])
     assert x.preimage(1) == frozenset({1, 2})
+    assert x.preimage(2) == frozenset({3})
     assert x.preimage(3) == frozenset()
-
-
-def test_partition_normalizes_block_order():
-    assert Partition.of_blocks([[3], [2, 1]]) == Partition.of_blocks([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        Partition.of_blocks([[1], [1, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import class_lists
 
 from greenvar import engine
 from greenvar.elements import (
@@ -26,6 +27,7 @@ from greenvar.engine import (
     RELATIONS,
     GreenClassification,
     VariantSemigroup,
+    _egg_boxes,
     _factor_rows,
     _sxs_rows,
     all_egg_boxes,
@@ -76,7 +78,7 @@ def test_product_table_matches_direct_products():
         assert rows.dtype == left_of.dtype == np.uint16  # |S| < 65,536
         assert rows.shape == (len(rows), v.size) and left_of.shape == (v.size,)
         assert (len(rows) == v.size) == injective
-        universe = v.universe
+        universe = enumerate_family(family, n)
         for i, x in enumerate(universe):
             for j, y in enumerate(universe):
                 assert universe[rows[left_of[i], j]] == variant_product(x, a, y)
@@ -220,13 +222,15 @@ def test_brute_classes_match_naive_oracle_n2(family):
         }
         for relation in RELATIONS:
             got = brute_classification(family, n, a, relation)
-            assert list(got.classes) == expected[relation], (a, relation)
+            assert list(map(tuple, class_lists(got, universe))) == expected[relation], (
+                a, relation
+            )
 
 
 def naive_sxs(v, reps):
     # S x S for each x in reps as a set of universe indices, from object
     # products: Sx first, then the union of yS over y in Sx.
-    universe = v.universe
+    universe = enumerate_family(v.family, v.n)
     index = {x: i for i, x in enumerate(universe)}
     table = [[index[variant_product(x, v.a, y)] for y in universe] for x in universe]
     right = [set(row) for row in table]
@@ -259,14 +263,15 @@ def test_sxs_rows_match_naive_sets():
 
 def test_t2_constant_deformation_classes():
     a = tr("1,1")
+    universe = enumerate_family(FAMILY_T, 2)
     r = brute_classification(FAMILY_T, 2, a, "r")
-    assert r.classes == (
-        (tr("1,1"), tr("2,2")),
-        (tr("1,2"),),
-        (tr("2,1"),),
-    )
+    assert class_lists(r, universe) == [
+        [tr("1,1"), tr("2,2")],
+        [tr("1,2")],
+        [tr("2,1")],
+    ]
     d = brute_classification(FAMILY_T, 2, a, "d")
-    assert d.classes == r.classes
+    assert class_lists(d, universe) == class_lists(r, universe)
 
 
 def test_is2_identity_d_sizes():
@@ -322,9 +327,30 @@ def test_class_sizes_cover_universe():
 def test_class_of_and_accessors():
     c = brute_classification(FAMILY_T, 2, tr("1,1"), "r")
     assert c.class_of(tr("2,2")) == (tr("1,1"), tr("2,2"))
-    assert c.representatives == (tr("1,1"), tr("1,2"), tr("2,1"))
+    assert c.class_of(tr("2,1")) == (tr("2,1"),)
+    assert c.sizes == (2, 1, 1)
     assert c.singleton_count == 2
-    assert c.multi_classes == ((tr("1,1"), tr("2,2")),)
+
+
+def test_class_of_rejects_an_element_outside_the_universe():
+    # Another family or another n: the element has no universe index here.
+    # Extra images must not be ignored, and no lookup miss (-1) may read the
+    # last label.
+    t2 = brute_classification(FAMILY_T, 2, tr("1,1"), "r")
+    is2 = closed_classification_is(2, pp("1,-"), "r")
+    for c, x in (
+        (t2, pp("1,2")),  # an IS_2 element
+        (t2, tr("1,1,1")),  # n = 3
+        (t2, tr("1")),  # n = 1
+        (is2, tr("1,2")),  # a T_2 element
+        (is2, pp("2,1,-")),  # n = 3
+    ):
+        with pytest.raises(ValueError):
+            c.class_of(x)
+    v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
+    for x in (pp("1,2"), tr("1,1,1")):
+        with pytest.raises(ValueError):
+            egg_box(v, x)
 
 
 def test_first_divergence_matches_naive_scan():
@@ -368,21 +394,22 @@ def test_egg_box_grid_invariants():
         a = parse_element(family, a_text)
         v = variant_semigroup(family, n, a)
         h = brute_classification(family, n, a, "h")
+        h_classes = set(map(tuple, class_lists(h, range(v.size))))
         boxes = all_egg_boxes(v)
         covered = set()
         for box in boxes:
-            members = set(box.d_class)
+            members = set(box.members)
             covered |= members
-            assert set().union(*box.rows) == members
-            assert set().union(*box.cols) == members
-            for i, row in enumerate(box.rows):
-                for j, col in enumerate(box.cols):
-                    cell = box.cells[i][j]
+            assert set().union(*box.row_members) == members
+            assert set().union(*box.col_members) == members
+            for i, row in enumerate(box.row_members):
+                for j, col in enumerate(box.col_members):
+                    cell = box.cell_members[i][j]
                     assert set(cell) == set(row) & set(col)
                     # d = r compose l in any semigroup, so no cell is empty
                     assert cell
-                    assert cell in h.classes
-        assert covered == set(v.universe)
+                    assert cell in h_classes
+        assert covered == set(range(v.size))
 
 
 def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
@@ -408,24 +435,23 @@ def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
 
 def test_egg_box_frozen_shapes():
     v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
-    d = brute_classification(FAMILY_T, 2, tr("1,1"), "d")
-    box = egg_box(v, d.class_of(tr("1,1")))
-    assert (len(box.rows), len(box.cols)) == (1, 2)
-    assert box.representative == tr("1,1")
+    box = egg_box(v, tr("2,2"))
+    assert (len(box.row_members), len(box.col_members)) == (1, 2)
+    assert enumerate_family(FAMILY_T, 2)[box.members[0]] == tr("1,1")
 
     v3 = variant_semigroup(FAMILY_IS, 3, pp("1,2,-"))
-    d3 = brute_classification(FAMILY_IS, 3, pp("1,2,-"), "d")
-    box3 = egg_box(v3, d3.class_of(pp("1,-,-")))
-    assert (len(box3.rows), len(box3.cols)) == (2, 2)
+    box3 = egg_box(v3, pp("1,-,-"))
+    assert (len(box3.row_members), len(box3.col_members)) == (2, 2)
 
     ve = variant_semigroup(FAMILY_IS, 2, empty_map(2))
     assert len(all_egg_boxes(ve)) == 7
 
 
 def test_egg_box_rejects_non_d_class():
-    v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
+    r, l = (brute_classification(FAMILY_T, 2, tr("1,1"), rel) for rel in "rl")
+    _egg_boxes(np.array([0, 3]), np.zeros(2, dtype=np.int64), r, l)  # the d-class of 1,1
     with pytest.raises(ValueError):
-        egg_box(v, (tr("1,1"),))  # proper subset of a d-class
+        _egg_boxes(np.array([0]), np.zeros(1, dtype=np.int64), r, l)  # a proper subset
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     )
     report = dual_check(a)
     assert not report.holds and report.classes_match is None
-    assert report.counterexample == (corrupted.universe[0], corrupted.universe[5])
+    universe = enumerate_family(FAMILY_IS, 3)
+    assert report.counterexample == (universe[0], universe[5])
 
 
 def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
@@ -110,7 +111,7 @@ def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
     )
     report = dual_check(a)
     assert not report.holds
-    universe = corrupted.universe
+    universe = enumerate_family(FAMILY_IS, 5)
     assert report.counterexample == (universe[structure.IDEAL_BLOCK + 1], universe[s - 1])
 
 
