@@ -32,6 +32,9 @@ import re
 import sys
 from collections.abc import Callable, Sequence
 
+# greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .closedform_is import (

@@ -17,10 +17,11 @@ equal-rank restriction is required.  "literal" evaluates the description
 exactly as stated, "corrected" applies the repair.  r, l and h need no
 repair and ignore the mode.
 
-Each description is evaluated once over the whole universe, on its image
-array (elements.universe_images): dom and ran are bitmasks, and the case
+Each description is evaluated once over the whole universe, on the
+universe's dom and ran bitmasks, which are computed once per n beside its
+image array (elements.universe_domains, elements.universe_ranges); the case
 split in _class_key_is gives every row one integer key, so that equal keys
-share a class; the classification is one class id per row.  No element
+share a class, and the classification is one class id per row.  No element
 object is built on the way.
 
 The class-count formulas audited by count_is_classes follow the same split:
@@ -38,14 +39,13 @@ import numpy as np
 
 from .elements import (
     FAMILY_IS,
-    UNDEFINED,
     Element,
     PartialPerm,
     check_deformation,
     family_of,
     family_size,
-    range_masks,
-    universe_images,
+    universe_domains,
+    universe_ranges,
 )
 from .engine import (
     ClassCountSummary,
@@ -89,13 +89,13 @@ def classify_by_key(
     family: str, n: int, a: Element, relation: str, mode: str, key: Callable
 ) -> GreenClassification:
     """The whole universe partitioned in one pass by a family's class key:
-    rows of the image array share a class exactly when
-    key(images, a, relation, mode) gives them equal keys."""
+    universe rows share a class exactly when key(n, a, relation, mode)
+    gives them equal keys."""
     check_mode(mode)
     if relation not in CLOSED_RELATIONS:
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
     check_deformation(family, n, a)
-    keys = key(universe_images(family, n), a, relation, mode)
+    keys = key(n, a, relation, mode)
     return GreenClassification(
         family=family,
         n=n,
@@ -162,49 +162,21 @@ def right_divisible(x: PartialPerm, y: PartialPerm, a: PartialPerm) -> Divisibil
     return DivisibilityVerdict(solvable=True, witness=u)
 
 
-def _class_of(x: PartialPerm, a: PartialPerm, relation: str, mode: str) -> frozenset[PartialPerm]:
-    check_mode(mode)
-    _check_is_pair(x, a)
-    return frozenset(closed_classification_is(x.n, a, relation, mode).class_of(x))
-
-
-def r_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """The closed-form r-class of x (the same in both modes)."""
-    return _class_of(x, a, "r", mode)
-
-
-def l_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """The closed-form l-class of x (the same in both modes)."""
-    return _class_of(x, a, "l", mode)
-
-
-def h_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """The closed-form h-class of x (the same in both modes)."""
-    return _class_of(x, a, "h", mode)
-
-
-def d_class_is(x: PartialPerm, a: PartialPerm, mode: str = "corrected") -> frozenset[PartialPerm]:
-    """The closed-form d-class of x in the given mode."""
-    return _class_of(x, a, "d", mode)
-
-
-def _class_key_is(images: np.ndarray, a: PartialPerm, relation: str, mode: str) -> np.ndarray:
+def _class_key_is(n: int, a: PartialPerm, relation: str, mode: str) -> np.ndarray:
     """The closed-form case split, one key per row: equal keys share a class."""
-    n = images.shape[1]
-    dom = (images != UNDEFINED) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    ran = range_masks(images)
-    r_ok = (ran & ~point_mask(a.dom)) == 0
-    l_ok = (dom & ~point_mask(a.ran)) == 0
+    dom, ran = universe_domains(n), universe_ranges(FAMILY_IS, n)
+    r_ok = (ran & point_mask(a.dom)) == ran
+    l_ok = (dom & point_mask(a.ran)) == dom
     if relation == "r":
         clauses = [(r_ok, dom)]
     elif relation == "l":
         clauses = [(l_ok, ran)]
     elif relation == "h":
-        clauses = [(r_ok & l_ok, (dom << n) | ran)]
+        clauses = [(r_ok & l_ok, np.left_shift(dom, n, dtype=np.int64) | ran)]
     else:
         joint = np.bitwise_count(ran) if mode == "corrected" else 0
         clauses = [(r_ok & l_ok, joint), (r_ok, dom), (l_ok, ran)]
-    return clause_keys(clauses, len(images))
+    return clause_keys(clauses, len(ran))
 
 
 def closed_classification_is(

@@ -20,8 +20,10 @@ The classes of (T_n, *_a):
   rank(y) = rank(x) in corrected mode.
 
 The descriptions are evaluated once over the whole universe, on its image
-array: ran is a bitmask, ker is an integer code (the least point of each
-point's fiber, read in base n), spread(x) holds when m & (m - 1) == 0 for
+array and on two invariants computed once per n beside it
+(elements.universe_ranges, elements.universe_kernels): ran is a bitmask,
+ker is an integer code (the least point of each point's fiber, read in
+base n), spread(x) holds when m & (m - 1) == 0 for
 m = ran(x) & B and every fiber B of a, fed(x) when the bits of x(ran(a))
 make up all of ran(x), and the case split in _class_key_t gives every row
 one integer key.
@@ -50,9 +52,11 @@ from .elements import (
     FAMILY_T,
     Transformation,
     check_deformation,
-    family_of,
     family_size,
     range_masks,
+    universe_images,
+    universe_kernels,
+    universe_ranges,
 )
 from .closedform_is import check_mode, classify_by_key, clause_keys, point_mask
 from .engine import (
@@ -79,20 +83,10 @@ def stirling2(q: int, k: int) -> int:
     return k * stirling2(q - 1, k) + stirling2(q - 1, k - 1)
 
 
-def kernel_codes(images: np.ndarray) -> np.ndarray:
-    """ker of each row as a code: the least point of each point's fiber,
-    0-based, read as a base-n integer.  Equal codes mean equal kernels."""
-    rows, n = images.shape
-    codes = np.zeros(rows, dtype=np.int64)
-    for i in range(n):
-        codes = codes * n + np.argmax(images[:, : i + 1] == images[:, i : i + 1], axis=1)
-    return codes
-
-
 def _overfull_blocks(ran: np.ndarray, a: Transformation) -> np.ndarray:
     # Row per fiber B of a: whether the range mask meets B more than once,
     # i.e. m & (m - 1) != 0 for m = ran & B.
-    blocks = np.array([point_mask(a.preimage(v)) for v in sorted(a.ran)], dtype=np.int64)[:, None]
+    blocks = np.array([point_mask(a.preimage(v)) for v in sorted(a.ran)], dtype=ran.dtype)[:, None]
     m = ran & blocks
     return (m & (m - 1)) != 0
 
@@ -118,35 +112,6 @@ def fed(x: Transformation, a: Transformation) -> bool:
     return bool(_fed(*_one_row(x), a)[0])
 
 
-def _class_of(x: Transformation, a: Transformation, relation: str, mode: str) -> frozenset[Transformation]:
-    check_mode(mode)
-    if family_of(x) != FAMILY_T or family_of(a) != FAMILY_T:
-        raise TypeError("expected total transformations")
-    if x.n != a.n:
-        raise ValueError(f"point-set sizes differ: {x.n} vs {a.n}")
-    return frozenset(closed_classification_t(x.n, a, relation, mode).class_of(x))
-
-
-def r_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """The closed-form r-class of x (the same in both modes)."""
-    return _class_of(x, a, "r", mode)
-
-
-def l_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """The closed-form l-class of x (the same in both modes)."""
-    return _class_of(x, a, "l", mode)
-
-
-def h_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """The closed-form h-class of x (the same in both modes)."""
-    return _class_of(x, a, "h", mode)
-
-
-def d_class_t(x: Transformation, a: Transformation, mode: str = "corrected") -> frozenset[Transformation]:
-    """The closed-form d-class of x in the given mode."""
-    return _class_of(x, a, "d", mode)
-
-
 def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
     # The literal middle d condition: every fiber of a meets ran(x) more than
     # once.  With rank(x) <= rank(a) alongside it forces 2 rank(a) <= rank(a),
@@ -155,11 +120,10 @@ def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
     return bool(_overfull_blocks(ran, a).all())
 
 
-def _class_key_t(images: np.ndarray, a: Transformation, relation: str, mode: str) -> np.ndarray:
+def _class_key_t(n: int, a: Transformation, relation: str, mode: str) -> np.ndarray:
     """The closed-form case split, one key per row: equal keys share a class."""
-    n = images.shape[1]
-    ran = range_masks(images)
-    ker = kernel_codes(images)
+    images = universe_images(FAMILY_T, n)
+    ran, ker = universe_ranges(FAMILY_T, n), universe_kernels(n)
     overfull = _overfull_blocks(ran, a)
     sp, fd = ~overfull.any(axis=0), _fed(images, ran, a)
     if relation == "r":
@@ -167,7 +131,7 @@ def _class_key_t(images: np.ndarray, a: Transformation, relation: str, mode: str
     elif relation == "l":
         clauses = [(fd & (a.rank > 1), ran)]
     elif relation == "h":
-        clauses = [(sp & fd, (ker << n) | ran)]
+        clauses = [(sp & fd, np.left_shift(ker, n, dtype=np.int64) | ran)]
     else:
         rank = np.bitwise_count(ran)
         clauses = [(sp & (~fd | (a.rank == 1)), ker)]

@@ -349,6 +349,43 @@ def range_masks(images: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(bits, axis=1)
 
 
+# The per-universe invariants of the closed forms, each computed once per
+# (family, n) and kept read-only in the narrowest dtype that holds it: n <= 7
+# points fit a mask in uint8, and 7**7 kernel codes fit int32.
+
+
+@functools.lru_cache(maxsize=None)
+def universe_ranges(family: str, n: int) -> np.ndarray:
+    """``range_masks(universe_images(family, n))`` as read-only uint8."""
+    ran = range_masks(universe_images(family, n)).astype(np.uint8)
+    ran.setflags(write=False)
+    return ran
+
+
+@functools.lru_cache(maxsize=None)
+def universe_domains(n: int) -> np.ndarray:
+    """dom of each row of the IS_n universe as a read-only uint8 bitmask
+    (bit i - 1 for point i), an OR of shifted bits as in range_masks."""
+    bits = (universe_images(FAMILY_IS, n) != UNDEFINED).astype(np.uint8) << np.arange(n, dtype=np.uint8)
+    dom = np.bitwise_or.reduce(bits, axis=1)
+    dom.setflags(write=False)
+    return dom
+
+
+@functools.lru_cache(maxsize=None)
+def universe_kernels(n: int) -> np.ndarray:
+    """ker of each row of the T_n universe as a read-only int32 code: the
+    least point of each point's fiber, 0-based, read as a base-n integer.
+    Equal codes mean equal kernels."""
+    images = universe_images(FAMILY_T, n)
+    codes = np.zeros(len(images), dtype=np.int64)
+    for i in range(n):
+        codes = codes * n + np.argmax(images[:, : i + 1] == images[:, i : i + 1], axis=1)
+    ker = codes.astype(np.int32)
+    ker.setflags(write=False)
+    return ker
+
+
 def family_of(x: Element) -> str:
     return FAMILY_IS if isinstance(x, PartialPerm) else FAMILY_T
 

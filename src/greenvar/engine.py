@@ -54,9 +54,9 @@ from .elements import (
     family_of,
     family_size,
     format_element,
-    range_masks,
     universe_images,
     universe_index,
+    universe_ranges,
 )
 
 RELATIONS = ("r", "l", "h", "d", "j")
@@ -463,7 +463,7 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
     c = classification
     sizes = np.bincount(c.labels)
     _, least = np.unique(c.labels, return_index=True)
-    ranks = np.bitwise_count(range_masks(universe_images(c.family, c.n)[least]))
+    ranks = np.bitwise_count(universe_ranges(c.family, c.n)[least])
     multi = sizes > 1
     lines = Counter(zip(ranks[multi].tolist(), sizes[multi].tolist()))
     return ClassCountSummary(

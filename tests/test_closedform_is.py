@@ -6,11 +6,7 @@ import pytest
 from greenvar.closedform_is import (
     closed_classification_is,
     count_is_classes,
-    d_class_is,
     falling_factorial,
-    h_class_is,
-    l_class_is,
-    r_class_is,
     right_divisible,
 )
 from greenvar.elements import (
@@ -65,27 +61,32 @@ def test_right_divisible_criterion_vs_actual_solvability_n2():
 # single-class closed forms, frozen from the brute-force oracle
 
 
+def class_of(x, a, relation, mode="corrected"):
+    return set(closed_classification_is(x.n, a, relation, mode).class_of(x))
+
+
 def test_frozen_classes_is3():
     a = pp("1,2,-")
     x = pp("1,-,-")
-    assert r_class_is(x, a) == {pp("1,-,-"), pp("2,-,-")}
-    assert l_class_is(x, a) == {pp("1,-,-"), pp("-,1,-")}
-    assert h_class_is(x, a) == {x}
-    assert d_class_is(x, a) == {pp("1,-,-"), pp("2,-,-"), pp("-,1,-"), pp("-,2,-")}
+    assert class_of(x, a, "r") == {pp("1,-,-"), pp("2,-,-")}
+    assert class_of(x, a, "l") == {pp("1,-,-"), pp("-,1,-")}
+    assert class_of(x, a, "h") == {x}
+    assert class_of(x, a, "d") == {pp("1,-,-"), pp("2,-,-"), pp("-,1,-"), pp("-,2,-")}
 
 
 def test_escaping_range_means_singleton_r_class():
     a = pp("1,2,-")
     x = pp("3,-,-")  # ran(x) = {3} escapes dom(a) = {1, 2}
-    assert r_class_is(x, a) == {x}
+    assert class_of(x, a, "r") == {x}
 
 
 def test_classes_contain_their_element_everywhere():
     for a in enumerate_family(FAMILY_IS, 3):
-        for x in enumerate_family(FAMILY_IS, 3):
-            for fn in (r_class_is, l_class_is, h_class_is, d_class_is):
-                for mode in ("corrected", "literal"):
-                    assert x in fn(x, a, mode)
+        for relation in ("r", "l", "h", "d"):
+            for mode in ("corrected", "literal"):
+                c = closed_classification_is(3, a, relation, mode)
+                for x in enumerate_family(FAMILY_IS, 3):
+                    assert x in c.class_of(x)
 
 
 # ---------------------------------------------------------------------------

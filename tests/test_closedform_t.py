@@ -14,30 +14,20 @@ from greenvar.closedform_t import (
     _l_size_literal,
     closed_classification_t,
     count_t_classes,
-    d_class_t,
     fed,
-    h_class_t,
-    kernel_codes,
-    l_class_t,
-    r_class_t,
     spread,
     stirling2,
 )
-from greenvar.closedform_is import (
-    closed_classification_is,
-    d_class_is,
-    h_class_is,
-    l_class_is,
-    r_class_is,
-)
+from greenvar.closedform_is import closed_classification_is
 from greenvar.elements import (
     FAMILY_IS,
     FAMILY_T,
     enumerate_family,
     identity,
     parse_element,
-    range_masks,
     universe_images,
+    universe_kernels,
+    universe_ranges,
 )
 from greenvar.engine import brute_classification, summarize_classes_by_rank
 
@@ -94,7 +84,7 @@ def test_array_predicates_match_set_definitions(n):
     # Every (x, a) in T_3; every x in T_4 against a seeded sample of a.
     universe = enumerate_family(FAMILY_T, n)
     images = universe_images(FAMILY_T, n)
-    ran = range_masks(images)
+    ran = universe_ranges(FAMILY_T, n)
     deformations = universe if n == 3 else random.Random(4).sample(universe, 32)
     for a in deformations:
         overfull = _overfull_blocks(ran, a)
@@ -112,7 +102,7 @@ def test_array_predicates_match_set_definitions(n):
             assert fed(x, a) is expect_fed
             assert _crowded_everywhere(x, a) is expect_crowded
     # Equal kernel codes exactly when equal set-based kernels.
-    code_of = dict(zip(universe, kernel_codes(images).tolist()))
+    code_of = dict(zip(universe, universe_kernels(n).tolist()))
     for x, y in itertools.product(universe, repeat=2):
         assert (code_of[x] == code_of[y]) == (naive_kernel(x) == naive_kernel(y))
 
@@ -156,32 +146,23 @@ def test_literal_d_counterexample_at_identity_n2():
     assert set(brute.class_of(a)) == {tr("1,2"), tr("2,1")}
 
 
-def test_single_class_functions_match_classification():
-    # Every a and x at n <= 3, both families, r/l/h/d, both modes: the
-    # class of x is its class in the whole-universe partition.
-    per_element = {
-        FAMILY_T: (closed_classification_t,
-                   dict(zip("rlhd", (r_class_t, l_class_t, h_class_t, d_class_t)))),
-        FAMILY_IS: (closed_classification_is,
-                    dict(zip("rlhd", (r_class_is, l_class_is, h_class_is, d_class_is)))),
-    }
+def test_closed_h_classes_are_r_meet_l():
+    # Every a and x at n <= 3, both families, both modes: the h-class of x
+    # is the meet of its r- and l-classes, read through class_of.
+    classifiers = {FAMILY_T: closed_classification_t, FAMILY_IS: closed_classification_is}
     cases = 0
-    for family, (classify, class_fns) in per_element.items():
+    for family, classify in classifiers.items():
         for n in (1, 2, 3):
             universe = enumerate_family(family, n)
             for a in universe:
-                for relation, fn in class_fns.items():
-                    for mode in ("corrected", "literal"):
-                        whole = classify(n, a, relation, mode)
-                        for x in universe:
-                            assert fn(x, a, mode) == frozenset(whole.class_of(x)), (
-                                family, str(a), relation, mode, str(x)
-                            )
-                            cases += 1
-    assert cases == 15_640
-    a = tr("1,1,2")
-    for x in enumerate_family(FAMILY_T, 3):
-        assert h_class_t(x, a) == r_class_t(x, a) & l_class_t(x, a)
+                for mode in ("corrected", "literal"):
+                    r, l, h = (classify(n, a, relation, mode) for relation in "rlh")
+                    for x in universe:
+                        assert set(h.class_of(x)) == set(r.class_of(x)) & set(l.class_of(x)), (
+                            family, str(a), mode, str(x)
+                        )
+                        cases += 1
+    assert cases == 2 * 1_955
 
 
 def test_low_rank_deformation_l_all_singleton():
@@ -333,14 +314,16 @@ def test_t6_r_class_builds_only_its_class():
     # class_of reads x's label and builds only the members of x's class:
     # about 4.5 MB with the closed classification, where listing all 46,656
     # elements with a dict over them peaks at 16.5 MB.
-    for cache in (elements.universe_images, elements._index_lookup, enumerate_family):
+    for cache in (elements.universe_images, elements.universe_ranges, elements.universe_kernels,
+                  elements._index_lookup, enumerate_family):
         cache.cache_clear()
+    x = tr("1,2,3,4,5,6")
     tracemalloc.start()
     try:
-        cls = r_class_t(tr("1,2,3,4,5,6"), tr("3,5,2,3,5,2"))
+        cls = closed_classification_t(6, tr("3,5,2,3,5,2"), "r").class_of(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cls == {tr("1,2,3,4,5,6")}
-    assert peak < 8 * 2**20, f"r_class_t peaked at {peak / 2**20:.1f} MB"
+    assert cls == (x,)
+    assert peak < 8 * 2**20, f"the r-class of x peaked at {peak / 2**20:.1f} MB"
     assert enumerate_family.cache_info().misses == 0

@@ -22,8 +22,11 @@ from greenvar.elements import (
     format_element,
     identity,
     parse_element,
+    universe_domains,
     universe_images,
     universe_index,
+    universe_kernels,
+    universe_ranges,
     universe_texts,
 )
 
@@ -163,6 +166,27 @@ def test_universe_images_match_enumeration_and_are_read_only():
                 images[0, 0] = 1
             with pytest.raises(ValueError):
                 images += 0
+
+
+def mask(points):
+    return sum(1 << (i - 1) for i in points)
+
+
+def test_universe_masks_match_sets_and_are_narrow_and_read_only():
+    # The closed forms share these per-(family, n) invariants across calls.
+    for n in range(1, 7):
+        universe = enumerate_family(FAMILY_IS, n)
+        dom, ran = universe_domains(n), universe_ranges(FAMILY_IS, n)
+        assert dom.tolist() == [mask(x.dom) for x in universe]
+        assert ran.tolist() == [mask(x.ran) for x in universe]
+        assert universe_ranges(FAMILY_T, n).tolist() == [
+            mask(x.ran) for x in enumerate_family(FAMILY_T, n)
+        ]
+        assert (dom.dtype, ran.dtype, universe_kernels(n).dtype) == (np.uint8, np.uint8, np.int32)
+        for cached in (dom, ran, universe_kernels(n)):
+            with pytest.raises(ValueError):
+                cached[0] = 1
+    assert universe_kernels(7).max() == int("0123456", 7)  # the identity's, digits 0..6
 
 
 def test_universe_texts_match_format_element():
