@@ -579,33 +579,31 @@ def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
     return f"{texts[cell[0]]} ({len(cell)})"
 
 
-def _dot_document(boxes: Sequence[EggBox], family: str, n: int, a: Element, full: bool) -> str:
+def _write_dot(boxes: Sequence[EggBox], family: str, n: int, a: Element, full: bool) -> None:
+    """Write the DOT document of the egg boxes, one d-class to a write."""
     texts = universe_texts(family, n)
-    lines = ["digraph eggbox {"]
-    lines.append(
-        f'  label="family={family} n={n} a=\\"{a}\\" d_classes={len(boxes)}";'
+    sys.stdout.write(
+        "digraph eggbox {\n"
+        f'  label="family={family} n={n} a=\\"{a}\\" d_classes={len(boxes)}";\n'
+        '  labelloc="t";\n'
+        "  node [shape=plaintext];\n"
     )
-    lines.append('  labelloc="t";')
-    lines.append("  node [shape=plaintext];")
     for i, box in enumerate(boxes):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(
-            f'    label="d{i} rep {texts[box.members[0]]} size {len(box.members)}'
-            f' ({len(box.row_members)}x{len(box.col_members)})";'
-        )
         rows_html = "".join(
             "<TR>"
             + "".join(f"<TD>{_cell_text(cell, texts, full)}</TD>" for cell in row)
             + "</TR>"
             for row in box.cell_members
         )
-        lines.append(
+        sys.stdout.write(
+            f"  subgraph cluster_{i} {{\n"
+            f'    label="d{i} rep {texts[box.members[0]]} size {len(box.members)}'
+            f' ({len(box.row_members)}x{len(box.col_members)})";\n'
             f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
-            f' CELLSPACING="0">{rows_html}</TABLE>>];'
+            f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
+            "  }\n"
         )
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("}\n")
 
 
 def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -642,7 +640,7 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             }
         )
     else:
-        sys.stdout.write(_dot_document(boxes, family, n, a, args.full))
+        _write_dot(boxes, family, n, a, args.full)
     return 0
 
 

@@ -23,18 +23,23 @@ uint16 indices (every universe with n <= 6 has fewer than 65,536
 elements); each x keeps only the index of its factor's row, so no full
 |S| x |S| table is ever formed.
 
-Ideal families are packed bit rows, one bit per universe element, built a
-block at a time, so no |S| x |S| matrix of any dtype is formed and grouping
-is byte comparison.  Right ideals gather the packed factor rows and add
-each x's own bit; left ideals pack the columns of the factor block.  The j
-ideal of x is L(x) | xS | SxS, and SxS depends on x only through L(x): if
-L(x) = L(y) then x is in Sy and y in Sx, so SxS = SyS.  SxS is the union
-of the factor rows of the left factors in Sx, so it is taken once per
-distinct set of those factors among the l-class representatives, and read
-back through the l ids.  Every classification is one class id per universe
-index, and an egg box is tuples of universe indices.  Element objects are
-built only at the edges, through ``elements_at``: the members of one class
-asked for by element, a failure witness, and the spot-checked products.
+Ideals are packed bit rows, one bit per universe element, built a block
+at a time, so no |S| x |S| matrix of any dtype is formed and grouping is
+byte comparison.  Grouping follows the singleton lemma, which holds in any
+semigroup: if x is not in xS then R_x = {x}, and likewise for Sx and L_x,
+and for xS | Sx | SxS and J_x.  So only the x inside their own ideal are
+grouped, by that ideal alone.  For r, x in xS is bit x of x's packed
+factor row, and only the |Sa| factor rows are grouped.  For l the columns
+of the factor block are packed a block of columns at a time, and only the
+x in Sx are grouped; j ORs xS and SxS into the same blocks.  SxS depends on x
+only through L(x): if L(x) = L(y) then x is in S^1 y and y in S^1 x, so
+SxS = SyS.  SxS is the union of the factor rows of the left factors in Sx,
+so it is taken and stored once per distinct set of those factors among
+the l-class representatives, and read back through the l ids.  Every
+classification is one class id per universe index, and an egg box is
+tuples of universe indices.  Element objects are built only at the edges,
+through ``elements_at``: the members of one class asked for by element, a
+failure witness, and the spot-checked products.
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
+from collections.abc import Callable
 
 import numpy as np
 
+from . import elements
 from .elements import (
     CapacityError,
     Element,
@@ -63,8 +70,8 @@ RELATIONS = ("r", "l", "h", "d", "j")
 
 BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
-TABLE_BLOCK_ROWS = 64  # factor rows of the product table indexed per pass
-IDEAL_BLOCK = 512  # ideal or factor-set rows unpacked, or pair rows compared, per pass
+TABLE_BLOCK_ROWS = 16  # factor rows of the product table indexed per pass
+IDEAL_BLOCK = 128  # ideal or factor-set rows unpacked, or pair rows compared, per pass
 
 
 def check_brute_cap(n: int) -> None:
@@ -116,19 +123,32 @@ class VariantSemigroup:
         left_of = left_of.ravel().astype(index)
         if len(reps) == s:  # x -> x . a is injective: each row is its own factor
             reps = left_of = np.arange(s, dtype=index)
-        # by_point[k, y] = y(k), so by_point[left[f]] holds the images of
-        # left[f] . y for every y, one point per row.
+        # by_point[k, y] = y(k), so by_point[left[f, i]] holds the image of
+        # point i under left[f] . y for every y.  The codes of the products
+        # are accumulated point by point, in buffers allocated once.  Every
+        # index given to np.take is in range, and mode "clip" keeps it from
+        # buffering its output.
         by_point = np.zeros((n + 1, s), dtype=np.int8)
         by_point[1:] = images.T
         left = xa[reps]
+        lookup = elements._index_lookup(family, n)  # code -> index, -1 for no element
         rows = np.empty((len(reps), s), dtype=index)
+        point = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int8)
+        codes = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
+        products = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
         for start in range(0, len(reps), TABLE_BLOCK_ROWS):
-            block = slice(start, start + TABLE_BLOCK_ROWS)
-            products = universe_index(family, n, by_point[left[block]].transpose(0, 2, 1))
+            b = min(TABLE_BLOCK_ROWS, len(reps) - start)
+            code, found = codes[:b], products[:b]
+            code[:] = 0
+            for i in range(n):
+                np.take(by_point, left[start : start + b, i], axis=0, out=point[:b], mode="clip")
+                code *= n + 1
+                code += point[:b]
+            np.take(lookup, code, out=found, mode="clip")
             # Checked on the int32 indices: cast to uint16, a -1 would pass.
-            if products.min() < 0:
+            if found.min() < 0:
                 raise AssertionError("a product left the universe")
-            rows[block] = products
+            rows[start : start + b] = found
         self._spot_check_associativity(rows, left_of)
         self._table = rows, left_of
         return self._table
@@ -244,30 +264,34 @@ def canonical_labels(keys: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse.ravel()]
 
 
-def _row_ids(packed: np.ndarray) -> np.ndarray:
+def _row_ids(packed: np.ndarray, seen: dict[bytes, int] | None = None) -> np.ndarray:
     # Equal packed rows share an id; ids are numbered by first row, so
-    # canonically.
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in packed])
+    # canonically.  seen carries the ids over from earlier blocks of rows.
+    seen = {} if seen is None else seen
+    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in packed], dtype=np.int64)
+
+
+def _bits(rows: np.ndarray, s: int) -> np.ndarray:
+    """Bool rows over the universe: row i has the bits of rows[i], an array
+    of indices, set."""
+    bits = np.zeros((len(rows), s), dtype=bool)
+    bits[np.arange(len(rows))[:, None], rows] = True
+    return bits
 
 
 def _pack(members: np.ndarray, s: int) -> np.ndarray:
-    """Bit rows over the universe: row i has the bits of members[i], an
-    array of indices, set; built IDEAL_BLOCK rows at a time."""
+    """_bits(members, s) as packed bit rows, built IDEAL_BLOCK rows at a time."""
     packed = np.empty((len(members), (s + 7) // 8), dtype=np.uint8)
     for start in range(0, len(members), IDEAL_BLOCK):
-        block = members[start : start + IDEAL_BLOCK]
-        bits = np.zeros((len(block), s), dtype=bool)
-        bits[np.arange(len(block))[:, None], block] = True
-        packed[start : start + IDEAL_BLOCK] = np.packbits(bits, axis=1)
+        packed[start : start + IDEAL_BLOCK] = np.packbits(
+            _bits(members[start : start + IDEAL_BLOCK], s), axis=1
+        )
     return packed
 
 
-def _with_self(packed: np.ndarray) -> np.ndarray:
-    """Set bit x of row x in place (the adjoined identity's {x} term)."""
-    x = np.arange(len(packed))
-    packed[x, x >> 3] |= (0x80 >> (x & 7)).astype(np.uint8)
-    return packed
+def _has_bit(packed: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Whether bit xs[i] of packed row rows[i] is set."""
+    return (packed[rows, xs >> 3] << (xs & 7) & 0x80).astype(bool)
 
 
 def _factor_rows(v: VariantSemigroup) -> np.ndarray:
@@ -275,25 +299,67 @@ def _factor_rows(v: VariantSemigroup) -> np.ndarray:
     return _pack(v.table()[0], v.size)
 
 
-def _right_rows(v: VariantSemigroup) -> np.ndarray:
-    """{x} | x *_a S, packed: x *_a S = (x . a) . S is the factor row of x."""
-    return _with_self(_factor_rows(v)[v.table()[1]])
+def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Class ids under "equal ideals" by the singleton lemma, from the keys
+    of the ideals I(x) without their {x} term.
+
+    If x is outside I(x) its class is {x}: were x ~ y with y != x, y would
+    lie in I(x) and x in I(y), which lies within I(x).  Every other x has
+    {x} | I(x) = I(x), so keys[x] decides its class.  Each singleton is
+    keyed past every row id, and row ids are below |S|.
+    """
+    s = len(keys)
+    return canonical_labels(np.where(inside, keys, s + np.arange(s)))
 
 
-def _left_rows(v: VariantSemigroup) -> np.ndarray:
-    """{x} | S *_a x, packed: S *_a x = (Sa) . x is column x of the factor rows."""
-    return _with_self(_pack(v.table()[0].T, v.size))
+def _column_ids(
+    v: VariantSemigroup, more: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
+    """Class ids under equal S^1 *_a x (l), or under equal S^1 *_a x *_a S^1
+    (j) when more(xs) gives the packed xS | SxS of the elements xs.
+
+    S *_a x = (Sa) . x is column x of the factor rows, so the ideals are
+    packed IDEAL_BLOCK columns at a time, from views of the table; only the
+    x inside their own ideal are grouped (see _singletons_apart).
+    """
+    rows, s = v.table()[0], v.size
+    inside = np.empty(s, dtype=bool)
+    keys = np.zeros(s, dtype=np.int64)
+    seen: dict[bytes, int] = {}
+    for start in range(0, s, IDEAL_BLOCK):
+        block = rows[:, start : start + IDEAL_BLOCK].T
+        xs = np.arange(start, start + len(block))
+        packed = np.packbits(_bits(block, s), axis=1)
+        if more is not None:
+            packed |= more(xs)
+        inside[xs] = mine = _has_bit(packed, np.arange(len(xs)), xs)
+        keys[xs[mine]] = _row_ids(packed[mine], seen)
+    return _singletons_apart(inside, keys)
 
 
 def _ideal_ids(v: VariantSemigroup, relation: str) -> np.ndarray:
-    """The r or l class ids of v, packed and grouped once per semigroup."""
+    """The r or l class ids of v, grouped once per semigroup.
+
+    x *_a S = (x . a) . S is the factor row of x, so r groups the |Sa|
+    factor rows and tests x in xS as bit x of x's factor row; l groups the
+    columns of the table (_column_ids).
+    """
     if relation not in v._ideal_ids:
-        v._ideal_ids[relation] = _row_ids((_right_rows if relation == "r" else _left_rows)(v))
+        if relation == "r":
+            left_of = v.table()[1]
+            factor_rows = _factor_rows(v)
+            inside = _has_bit(factor_rows, left_of, np.arange(v.size))
+            v._ideal_ids[relation] = _singletons_apart(inside, _row_ids(factor_rows)[left_of])
+        else:
+            v._ideal_ids[relation] = _column_ids(v)
     return v._ideal_ids[relation]
 
 
-def _sxs_rows(v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """S x S for each x in reps, packed.
+def _sxs_rows(
+    v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """S x S for each x in reps, packed, as (unions, set_of): S reps[i] S is
+    unions[set_of[i]].
 
     S x S is the union of zS over z in Sx, and zS is the factor row of z's
     left factor.  Sx is column x of the table, so S x S depends on x only
@@ -304,10 +370,10 @@ def _sxs_rows(v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray) ->
     rows, left_of = v.table()
     blocks = (reps[i : i + IDEAL_BLOCK] for i in range(0, len(reps), IDEAL_BLOCK))
     sets = np.concatenate([_pack(left_of[rows[:, block].T], len(rows)) for block in blocks])
-    set_ids = _row_ids(sets)
-    _, first = np.unique(set_ids, return_index=True)
+    set_of = _row_ids(sets)
+    _, first = np.unique(set_of, return_index=True)
     masks = (np.unpackbits(sets[i], count=len(rows)).view(bool) for i in first)
-    return np.array([np.bitwise_or.reduce(factor_rows[mask]) for mask in masks])[set_ids]
+    return np.array([np.bitwise_or.reduce(factor_rows[mask]) for mask in masks]), set_of
 
 
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
@@ -336,14 +402,15 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
                     break
                 least = reached
             labels = canonical_labels(least)
-    else:  # j: J(x) = L(x) | xS | SxS, with SxS read through the l ids
+    else:  # j: J(x) = {x} | Sx | xS | SxS, with SxS read through the l ids
+        left_of = v.table()[1]
         factor_rows = _factor_rows(v)
-        ideal = _left_rows(v)
-        l_ids = _row_ids(ideal)
+        l_ids = _ideal_ids(v, "l")
         _, reps = np.unique(l_ids, return_index=True)  # least member of each l-class
-        ideal |= factor_rows[v.table()[1]]
-        ideal |= _sxs_rows(v, factor_rows, reps)[l_ids]
-        labels = _row_ids(ideal)
+        unions, set_of = _sxs_rows(v, factor_rows, reps)
+        labels = _column_ids(
+            v, lambda xs: factor_rows[left_of[xs]] | unions[set_of[l_ids[xs]]]
+        )
 
     return GreenClassification(
         family=v.family,
@@ -377,7 +444,7 @@ def verify_d_equals_j(
     return False, (first, second)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class EggBox:
     """One d-class laid out as a grid: rows are r-classes, columns l-classes,
     and each cell the h-class where they cross (cell = row intersect column).
@@ -408,35 +475,45 @@ def _egg_boxes(
     # members[i], boxes numbered by least member.  A line (row or column)
     # is a (box, class) pair; sorted, the lines of each box come out by
     # least member, since class ids are, and each class must lie wholly in
-    # its box.
+    # its box.  Cell (i, j) of box b is numbered cells[b] + i * w + j.
     boxes = int(box_of.max()) + 1
-    places, counts = [], []
+    ints = members.tolist()  # one int object per member, shared by every tuple
+
+    def runs(keys: np.ndarray, count: int) -> list[tuple[int, ...]]:
+        # The members with key 0, 1, ..., count - 1, each run ascending.
+        order = [ints[i] for i in np.argsort(keys, kind="stable").tolist()]
+        ends = np.cumsum(np.bincount(keys, minlength=count)).tolist()
+        return [tuple(order[i:j]) for i, j in zip([0, *ends], ends)]
+
+    line_of, firsts = [], []
     for c in (r, l):
         k = len(c.sizes)
-        lines, line_of, size = np.unique(
+        lines, line, size = np.unique(
             box_of * k + c.labels[members], return_inverse=True, return_counts=True
         )
         if (size != np.bincount(c.labels)[lines % k]).any():
             raise ValueError("a box is not a union of r- and l-classes")
-        first = np.searchsorted(lines // k, np.arange(boxes + 1))  # each box's first line
-        places.append((line_of.ravel() - first[box_of]).tolist())
-        counts.append(np.diff(first).tolist())
-    grids = [[[[] for _ in range(w)] for _ in range(h)] for h, w in zip(*counts)]
-    row_lists = [[[] for _ in range(h)] for h in counts[0]]
-    col_lists = [[[] for _ in range(w)] for w in counts[1]]
-    member_lists: list[list[int]] = [[] for _ in range(boxes)]
-    for x, b, i, j in zip(members.tolist(), box_of.tolist(), *places):
-        grids[b][i][j].append(x)
-        row_lists[b][i].append(x)
-        col_lists[b][j].append(x)
-        member_lists[b].append(x)
+        line_of.append(line.ravel())
+        firsts.append(np.searchsorted(lines // k, np.arange(boxes + 1)))  # each box's first line
+    (row, col), (row_first, col_first) = line_of, firsts
+    width = np.diff(col_first)
+    cells = np.concatenate([[0], np.cumsum(np.diff(row_first) * width)])
+    place = cells[box_of] + (row - row_first[box_of]) * width[box_of] + col - col_first[box_of]
+    member_runs, row_runs, col_runs, cell_runs = (
+        runs(box_of, boxes), runs(row, row_first[-1]), runs(col, col_first[-1]),
+        runs(place, cells[-1]),
+    )
+    row_first, col_first, width, cells = (x.tolist() for x in (row_first, col_first, width, cells))
     return tuple(
         EggBox(
-            members=tuple(m),
-            row_members=tuple(map(tuple, rows)), col_members=tuple(map(tuple, cols)),
-            cell_members=tuple(tuple(map(tuple, row)) for row in grid),
+            members=member_runs[b],
+            row_members=tuple(row_runs[row_first[b] : row_first[b + 1]]),
+            col_members=tuple(col_runs[col_first[b] : col_first[b + 1]]),
+            cell_members=tuple(
+                tuple(cell_runs[i : i + width[b]]) for i in range(cells[b], cells[b + 1], width[b])
+            ),
         )
-        for m, rows, cols, grid in zip(member_lists, row_lists, col_lists, grids)
+        for b in range(boxes)
     )
 
 

@@ -99,27 +99,40 @@ def test_product_table_memory_bound():
     # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors of
     # 3125 elements.  The 243 x 3125 block of their products is 1.5 MB of
     # uint16; a dense table would be 20 MB, and going through an (s, s, n)
-    # int8 product array and its int64 copy peaks near 490 MB.
+    # int8 product array and its int64 copy peaks near 490 MB.  The block
+    # buffers are allocated once, with no (rows, n, |S|) gather: those
+    # peaked at 4.8 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
     peak = _traced_peak(v.table)
     assert len(v.table()[0]) == 243
-    assert peak < 64 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
-    # Every classification on a fresh semigroup, table included, stays
-    # within 12 MB, under a third of one dense |S| x |S| int32 table: the
-    # ideals are packed bit rows, built a block at a time.
-    for relation in RELATIONS:
+    assert peak <= 3.5 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
+    # Every classification on a fresh semigroup, table included: r and l
+    # group only the elements inside their own ideal (the singleton lemma),
+    # a block of columns at a time, and j ORs its ideals a block of rows at
+    # a time.  Packing |S| ideal rows peaked at 5.7 MB, and j at 5.8 MB.
+    for relation, bound in zip(RELATIONS, (3.5, 3.5, 3.5, 3.5, 5)):
         fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
         peak = _traced_peak(lambda: green_classes_brute(fresh, relation))
-        assert peak <= 12 * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
+        assert peak <= bound * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
+
+
+def test_full_rank_l_memory_bound():
+    # At full rank |Sa| = |S|, so the table alone is 3125 x 3125 uint16
+    # (19.5 MB).  l tests "x in Sx" and packs the columns of the table a
+    # block at a time, from views of the table: an unblocked test or column
+    # gather reached 39.3 MB.
+    v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
+    peak = _traced_peak(lambda: green_classes_brute(v, "l"))
+    assert len(v.table()[0]) == v.size
+    assert peak <= 24 * 2**20, f"l classification peaked at {peak / 2**20:.1f} MB"
 
 
 def test_full_rank_j_memory_bound():
-    # At full rank |Sa| = |S|, so the table alone is 3125 x 3125 uint16
-    # (19.5 MB).  j packs the sets of left factors of its 31 l-class
-    # representatives and ORs whole factor rows once per distinct set, so
-    # nothing of |S| x |S| size is formed beside the table: a float32
-    # product over blocks of factor-row columns peaked near 29 MB, and
-    # dense bool and float32 matrices at 107 MB.
+    # At full rank the table alone is 19.5 MB.  j packs the sets of left
+    # factors of its 31 l-class representatives and ORs whole factor rows
+    # once per distinct set, so nothing of |S| x |S| size is formed beside
+    # the table: a float32 product over blocks of factor-row columns peaked
+    # near 29 MB, and dense bool and float32 matrices at 107 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "j"))
     assert len(v.table()[0]) == v.size
@@ -227,6 +240,39 @@ def test_brute_classes_match_naive_oracle_n2(family):
             )
 
 
+def naive_labels(ideals):
+    # Class ids for a list of ideals as sets: equal sets share an id, and
+    # ids are numbered by least member.
+    ids = {}
+    return [ids.setdefault(ideal, len(ids)) for ideal in ideals]
+
+
+def test_singleton_lemma_matches_naive_ideals(monkeypatch):
+    # r and l group only the x inside their own ideal xS (Sx) and give every
+    # other x a class of its own.  Against partitions by the explicit sets
+    # {x} | x *_a S and {x} | S *_a x: every a at n <= 3 in both families,
+    # the constant a with |Sa| = 1 among them, plus seeded a at n = 4.  Each
+    # universe fits one IDEAL_BLOCK, so the columns are also grouped seven
+    # at a time, across block seams.
+    rng = random.Random(12)
+    cases = [(family, n, a) for family in (FAMILY_IS, FAMILY_T) for n in (1, 2, 3)
+             for a in enumerate_family(family, n)]
+    cases += [(family, 4, a) for family in (FAMILY_IS, FAMILY_T)
+              for a in rng.sample(enumerate_family(family, 4), 2)]
+    assert (FAMILY_T, 3, tr("1,1,1")) in cases
+    for family, n, a in cases:
+        universe = enumerate_family(family, n)
+        right = [frozenset({x} | {variant_product(x, a, y) for y in universe}) for x in universe]
+        left = [frozenset({x} | {variant_product(y, a, x) for y in universe}) for x in universe]
+        for block in (engine.IDEAL_BLOCK, 7):
+            monkeypatch.setattr(engine, "IDEAL_BLOCK", block)
+            v = VariantSemigroup(family, n, a)
+            for relation, ideals in (("r", right), ("l", left)):
+                labels = green_classes_brute(v, relation).labels.tolist()
+                assert labels == naive_labels(ideals), (family, n, str(a), relation, block)
+            monkeypatch.undo()
+
+
 def naive_sxs(v, reps):
     # S x S for each x in reps as a set of universe indices, from object
     # products: Sx first, then the union of yS over y in Sx.
@@ -250,7 +296,9 @@ def test_sxs_rows_match_naive_sets():
     for family, n, a, reps in cases:
         v = VariantSemigroup(family, n, a)
         reps = np.arange(v.size) if reps is None else np.array(reps)
-        sxs = np.unpackbits(_sxs_rows(v, _factor_rows(v), reps), axis=1, count=v.size)
+        unions, set_of = _sxs_rows(v, _factor_rows(v), reps)
+        assert len(unions) == len(set(set_of.tolist()))  # one union per set of factors
+        sxs = np.unpackbits(unions[set_of], axis=1, count=v.size)
         expected = np.zeros((len(reps), v.size), dtype=np.uint8)
         for row, members in zip(expected, naive_sxs(v, reps.tolist())):
             row[list(members)] = 1
@@ -413,24 +461,25 @@ def test_egg_box_grid_invariants():
 
 
 def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
-    # h and d group the r and l ids that the semigroup already holds from
-    # the r and l classifications, so packing each ideal family once serves
+    # h and d read the r and l ids that the semigroup already holds from
+    # the r and l classifications, so grouping each relation once serves
     # every egg box; a fresh semigroup still classifies h and d on its own.
-    calls = {"_right_rows": 0, "_left_rows": 0}
-    for name in calls:
-        def counted(v, _pack=getattr(engine, name), _name=name):
-            calls[_name] += 1
-            return _pack(v)
+    # _ideal_ids groups r from the packed factor rows and l by _column_ids.
+    calls = {"r": 0, "l": 0}
+    for relation, name in (("r", "_factor_rows"), ("l", "_column_ids")):
+        def counted(*args, _pass=getattr(engine, name), _relation=relation):
+            calls[_relation] += 1
+            return _pass(*args)
         monkeypatch.setattr(engine, name, counted)
     a = tr("2,3,4,5,1")
     brute_classification.cache_clear()
     variant_semigroup.cache_clear()
     all_egg_boxes(variant_semigroup(FAMILY_T, 5, a))
-    assert calls == {"_right_rows": 1, "_left_rows": 1}
+    assert calls == {"r": 1, "l": 1}
     for relation in ("h", "d"):
         fresh = green_classes_brute(VariantSemigroup(FAMILY_T, 5, a), relation)
         assert fresh.same_partition(brute_classification(FAMILY_T, 5, a, relation))
-    assert calls == {"_right_rows": 3, "_left_rows": 3}
+    assert calls == {"r": 3, "l": 3}
 
 
 def test_egg_box_frozen_shapes():
