@@ -24,13 +24,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closedform_is": """DivisibilityVerdict ISCountReport closed_classification_is
+    "closedform_is": """DivisibilityVerdict closed_classification_is
         count_is_classes falling_factorial right_divisible""",
-    "closedform_t": "TCountReport closed_classification_t count_t_classes fed spread stirling2",
+    "closedform_t": "closed_classification_t count_t_classes fed spread stirling2",
     "elements": """FAMILIES FAMILY_IS FAMILY_T UNDEFINED CapacityError Element ParseError
         PartialPerm Transformation compose constant elements_at empty_map enumerate_family
         family_of family_size format_element identity parse_element""",
-    "engine": """BRUTE_CAP RELATIONS ClassCountSummary EggBox GreenClassification
+    "engine": """BRUTE_CAP RELATIONS ClassCountSummary CountReport EggBox GreenClassification
         VariantSemigroup all_egg_boxes brute_classification egg_box green_classes_brute
         summarize_classes_by_rank variant_product variant_semigroup verify_d_equals_j""",
     "structure": """DualCheckReport IsoWitness dual_check iso_preserves_classes iso_witness

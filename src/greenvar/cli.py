@@ -37,14 +37,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .closedform_is import (
-    CLOSED_RELATIONS,
-    MODES,
-    ISCountReport,
-    closed_classification_is,
-    count_is_classes,
-)
-from .closedform_t import TCountReport, closed_classification_t, count_t_classes
+from .closedform_is import CLOSED_RELATIONS, MODES, closed_classification_is, count_is_classes
+from .closedform_t import closed_classification_t, count_t_classes
 from .elements import (
     FAMILIES,
     FAMILY_IS,
@@ -60,6 +54,8 @@ from .elements import (
     universe_texts,
 )
 from .engine import (
+    COUNT_SIDES,
+    CountReport,
     EggBox,
     GreenClassification,
     RELATIONS,
@@ -158,7 +154,7 @@ def _closed_classification(
     return closed_classification_t(n, a, relation, mode)
 
 
-def _count_report(family: str, n: int, a: Element) -> ISCountReport | TCountReport:
+def _count_report(family: str, n: int, a: Element) -> CountReport:
     if family == FAMILY_IS:
         return count_is_classes(n, a)
     return count_t_classes(n, a)
@@ -458,35 +454,16 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # count
 
 
-def _count_rows(report: ISCountReport | TCountReport) -> list[dict]:
-    # Per side: the enumerated census, then the (literal, corrected)
-    # formula values of the singleton count, the multi-class count and the
-    # size lines.
-    if isinstance(report, ISCountReport):
-        formulas = (
-            (report.singleton_literal, report.singleton_corrected),
-            (report.multi_class_count,) * 2,
-            (report.size_lines,) * 2,
-        )
-        sides = [("r", report.enumerated_r, *formulas), ("l", report.enumerated_l, *formulas)]
-    else:
-        sides = [
-            ("r", report.enumerated_r, (report.r_singleton,) * 2,
-             (report.r_multi_count,) * 2, (report.r_size_lines,) * 2),
-            ("l", report.enumerated_l,
-             (report.l_singleton_literal, report.l_singleton_corrected),
-             (report.l_multi_count_literal, report.l_multi_count_corrected),
-             (report.l_size_lines_literal, report.l_size_lines_corrected)),
-        ]
+def _count_rows(report: CountReport) -> list[dict]:
+    # Per side: the (literal, corrected) formula values and the enumerated
+    # census of the singleton count, the multi-class count and each size line.
     rows = []
-    for side, enum, singletons, multis, size_lines in sides:
+    for side, *censuses in zip(COUNT_SIDES, report.literal, report.corrected, report.enumerated):
         values = [
-            ("singleton_count", *singletons, enum.singleton_count),
-            ("multi_class_count", *multis, enum.multi_class_count),
+            (quantity, *(getattr(c, quantity) for c in censuses))
+            for quantity in ("singleton_count", "multi_class_count")
         ]
-        lit, cor, enu = (
-            {(k, sz): c for k, sz, c in lines} for lines in (*size_lines, enum.size_lines)
-        )
+        lit, cor, enu = ({(k, sz): cnt for k, sz, cnt in c.size_lines} for c in censuses)
         values += [
             (f"classes_rank_{k}_size_{sz}", lit.get((k, sz), 0), cor.get((k, sz), 0),
              enu.get((k, sz), 0))
@@ -516,11 +493,7 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tables = [
         {"a": str(rep.a), "p": rep.p, "rows": _count_rows(rep)} for rep in reports
     ]
-    exit_code = (
-        1
-        if any("corrected" in row["flag"] for t in tables for row in t["rows"])
-        else 0
-    )
+    exit_code = int(any(f.startswith("corrected:") for rep in reports for f in rep.flags))
 
     if args.format == "json":
         _emit_json(

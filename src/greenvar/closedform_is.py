@@ -49,10 +49,10 @@ from .elements import (
 )
 from .engine import (
     ClassCountSummary,
+    CountReport,
     GreenClassification,
-    brute_classification,
     canonical_labels,
-    summarize_classes_by_rank,
+    count_report,
 )
 
 MODES = ("corrected", "literal")
@@ -186,30 +186,6 @@ def closed_classification_is(
     return classify_by_key(FAMILY_IS, n, a, relation, mode, _class_key_is)
 
 
-@dataclasses.dataclass(frozen=True)
-class ISCountReport:
-    """Formula-vs-enumeration audit of the class counts for one deformation.
-
-    Counts cover the r side; by the dom/ran mirror symmetry the l side has
-    the same census, and both enumerations are carried for the audit.
-    size_lines rows are (rank k, class size [p]_k, class count C(n,k)).
-    flags name quantities where a formula disagrees with enumeration,
-    prefixed "literal:" (expected findings) or "corrected:" (bugs).
-    """
-
-    n: int
-    p: int
-    a: PartialPerm
-    all_singleton: bool
-    singleton_literal: int
-    singleton_corrected: int
-    multi_class_count: int
-    size_lines: tuple[tuple[int, int, int], ...]
-    enumerated_r: ClassCountSummary
-    enumerated_l: ClassCountSummary
-    flags: tuple[str, ...]
-
-
 def _literal_singleton_count_is(n: int, p: int) -> int:
     # Double sum over rank k and the number m >= 1 of range points outside
     # dom(a): such elements keep a one-element r-class.
@@ -220,51 +196,18 @@ def _literal_singleton_count_is(n: int, p: int) -> int:
     return total
 
 
-def count_is_classes(n: int, a: PartialPerm) -> ISCountReport:
+def count_is_classes(n: int, a: PartialPerm) -> CountReport:
+    """The r-class count formulas against enumeration.  By the dom/ran
+    mirror symmetry the l side has the same census, so the same formulas
+    serve both sides.  size_lines rows are (rank k, class size [p]_k, class
+    count C(n, k)); rank(a) <= 1 leaves every class a singleton."""
     check_deformation(FAMILY_IS, n, a)
     p = a.rank
-    size = family_size(FAMILY_IS, n)
-    enumerated_r = summarize_classes_by_rank(brute_classification(FAMILY_IS, n, a, "r"))
-    enumerated_l = summarize_classes_by_rank(brute_classification(FAMILY_IS, n, a, "l"))
-
-    if p <= 1:
-        all_singleton = True
-        singleton_literal = singleton_corrected = size
-        multi = 0
-        size_lines: tuple[tuple[int, int, int], ...] = ()
-    else:
-        all_singleton = False
-        singleton_literal = _literal_singleton_count_is(n, p)
-        singleton_corrected = singleton_literal + 1  # the nowhere-defined map's class
-        multi = sum(comb(n, k) for k in range(1, p + 1))
-        size_lines = tuple(
-            (k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)
-        )
-        covered = sum(count * sz for _, sz, count in size_lines)
-        if singleton_corrected + covered != size:
+    lines = [(k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)] if p > 1 else []
+    corrected = literal = ClassCountSummary.census(family_size(FAMILY_IS, n), lines)
+    if p > 1:
+        literal = dataclasses.replace(corrected, singleton_count=_literal_singleton_count_is(n, p))
+        # The literal double sum misses the nowhere-defined map's class.
+        if corrected.singleton_count != literal.singleton_count + 1:
             raise AssertionError("census identity failed")
-
-    flags = []
-    for side, enum in (("r", enumerated_r), ("l", enumerated_l)):
-        if singleton_literal != enum.singleton_count:
-            flags.append(f"literal:singleton_count:{side}")
-        if singleton_corrected != enum.singleton_count:
-            flags.append(f"corrected:singleton_count:{side}")
-        if multi != enum.multi_class_count:
-            flags.append(f"corrected:multi_class_count:{side}")
-        if size_lines != enum.size_lines:
-            flags.append(f"corrected:size_lines:{side}")
-
-    return ISCountReport(
-        n=n,
-        p=p,
-        a=a,
-        all_singleton=all_singleton,
-        singleton_literal=singleton_literal,
-        singleton_corrected=singleton_corrected,
-        multi_class_count=multi,
-        size_lines=size_lines,
-        enumerated_r=enumerated_r,
-        enumerated_l=enumerated_l,
-        flags=tuple(flags),
-    )
+    return count_report(FAMILY_IS, n, a, (literal,) * 2, (corrected,) * 2)

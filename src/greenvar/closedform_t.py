@@ -42,7 +42,6 @@ corrected values are carried alongside.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from math import comb, factorial
 
@@ -58,13 +57,8 @@ from .elements import (
     universe_kernels,
     universe_ranges,
 )
-from .closedform_is import check_mode, classify_by_key, clause_keys, point_mask
-from .engine import (
-    ClassCountSummary,
-    GreenClassification,
-    brute_classification,
-    summarize_classes_by_rank,
-)
+from .closedform_is import classify_by_key, clause_keys, point_mask
+from .engine import ClassCountSummary, CountReport, GreenClassification, count_report
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,34 +153,6 @@ def _elementary_symmetric(values: tuple[int, ...]) -> list[int]:
     return coeffs
 
 
-@dataclasses.dataclass(frozen=True)
-class TCountReport:
-    """Formula-vs-enumeration audit of the class counts for one deformation.
-
-    size_lines rows are (rank m, class size, class count).  The r side is a
-    single set of formulas (printed and corrected coincide); the l side
-    carries literal and corrected variants.  flags as in ISCountReport.
-    """
-
-    n: int
-    p: int
-    a: Transformation
-    fiber_sizes: tuple[int, ...]
-    l_all_singleton: bool
-    l_singleton_literal: int
-    l_singleton_corrected: int
-    l_multi_count_literal: int
-    l_multi_count_corrected: int
-    l_size_lines_literal: tuple[tuple[int, int, int], ...]
-    l_size_lines_corrected: tuple[tuple[int, int, int], ...]
-    r_singleton: int
-    r_multi_count: int
-    r_size_lines: tuple[tuple[int, int, int], ...]
-    enumerated_r: ClassCountSummary
-    enumerated_l: ClassCountSummary
-    flags: tuple[str, ...]
-
-
 def _l_size_literal(n: int, p: int, m: int) -> int:
     return stirling2(p, m) * sum(
         stirling2(n - p, j) * comb(m, j) * factorial(j) for j in range(1, m + 1)
@@ -199,80 +165,24 @@ def _l_size_corrected(n: int, p: int, m: int) -> int:
     return factorial(m) * stirling2(p, m) * m ** (n - p)
 
 
-def count_t_classes(n: int, a: Transformation) -> TCountReport:
+def count_t_classes(n: int, a: Transformation) -> CountReport:
+    """The class count formulas against enumeration.  size_lines rows are
+    (rank m, class size, class count).  The r side is a single set of
+    formulas (printed and corrected coincide); rank(a) = 1 leaves every
+    l-class a singleton."""
     check_deformation(FAMILY_T, n, a)
     if n < 2:
         raise ValueError("class counts need n >= 2")
     p = a.rank
     size = family_size(FAMILY_T, n)
-    fibers = tuple(len(a.preimage(v)) for v in sorted(a.ran))
-    enumerated_r = summarize_classes_by_rank(brute_classification(FAMILY_T, n, a, "r"))
-    enumerated_l = summarize_classes_by_rank(brute_classification(FAMILY_T, n, a, "l"))
-
-    # l side
-    if p == 1:
-        l_all = True
-        l_single_lit = l_single_cor = size
-        l_multi_lit = l_multi_cor = 0
-        l_lines_lit: tuple[tuple[int, int, int], ...] = ()
-        l_lines_cor: tuple[tuple[int, int, int], ...] = ()
-    else:
-        l_all = False
-        l_lines_lit = tuple(
-            (m, _l_size_literal(n, p, m), comb(n, m)) for m in range(1, p + 1)
-        )
-        l_lines_cor = tuple(
-            (m, _l_size_corrected(n, p, m), comb(n, m)) for m in range(2, p + 1)
-        )
-        l_multi_lit = sum(comb(n, m) for m in range(1, p + 1))
-        l_multi_cor = sum(comb(n, m) for m in range(2, p + 1))
-        l_single_lit = size - sum(count * sz for _, sz, count in l_lines_lit)
-        l_single_cor = size - sum(count * sz for _, sz, count in l_lines_cor)
-
-    # r side, as printed
-    e = _elementary_symmetric(fibers)
-    r_lines = tuple(
-        (m, e[m] * factorial(m), stirling2(n, m)) for m in range(1, p + 1)
+    e = _elementary_symmetric(tuple(len(a.preimage(v)) for v in sorted(a.ran)))
+    r = ClassCountSummary.census(
+        size, [(m, e[m] * factorial(m), stirling2(n, m)) for m in range(1, p + 1)]
     )
-    r_multi = sum(stirling2(n, m) for m in range(1, p + 1))
-    r_single = size - sum(count * sz for _, sz, count in r_lines)
-
-    flags = []
-    if l_single_lit != enumerated_l.singleton_count:
-        flags.append("literal:singleton_count:l")
-    if l_single_cor != enumerated_l.singleton_count:
-        flags.append("corrected:singleton_count:l")
-    if l_multi_lit != enumerated_l.multi_class_count:
-        flags.append("literal:multi_class_count:l")
-    if l_multi_cor != enumerated_l.multi_class_count:
-        flags.append("corrected:multi_class_count:l")
-    if l_lines_lit != enumerated_l.size_lines:
-        flags.append("literal:size_lines:l")
-    if l_lines_cor != enumerated_l.size_lines:
-        flags.append("corrected:size_lines:l")
-    if r_single != enumerated_r.singleton_count:
-        flags.append("corrected:singleton_count:r")
-    if r_multi != enumerated_r.multi_class_count:
-        flags.append("corrected:multi_class_count:r")
-    if r_lines != enumerated_r.size_lines:
-        flags.append("corrected:size_lines:r")
-
-    return TCountReport(
-        n=n,
-        p=p,
-        a=a,
-        fiber_sizes=fibers,
-        l_all_singleton=l_all,
-        l_singleton_literal=l_single_lit,
-        l_singleton_corrected=l_single_cor,
-        l_multi_count_literal=l_multi_lit,
-        l_multi_count_corrected=l_multi_cor,
-        l_size_lines_literal=l_lines_lit,
-        l_size_lines_corrected=l_lines_cor,
-        r_singleton=r_single,
-        r_multi_count=r_multi,
-        r_size_lines=r_lines,
-        enumerated_r=enumerated_r,
-        enumerated_l=enumerated_l,
-        flags=tuple(flags),
+    l_literal = ClassCountSummary.census(
+        size, [(m, _l_size_literal(n, p, m), comb(n, m)) for m in range(1, p + 1)] if p > 1 else []
     )
+    l_corrected = ClassCountSummary.census(
+        size, [(m, _l_size_corrected(n, p, m), comb(n, m)) for m in range(2, p + 1)]
+    )
+    return count_report(FAMILY_T, n, a, (r, l_literal), (r, l_corrected))

@@ -40,6 +40,11 @@ classification is one class id per universe index, and an egg box is
 tuples of universe indices.  Element objects are built only at the edges,
 through ``elements_at``: the members of one class asked for by element, a
 failure witness, and the spot-checked products.
+
+The count audit of both families is stated here once: a CountReport holds
+the literal and corrected formula censuses of the r- and l-classes beside
+the censuses of the brute-force classes, and its flags are derived from
+them.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -98,6 +103,7 @@ class VariantSemigroup:
         self.size = family_size(family, n)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._ideal_ids: dict[str, np.ndarray] = {}  # r and l ids, reused by h and d
+        self._factor_rows: np.ndarray | None = None  # packed once, read by r and j
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The product table in factored form (rows, left_of) of indices,
@@ -295,8 +301,11 @@ def _has_bit(packed: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray
 
 
 def _factor_rows(v: VariantSemigroup) -> np.ndarray:
-    """zS for each distinct left factor z . a, packed: the rows of the table."""
-    return _pack(v.table()[0], v.size)
+    """zS for each distinct left factor z . a, packed: the rows of the table,
+    packed once per semigroup."""
+    if v._factor_rows is None:
+        v._factor_rows = _pack(v.table()[0], v.size)
+    return v._factor_rows
 
 
 def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -355,9 +364,7 @@ def _ideal_ids(v: VariantSemigroup, relation: str) -> np.ndarray:
     return v._ideal_ids[relation]
 
 
-def _sxs_rows(
-    v: VariantSemigroup, factor_rows: np.ndarray, reps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _sxs_rows(v: VariantSemigroup, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S x S for each x in reps, packed, as (unions, set_of): S reps[i] S is
     unions[set_of[i]].
 
@@ -373,6 +380,7 @@ def _sxs_rows(
     set_of = _row_ids(sets)
     _, first = np.unique(set_of, return_index=True)
     masks = (np.unpackbits(sets[i], count=len(rows)).view(bool) for i in first)
+    factor_rows = _factor_rows(v)
     return np.array([np.bitwise_or.reduce(factor_rows[mask]) for mask in masks]), set_of
 
 
@@ -407,7 +415,7 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         factor_rows = _factor_rows(v)
         l_ids = _ideal_ids(v, "l")
         _, reps = np.unique(l_ids, return_index=True)  # least member of each l-class
-        unions, set_of = _sxs_rows(v, factor_rows, reps)
+        unions, set_of = _sxs_rows(v, reps)
         labels = _column_ids(
             v, lambda xs: factor_rows[left_of[xs]] | unions[set_of[l_ids[xs]]]
         )
@@ -535,6 +543,17 @@ class ClassCountSummary:
     multi_class_count: int
     size_lines: tuple[tuple[int, int, int], ...]
 
+    @classmethod
+    def census(cls, size: int, size_lines: Iterable[tuple[int, int, int]]) -> ClassCountSummary:
+        """The census of a universe of size elements whose multi classes are
+        size_lines: every element they leave uncovered is a singleton."""
+        size_lines = tuple(size_lines)
+        return cls(
+            singleton_count=size - sum(count * sz for _, sz, count in size_lines),
+            multi_class_count=sum(count for *_, count in size_lines),
+            size_lines=size_lines,
+        )
+
 
 def summarize_classes_by_rank(classification: GreenClassification) -> ClassCountSummary:
     c = classification
@@ -548,3 +567,51 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
         multi_class_count=int(multi.sum()),
         size_lines=tuple(sorted((k, sz, cnt) for (k, sz), cnt in lines.items())),
     )
+
+
+COUNT_SIDES = ("r", "l")
+COUNT_QUANTITIES = ("singleton_count", "multi_class_count", "size_lines")
+CountPair = tuple[ClassCountSummary, ClassCountSummary]
+
+
+@dataclasses.dataclass(frozen=True)
+class CountReport:
+    """Formula-vs-enumeration audit of the r- and l-class counts of one
+    deformation a of rank p.
+
+    literal, corrected and enumerated each hold one census per side, r then
+    l: the count formulas as published, as repaired, and the census of the
+    brute-force classes.  flags name each quantity where a formula differs
+    from enumeration, as "literal:quantity:side" (expected findings) or
+    "corrected:quantity:side" (bugs).
+    """
+
+    n: int
+    p: int
+    a: Element
+    literal: CountPair
+    corrected: CountPair
+    enumerated: CountPair
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return tuple(
+            f"{mark}:{quantity}:{side}"
+            for side, literal, corrected, enumerated in zip(
+                COUNT_SIDES, self.literal, self.corrected, self.enumerated
+            )
+            for quantity in COUNT_QUANTITIES
+            for mark, formula in (("literal", literal), ("corrected", corrected))
+            if getattr(formula, quantity) != getattr(enumerated, quantity)
+        )
+
+
+def count_report(
+    family: str, n: int, a: Element, literal: CountPair, corrected: CountPair
+) -> CountReport:
+    """The formula censuses of a, side r then side l, beside the censuses
+    of its brute-force r- and l-classes."""
+    enumerated = tuple(
+        summarize_classes_by_rank(brute_classification(family, n, a, side)) for side in COUNT_SIDES
+    )
+    return CountReport(n, a.rank, a, literal, corrected, enumerated)

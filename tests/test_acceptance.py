@@ -134,7 +134,7 @@ def test_a4_is_counting_formulas_match_enumeration():
             expected_lines = tuple(
                 (k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)
             )
-            for enum in (report.enumerated_r, report.enumerated_l):
+            for enum in report.enumerated:
                 assert enum.multi_class_count == sum(
                     comb(n, k) for k in range(1, p + 1)
                 )
@@ -142,22 +142,23 @@ def test_a4_is_counting_formulas_match_enumeration():
                 assert enum.singleton_count == _literal_singleton_count_is(n, p) + 1
             checked += 1
     # concrete instance from the contract: n=3, p=2
-    r = count_is_classes(3, parse_element(FAMILY_IS, "1,2,-"))
-    assert (r.singleton_literal, r.singleton_corrected) == (21, 22)
-    assert r.multi_class_count == 6
-    assert r.size_lines == ((1, 2, 3), (2, 2, 3))
-    assert r.singleton_corrected + 6 * 2 == 34
+    report = count_is_classes(3, parse_element(FAMILY_IS, "1,2,-"))
+    for literal, corrected in zip(report.literal, report.corrected):
+        assert (literal.singleton_count, corrected.singleton_count) == (21, 22)
+        assert literal.multi_class_count == corrected.multi_class_count == 6
+        assert literal.size_lines == corrected.size_lines == ((1, 2, 3), (2, 2, 3))
+        assert corrected.singleton_count + 6 * 2 == 34
     # n = 5 spot check, one deformation per rank
     for k in range(6):
         report = count_is_classes(5, rank_representative(5, k))
         if k < 2:
-            assert report.all_singleton
-            assert report.enumerated_r.multi_class_count == 0
-            assert report.enumerated_r.singleton_count == 1546
+            assert all(c.multi_class_count == 0 for c in report.corrected)
+            assert report.enumerated[0].multi_class_count == 0
+            assert report.enumerated[0].singleton_count == 1546
         else:
             assert not any(f.startswith("corrected:") for f in report.flags)
-            assert report.enumerated_r.size_lines == report.size_lines
-            assert report.enumerated_l.size_lines == report.size_lines
+            for corrected, enum in zip(report.corrected, report.enumerated):
+                assert enum.size_lines == corrected.size_lines
     elapsed = time.monotonic() - start
     print(f"[A4] IS counts (multi = sum C(n,k), sizes [p]_k, singletons ="
           f" double-sum + 1) match enumeration for {checked} deformations"
@@ -170,27 +171,21 @@ def test_a5_t_counting_r_exact_l_corrected_exact_literal_recorded():
     for n in (2, 3, 4):
         for a in enumerate_family(FAMILY_T, n):
             report = count_t_classes(n, a)
-            # r side: the printed formulas hold verbatim
-            assert report.r_singleton == report.enumerated_r.singleton_count
-            assert report.r_multi_count == report.enumerated_r.multi_class_count
-            assert report.r_size_lines == report.enumerated_r.size_lines
-            # l side: the corrected sizes hold
-            assert report.l_singleton_corrected == report.enumerated_l.singleton_count
-            assert (
-                report.l_multi_count_corrected == report.enumerated_l.multi_class_count
-            )
-            assert report.l_size_lines_corrected == report.enumerated_l.size_lines
+            # r side: the printed formulas hold verbatim; l side: the
+            # corrected sizes hold
+            assert report.literal[0] == report.corrected[0] == report.enumerated[0]
+            assert report.corrected[1] == report.enumerated[1]
             checked += 1
     # concrete instance: n=3, a="1,1,2"
     inst = count_t_classes(3, parse_element(FAMILY_T, "1,1,2"))
-    assert inst.r_multi_count == 4
-    assert inst.r_size_lines == ((1, 3, 1), (2, 4, 3))
-    assert inst.r_singleton == 12
+    assert inst.corrected[0].multi_class_count == 4
+    assert inst.corrected[0].size_lines == ((1, 3, 1), (2, 4, 3))
+    assert inst.corrected[0].singleton_count == 12
     # the literal l size disagrees at n=2, a=identity, and is recorded
     erratum = count_t_classes(2, identity(FAMILY_T, 2))
     assert _l_size_literal(2, 2, 2) == 0
     assert _l_size_corrected(2, 2, 2) == 2
-    assert erratum.enumerated_l.size_lines == ((2, 2, 1),)
+    assert erratum.enumerated[1].size_lines == ((2, 2, 1),)
     assert "literal:size_lines:l" in erratum.flags
     elapsed = time.monotonic() - start
     print(f"[A5] T counts: r side exact as printed, l side exact corrected,"

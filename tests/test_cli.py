@@ -15,6 +15,7 @@ import pytest
 from conftest import class_lists
 
 from greenvar import cli as cli_module
+from greenvar import closedform_t
 from greenvar.cli import MEMBER_LIMIT
 from greenvar.closedform_is import MODES, closed_classification_is
 from greenvar.closedform_t import closed_classification_t
@@ -444,6 +445,21 @@ def test_count_text_summary_line(cli):
     assert out.endswith("corrected formulas vs enumeration: all agree\n")
 
 
+def test_count_and_verify_exit_1_on_a_corrected_formula_bug(cli, monkeypatch):
+    genuine = closedform_t._l_size_corrected
+    monkeypatch.setattr(closedform_t, "_l_size_corrected", lambda n, p, m: genuine(n, p, m) + 1)
+    report = closedform_t.count_t_classes(3, parse_element("t", "1,1,2"))
+    assert [f for f in report.flags if f.startswith("corrected:")] == [
+        "corrected:singleton_count:l", "corrected:size_lines:l",
+    ]
+    code, out, _ = cli("count", "--family", "t", "--n", "3", "--a", "1,1,2")
+    assert code == 1
+    assert out.endswith("corrected formulas vs enumeration: MISMATCH (bug)\n")
+    code, out, _ = cli("verify", "--family", "t", "--n", "3", "--a", "1,1,2")
+    assert code == 1
+    assert "corrected:size_lines:l" in out
+
+
 # ---------------------------------------------------------------------------
 # eggbox
 
@@ -594,20 +610,24 @@ def test_python_m_greenvar():
 
 
 def test_green_output_unchanged_under_optimize():
-    argv = (
-        "green", "--family", "is", "--n", "3", "--a", "2,3,-",
-        "--relation", "d", "--method", "both",
-    )
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "greenvar.cli", *argv],
-            capture_output=True, text=True,
-        )
-        for flags in ((), ("-O",))
-    ]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[1].stdout == runs[0].stdout
-    assert "brute:" in runs[0].stdout
+    # green, and the count and verify audits with their census identity check
+    commands = {
+        ("green", "--family", "is", "--n", "3", "--a", "2,3,-",
+         "--relation", "d", "--method", "both"): "brute:",
+        ("count", "--family", "is", "--n", "3", "--a", "1,2,-"): "all agree",
+        ("verify", "--family", "t", "--n", "3", "--all-a"): "all agree",
+    }
+    for argv, marker in commands.items():
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "greenvar.cli", *argv],
+                capture_output=True, text=True,
+            )
+            for flags in ((), ("-O",))
+        ]
+        assert [r.returncode for r in runs] == [0, 0], argv
+        assert runs[1].stdout == runs[0].stdout, argv
+        assert marker in runs[0].stdout, argv
 
 
 def test_package_has_no_assert_statements():

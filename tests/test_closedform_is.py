@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from math import comb, factorial
 
 import pytest
@@ -149,42 +151,63 @@ def test_falling_factorial():
 
 def test_count_is3_rank2_frozen():
     report = count_is_classes(3, pp("1,2,-"))
-    assert (report.p, report.all_singleton) == (2, False)
-    assert report.singleton_literal == 21
-    assert report.singleton_corrected == 22
-    assert report.multi_class_count == 6
-    assert report.size_lines == ((1, 2, 3), (2, 2, 3))
-    assert report.singleton_corrected + 6 * 2 == 34
-    assert report.enumerated_r.singleton_count == 22
-    assert report.enumerated_l.singleton_count == 22
+    assert report.p == 2
+    for side in (0, 1):  # r, then l: the mirror symmetry gives both one census
+        literal, corrected = report.literal[side], report.corrected[side]
+        assert corrected.multi_class_count != 0
+        assert literal.singleton_count == 21
+        assert corrected.singleton_count == 22
+        assert literal.multi_class_count == corrected.multi_class_count == 6
+        assert literal.size_lines == corrected.size_lines == ((1, 2, 3), (2, 2, 3))
+        assert corrected.singleton_count + 6 * 2 == 34
+        assert report.enumerated[side].singleton_count == 22
     assert report.flags == ("literal:singleton_count:r", "literal:singleton_count:l")
 
 
 def test_count_is2_identity_frozen():
     report = count_is_classes(2, pp("1,2"))
-    assert report.singleton_literal == 0
-    assert report.singleton_corrected == 1
-    assert report.multi_class_count == 3
-    assert report.size_lines == ((1, 2, 2), (2, 2, 1))
+    for literal, corrected in zip(report.literal, report.corrected):
+        assert literal.singleton_count == 0
+        assert corrected.singleton_count == 1
+        assert literal.multi_class_count == corrected.multi_class_count == 3
+        assert literal.size_lines == corrected.size_lines == ((1, 2, 2), (2, 2, 1))
 
 
 def test_count_low_rank_all_singleton():
     for a_text in ("-,-", "1,-", "-,2"):
         report = count_is_classes(2, pp(a_text))
-        assert report.all_singleton
-        assert report.singleton_corrected == 7
-        assert report.multi_class_count == 0
-        assert report.enumerated_r.multi_class_count == 0
+        for literal, corrected in zip(report.literal, report.corrected):
+            assert corrected.multi_class_count == 0
+            assert literal.singleton_count == corrected.singleton_count == 7
+            assert literal.multi_class_count == 0
+        assert report.enumerated[0].multi_class_count == 0
         assert report.flags == ()
 
 
 def test_count_census_identity_all_a_is3():
     for a in enumerate_family(FAMILY_IS, 3):
         report = count_is_classes(3, a)
-        if not report.all_singleton:
-            covered = sum(count * size for _, size, count in report.size_lines)
-            assert report.singleton_corrected + covered == 34
+        for corrected in report.corrected:
+            covered = sum(count * size for _, size, count in corrected.size_lines)
+            assert corrected.singleton_count + covered == 34
         assert not any(f.startswith("corrected:") for f in report.flags)
+
+
+def test_count_census_identity_failure_raises_under_optimize():
+    # The literal double sum and the census of the corrected size lines are
+    # independent counts of the same singletons; python -O must keep the
+    # check that they differ by the nowhere-defined map's class alone.
+    script = """
+from greenvar import closedform_is, parse_element
+closedform_is._literal_singleton_count_is = lambda n, p: 0
+try:
+    closedform_is.count_is_classes(3, parse_element("is", "1,2,-"))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: census identity failed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -221,38 +221,40 @@ def test_stirling2_vs_explicit_sum():
 
 def test_count_t3_frozen():
     report = count_t_classes(3, tr("1,1,2"))
-    assert report.fiber_sizes == (2, 1)
-    assert report.r_size_lines == ((1, 3, 1), (2, 4, 3))
-    assert report.r_multi_count == 4
-    assert report.r_singleton == 12
-    assert report.l_size_lines_corrected == ((2, 4, 3),)
-    assert report.l_multi_count_corrected == 3
-    assert report.l_singleton_corrected == 15
-    assert report.l_size_lines_literal == ((1, 1, 3), (2, 2, 3))
-    assert report.l_singleton_literal == 18
-    assert set(report.flags) == {
+    (r_literal, l_literal), (r, l) = report.literal, report.corrected
+    assert r_literal == r  # the r side is one set of formulas
+    assert r.size_lines == ((1, 3, 1), (2, 4, 3))
+    assert r.multi_class_count == 4
+    assert r.singleton_count == 12
+    assert l.size_lines == ((2, 4, 3),)
+    assert l.multi_class_count == 3
+    assert l.singleton_count == 15
+    assert l_literal.size_lines == ((1, 1, 3), (2, 2, 3))
+    assert l_literal.singleton_count == 18
+    assert report.flags == (
         "literal:singleton_count:l",
         "literal:multi_class_count:l",
         "literal:size_lines:l",
-    }
+    )
 
 
 def test_count_t2_identity_erratum_frozen():
     report = count_t_classes(2, identity(FAMILY_T, 2))
     assert _l_size_literal(2, 2, 2) == 0  # the printed size collapses
     assert _l_size_corrected(2, 2, 2) == 2  # the real class size
-    assert report.l_size_lines_corrected == ((2, 2, 1),)
-    assert report.enumerated_l.size_lines == ((2, 2, 1),)
+    assert report.corrected[1].size_lines == ((2, 2, 1),)
+    assert report.enumerated[1].size_lines == ((2, 2, 1),)
     assert "literal:size_lines:l" in report.flags
     assert not any(f.startswith("corrected:") for f in report.flags)
 
 
 def test_count_p1_all_l_singleton():
     report = count_t_classes(2, tr("1,1"))
-    assert report.l_all_singleton
-    assert report.l_singleton_corrected == 4
-    assert report.l_singleton_literal == 4
-    assert report.enumerated_l.multi_class_count == 0
+    l_literal, l = report.literal[1], report.corrected[1]
+    assert l.multi_class_count == l_literal.multi_class_count == 0
+    assert l.singleton_count == 4
+    assert l_literal.singleton_count == 4
+    assert report.enumerated[1].multi_class_count == 0
 
 
 def test_count_requires_n_at_least_2():

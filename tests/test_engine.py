@@ -27,6 +27,7 @@ from greenvar.engine import (
     RELATIONS,
     GreenClassification,
     VariantSemigroup,
+    _bits,
     _egg_boxes,
     _factor_rows,
     _sxs_rows,
@@ -296,7 +297,7 @@ def test_sxs_rows_match_naive_sets():
     for family, n, a, reps in cases:
         v = VariantSemigroup(family, n, a)
         reps = np.arange(v.size) if reps is None else np.array(reps)
-        unions, set_of = _sxs_rows(v, _factor_rows(v), reps)
+        unions, set_of = _sxs_rows(v, reps)
         assert len(unions) == len(set(set_of.tolist()))  # one union per set of factors
         sxs = np.unpackbits(unions[set_of], axis=1, count=v.size)
         expected = np.zeros((len(reps), v.size), dtype=np.uint8)
@@ -480,6 +481,18 @@ def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
         fresh = green_classes_brute(VariantSemigroup(FAMILY_T, 5, a), relation)
         assert fresh.same_partition(brute_classification(FAMILY_T, 5, a, relation))
     assert calls == {"r": 3, "l": 3}
+
+
+def test_factor_rows_packed_once_per_semigroup():
+    # r packs the factor rows and keeps them on the semigroup; j (and the
+    # SxS unions inside it) reads the same array instead of packing again.
+    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    green_classes_brute(v, "r")
+    packed = v._factor_rows
+    assert np.array_equal(np.unpackbits(packed, axis=1, count=v.size), _bits(v.table()[0], v.size))
+    green_classes_brute(v, "j")
+    assert v._factor_rows is packed
+    assert _factor_rows(v) is packed
 
 
 def test_egg_box_frozen_shapes():

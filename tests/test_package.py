@@ -1,5 +1,6 @@
-"""The package surface: lazy exports, the CLI's one-thread BLAS pin, and the
-premise of that pin, that greenvar calls no BLAS routine.
+"""The package surface: lazy exports, the README's library examples, the
+CLI's one-thread BLAS pin, and the premise of that pin, that greenvar calls
+no BLAS routine.
 
 Import effects are checked in fresh interpreters, since this one has numpy
 loaded already.
@@ -8,6 +9,7 @@ loaded already.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import pytest
 import greenvar
 
 SRC = Path(greenvar.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 BLAS_ENV = "OPENBLAS_NUM_THREADS"
 
 
@@ -66,6 +69,13 @@ def test_every_export_resolves():
     assert set(greenvar.__all__) <= set(dir(greenvar))
     with pytest.raises(AttributeError):
         greenvar.r_class_t  # noqa: B018  (per-element wrappers are gone)
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
