@@ -54,7 +54,6 @@ from .elements import (
     universe_texts,
 )
 from .engine import (
-    COUNT_SIDES,
     CountReport,
     EggBox,
     GreenClassification,
@@ -79,6 +78,8 @@ DEFAULT_SEED = 7
 ALL_A_CAP = 4  # --all-a sweeps stop here; sample larger universes instead
 
 VERIFY_RELATIONS = ("r", "l", "h", "d")
+# The count table's columns after family, n, a and p, as named in JSON and CSV.
+COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumerated_value", "flag")
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +455,6 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # count
 
 
-def _count_rows(report: CountReport) -> list[dict]:
-    # Per side: the (literal, corrected) formula values and the enumerated
-    # census of the singleton count, the multi-class count and each size line.
-    rows = []
-    for side, *censuses in zip(COUNT_SIDES, report.literal, report.corrected, report.enumerated):
-        values = [
-            (quantity, *(getattr(c, quantity) for c in censuses))
-            for quantity in ("singleton_count", "multi_class_count")
-        ]
-        lit, cor, enu = ({(k, sz): cnt for k, sz, cnt in c.size_lines} for c in censuses)
-        values += [
-            (f"classes_rank_{k}_size_{sz}", lit.get((k, sz), 0), cor.get((k, sz), 0),
-             enu.get((k, sz), 0))
-            for k, sz in sorted(set(lit) | set(cor) | set(enu))
-        ]
-        for quantity, literal, corrected, enumerated in values:
-            rows.append({
-                "side": side,
-                "quantity": quantity,
-                "literal_value": literal,
-                "corrected_value": corrected,
-                "enumerated_value": enumerated,
-                "flag": ",".join(
-                    mark for mark, value in (("literal", literal), ("corrected", corrected))
-                    if value != enumerated
-                ),
-            })
-    return rows
-
-
 def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
     if family == FAMILY_T and n < 2:
@@ -491,40 +462,28 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     deformations = _select_deformations(parser, args, family, n)
     reports = [_count_report(family, n, a) for a in deformations]
     tables = [
-        {"a": str(rep.a), "p": rep.p, "rows": _count_rows(rep)} for rep in reports
+        (rep, [(*row[:5], ",".join(row.marks)) for row in rep.rows]) for rep in reports
     ]
     exit_code = int(any(f.startswith("corrected:") for rep in reports for f in rep.flags))
 
     if args.format == "json":
-        _emit_json(
-            {"command": "count", "family": family, "n": n, "reports": tables}
-        )
+        _emit_json({"command": "count", "family": family, "n": n, "reports": [
+            {"a": str(rep.a), "p": rep.p, "rows": [dict(zip(COUNT_COLUMNS, row)) for row in rows]}
+            for rep, rows in tables
+        ]})
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["family", "n", "a", "p", "side", "quantity", "literal_value",
-             "corrected_value", "enumerated_value", "flag"]
-        )
-        for t in tables:
-            for row in t["rows"]:
-                writer.writerow(
-                    [family, n, t["a"], t["p"], row["side"], row["quantity"],
-                     row["literal_value"], row["corrected_value"],
-                     row["enumerated_value"], row["flag"]]
-                )
+        writer.writerow(["family", "n", "a", "p", *COUNT_COLUMNS])
+        for rep, rows in tables:
+            writer.writerows([family, n, str(rep.a), rep.p, *row] for row in rows)
         sys.stdout.write(buf.getvalue())
     else:
         lines = [f"count family={family} n={n} deformations={len(tables)}"]
-        for t in tables:
-            lines.append(f"a=\"{t['a']}\" p={t['p']}")
-            header = ("side", "quantity", "literal", "corrected", "enumerated", "flag")
-            grid = [header] + [
-                (row["side"], row["quantity"], str(row["literal_value"]),
-                 str(row["corrected_value"]), str(row["enumerated_value"]),
-                 row["flag"])
-                for row in t["rows"]
-            ]
+        for rep, rows in tables:
+            lines.append(f"a=\"{rep.a}\" p={rep.p}")
+            header = tuple(column.removesuffix("_value") for column in COUNT_COLUMNS)
+            grid = [header] + [tuple(map(str, row)) for row in rows]
             widths = [max(len(r[i]) for r in grid) for i in range(6)]
             for r in grid:
                 lines.append(

@@ -1,17 +1,19 @@
 """Finite maps on {1, ..., n}: total transformations and injective partial maps.
 
-Conventions used throughout the package:
+The two families, tagged ``"is"`` (injective partial maps, the symmetric
+inverse monoid) and ``"t"`` (total transformations), share one body; each
+class adds only its tag and its own methods.  One rule, ``_check_images``,
+says what an element is, for built and parsed elements alike, so parsing
+only splits text into tokens.  Conventions used throughout the package:
 
 - Points are 1-based.  An element is stored as its tuple of images; slot i-1
   holds the image of point i, with 0 marking "undefined" (partial maps only).
 - Composition is left to right: ``(x * y)(i) = y(x(i))``.
-- The text form is comma-separated images with ``-`` for undefined, so the
-  partial map 1 -> 2, 3 -> 1 on three points reads ``"2,-,1"``.
+- The text form is comma-separated images, ASCII digits or ``-`` for
+  undefined, so the partial map 1 -> 2, 3 -> 1 on three points reads ``"2,-,1"``.
 - The canonical order on a family is lexicographic on image tuples with
   undefined sorting before point 1; it is exactly tuple order on ``images``.
-
-Families are named by short tags: ``"is"`` for injective partial maps
-(the symmetric inverse monoid) and ``"t"`` for total transformations.
+  Elements of different families are never equal and do not compare.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import dataclasses
 import functools
 import itertools
 from math import comb, factorial
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -43,33 +45,77 @@ class CapacityError(ValueError):
     """A requested computation exceeds the configured size caps."""
 
 
-def _check_images(images: tuple[int, ...], *, total: bool) -> None:
+def _check_images(images: tuple[int | None, ...], *, total: bool) -> None:
+    """The one statement of what an element is, for built and parsed
+    elements alike: each point's image is a point 1..n, or None where it is
+    undefined; a total map leaves no point undefined, and a partial map
+    repeats no image.  The ValueError names the point at fault."""
     n = len(images)
     if n == 0:
         raise ValueError("an element needs at least one point")
-    seen = set()
-    for v in images:
-        if not isinstance(v, int):
-            raise ValueError(f"image {v!r} is not an integer")
-        if total and not 1 <= v <= n:
-            raise ValueError(f"image {v} outside 1..{n} for a total map")
-        if not total:
-            if not 0 <= v <= n:
-                raise ValueError(f"image {v} outside 0..{n}")
-            if v != UNDEFINED:
-                if v in seen:
-                    raise ValueError(f"image {v} repeated; partial maps here are injective")
-                seen.add(v)
-
-
-def _compose_images(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    # Left to right, with 0 propagating: undefined stays undefined and a
-    # defined value may fall out of dom(y).
-    return tuple(0 if v == UNDEFINED else y[v - 1] for v in x)
+    for point, v in enumerate(images, start=1):
+        if v is None:
+            if total:
+                raise ValueError(f"point {point}: total maps cannot be undefined")
+        elif not isinstance(v, int):
+            raise ValueError(f"point {point}: image {v!r} is not an integer")
+        elif not 1 <= v <= n:
+            raise ValueError(f"point {point}: image {v} outside 1..{n}")
+    defined = [v for v in images if v is not None]
+    if not total and len(set(defined)) != len(defined):
+        raise ValueError("repeated image; partial maps here are injective")
 
 
 @dataclasses.dataclass(frozen=True, order=True)
-class PartialPerm:
+class _Map:
+    """The body both families share."""
+
+    images: tuple[int, ...]
+    family: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        images = tuple(None if isinstance(v, int) and v == UNDEFINED else v for v in self.images)
+        _check_images(images, total=self.family == FAMILY_T)
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, i: int) -> int | None:
+        v = self.images[i - 1]
+        return None if v == UNDEFINED else v
+
+    @functools.cached_property
+    def ran(self) -> frozenset[int]:
+        return frozenset(v for v in self.images if v != UNDEFINED)
+
+    @property
+    def rank(self) -> int:
+        return len(self.ran)
+
+    def compose(self, other: _Map) -> _Map:
+        """Left-to-right composite: first self, then other.  Undefined stays
+        undefined, and a defined image may fall out of dom(other)."""
+        cls = type(self)
+        if not isinstance(other, cls):
+            raise TypeError(f"can only compose with another {cls.__name__}")
+        if other.n != self.n:
+            raise ValueError(f"point-set sizes differ: {self.n} vs {other.n}")
+        return cls(tuple(UNDEFINED if v == UNDEFINED else other.images[v - 1] for v in self.images))
+
+    __mul__ = compose
+
+    def __str__(self) -> str:
+        return format_element(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.images!r})"
+
+
+# Each family re-applies the decorator so that its instances stay frozen
+# against new attributes too; repr=False keeps the shared __repr__.
+@dataclasses.dataclass(frozen=True, order=True, repr=False)
+class PartialPerm(_Map):
     """An injective partial map on {1, ..., n}, stored as its image tuple.
 
     >>> x = PartialPerm((2, 0, 1))
@@ -83,40 +129,11 @@ class PartialPerm:
     '1,-,3'
     """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_images(self.images, total=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int | None:
-        v = self.images[i - 1]
-        return None if v == UNDEFINED else v
+    family = FAMILY_IS
 
     @functools.cached_property
     def dom(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.images, start=1) if v != UNDEFINED)
-
-    @functools.cached_property
-    def ran(self) -> frozenset[int]:
-        return frozenset(v for v in self.images if v != UNDEFINED)
-
-    @property
-    def rank(self) -> int:
-        return len(self.ran)
-
-    def compose(self, other: "PartialPerm") -> "PartialPerm":
-        """Left-to-right composite: first self, then other."""
-        if not isinstance(other, PartialPerm):
-            raise TypeError("can only compose with another PartialPerm")
-        if other.n != self.n:
-            raise ValueError(f"point-set sizes differ: {self.n} vs {other.n}")
-        return PartialPerm(_compose_images(self.images, other.images))
-
-    __mul__ = compose
 
     def inverse(self) -> "PartialPerm":
         inv = [UNDEFINED] * self.n
@@ -128,15 +145,9 @@ class PartialPerm:
     def is_permutation(self) -> bool:
         return len(self.dom) == self.n
 
-    def __str__(self) -> str:
-        return format_element(self)
 
-    def __repr__(self) -> str:
-        return f"PartialPerm({self.images!r})"
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class Transformation:
+@dataclasses.dataclass(frozen=True, order=True, repr=False)
+class Transformation(_Map):
     """A total map on {1, ..., n}, stored as its image tuple.
 
     >>> x = Transformation((2, 3, 1))
@@ -144,44 +155,10 @@ class Transformation:
     '1,2,1'
     """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_images(self.images, total=True)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @functools.cached_property
-    def ran(self) -> frozenset[int]:
-        return frozenset(self.images)
-
-    @property
-    def rank(self) -> int:
-        return len(self.ran)
-
-    def compose(self, other: "Transformation") -> "Transformation":
-        """Left-to-right composite: first self, then other."""
-        if not isinstance(other, Transformation):
-            raise TypeError("can only compose with another Transformation")
-        if other.n != self.n:
-            raise ValueError(f"point-set sizes differ: {self.n} vs {other.n}")
-        return Transformation(_compose_images(self.images, other.images))
-
-    __mul__ = compose
+    family = FAMILY_T
 
     def preimage(self, v: int) -> frozenset[int]:
         return frozenset(i for i, w in enumerate(self.images, start=1) if w == v)
-
-    def __str__(self) -> str:
-        return format_element(self)
-
-    def __repr__(self) -> str:
-        return f"Transformation({self.images!r})"
 
 
 Element = PartialPerm | Transformation
@@ -387,13 +364,15 @@ def universe_kernels(n: int) -> np.ndarray:
 
 
 def family_of(x: Element) -> str:
-    return FAMILY_IS if isinstance(x, PartialPerm) else FAMILY_T
+    return x.family
 
 
 def parse_element(family: str, text: str) -> Element:
     """Parse comma-separated 1-based images; ``-`` marks an undefined point.
 
-    The number of points is the number of entries.
+    The number of points is the number of entries.  Each entry is ASCII
+    digits or ``-``, with spaces allowed around it; the element it spells
+    must pass the same check as a built element.
 
     >>> parse_element("is", "2, -, 1")
     PartialPerm((2, 0, 1))
@@ -404,27 +383,16 @@ def parse_element(family: str, text: str) -> Element:
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
         raise ParseError("empty element text")
-    n = len(tokens)
-    images = []
     for pos, tok in enumerate(tokens, start=1):
-        if tok == "-":
-            if family == FAMILY_T:
-                raise ParseError(f"point {pos}: total maps cannot be undefined")
-            images.append(UNDEFINED)
-            continue
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"point {pos}: bad image token {tok!r}") from None
-        if not 1 <= v <= n:
-            raise ParseError(f"point {pos}: image {v} outside 1..{n}")
-        images.append(v)
-    if family == FAMILY_T:
-        return Transformation(tuple(images))
-    defined = [v for v in images if v != UNDEFINED]
-    if len(defined) != len(set(defined)):
-        raise ParseError("repeated image; partial maps here are injective")
-    return PartialPerm(tuple(images))
+        if tok != "-" and not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"point {pos}: bad image token {tok!r}")
+    # "-" reads as None, not 0, so that a written 0 names no point.
+    images = tuple(None if tok == "-" else int(tok) for tok in tokens)
+    try:
+        _check_images(images, total=family == FAMILY_T)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return family_element(family, (UNDEFINED if v is None else v for v in images))
 
 
 def format_element(x: Element) -> str:

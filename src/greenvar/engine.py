@@ -43,8 +43,8 @@ failure witness, and the spot-checked products.
 
 The count audit of both families is stated here once: a CountReport holds
 the literal and corrected formula censuses of the r- and l-classes beside
-the censuses of the brute-force classes, and its flags are derived from
-them.
+the censuses of the brute-force classes; its rows compare each value with
+enumeration once, and its flags are read from the rows.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import dataclasses
 import functools
 from collections import Counter
 from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,8 +128,6 @@ class VariantSemigroup:
             universe_index(family, n, xa), return_index=True, return_inverse=True
         )
         left_of = left_of.ravel().astype(index)
-        if len(reps) == s:  # x -> x . a is injective: each row is its own factor
-            reps = left_of = np.arange(s, dtype=index)
         # by_point[k, y] = y(k), so by_point[left[f, i]] holds the image of
         # point i under left[f] . y for every y.  The codes of the products
         # are accumulated point by point, in buffers allocated once.  Every
@@ -571,7 +570,21 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
 
 COUNT_SIDES = ("r", "l")
 COUNT_QUANTITIES = ("singleton_count", "multi_class_count", "size_lines")
+COUNT_MARKS = ("literal", "corrected")
 CountPair = tuple[ClassCountSummary, ClassCountSummary]
+
+
+class CountRow(NamedTuple):
+    """One value a CountReport compares, in column order: marks name the
+    formulas that differ from enumerated, census the field it comes from."""
+
+    side: str
+    quantity: str
+    literal: int
+    corrected: int
+    enumerated: int
+    marks: tuple[str, ...]
+    census: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -594,15 +607,35 @@ class CountReport:
     enumerated: CountPair
 
     @property
+    def rows(self) -> tuple[CountRow, ...]:
+        """Per side: the singleton and multi-class counts, then the count of
+        each size line (k, size) of any census, as classes_rank_{k}_size_{size}."""
+        rows = []
+        for side, *censuses in zip(COUNT_SIDES, self.literal, self.corrected, self.enumerated):
+            values = [
+                (quantity, quantity, *(getattr(c, quantity) for c in censuses))
+                for quantity in COUNT_QUANTITIES[:2]
+            ]
+            lit, cor, enu = ({(k, sz): cnt for k, sz, cnt in c.size_lines} for c in censuses)
+            values += [
+                ("size_lines", f"classes_rank_{k}_size_{sz}", lit.get((k, sz), 0),
+                 cor.get((k, sz), 0), enu.get((k, sz), 0))
+                for k, sz in sorted(set(lit) | set(cor) | set(enu))
+            ]
+            for census, quantity, *formulas, enumerated in values:
+                marks = tuple(m for m, v in zip(COUNT_MARKS, formulas) if v != enumerated)
+                rows.append(CountRow(side, quantity, *formulas, enumerated, marks, census))
+        return tuple(rows)
+
+    @property
     def flags(self) -> tuple[str, ...]:
+        marked = {(row.side, row.census, mark) for row in self.rows for mark in row.marks}
         return tuple(
-            f"{mark}:{quantity}:{side}"
-            for side, literal, corrected, enumerated in zip(
-                COUNT_SIDES, self.literal, self.corrected, self.enumerated
-            )
-            for quantity in COUNT_QUANTITIES
-            for mark, formula in (("literal", literal), ("corrected", corrected))
-            if getattr(formula, quantity) != getattr(enumerated, quantity)
+            f"{mark}:{census}:{side}"
+            for side in COUNT_SIDES
+            for census in COUNT_QUANTITIES
+            for mark in COUNT_MARKS
+            if (side, census, mark) in marked
         )
 
 

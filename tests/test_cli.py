@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import importlib.resources
 import io
 import json
@@ -449,12 +450,18 @@ def test_count_and_verify_exit_1_on_a_corrected_formula_bug(cli, monkeypatch):
     genuine = closedform_t._l_size_corrected
     monkeypatch.setattr(closedform_t, "_l_size_corrected", lambda n, p, m: genuine(n, p, m) + 1)
     report = closedform_t.count_t_classes(3, parse_element("t", "1,1,2"))
-    assert [f for f in report.flags if f.startswith("corrected:")] == [
-        "corrected:singleton_count:l", "corrected:size_lines:l",
-    ]
+    assert report.flags == (
+        "literal:singleton_count:l", "corrected:singleton_count:l",
+        "literal:multi_class_count:l", "literal:size_lines:l", "corrected:size_lines:l",
+    )
     code, out, _ = cli("count", "--family", "t", "--n", "3", "--a", "1,1,2")
     assert code == 1
     assert out.endswith("corrected formulas vs enumeration: MISMATCH (bug)\n")
+    code, out, _ = cli("count", "--family", "t", "--n", "3", "--a", "1,1,2", "--format", "csv")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fdaabe769471d186d831ad3c8aa13c6f335ae7a027bd188b9df3a4f8ba240d70"
+    )
     code, out, _ = cli("verify", "--family", "t", "--n", "3", "--a", "1,1,2")
     assert code == 1
     assert "corrected:size_lines:l" in out
@@ -573,6 +580,30 @@ def test_leading_dash_element_forms(cli):
         code, out, _ = cli(*argv)
         assert code == 0
         assert 'a="-,-"' in out
+
+
+@pytest.mark.parametrize(
+    "family,text,message",
+    [
+        ("t", "1,4,2", "point 2: image 4 outside 1..3"),
+        ("t", "1,-,2", "point 2: total maps cannot be undefined"),
+        ("is", "1,1,2", "repeated image; partial maps here are injective"),
+        ("is", "0,1,2", "point 1: image 0 outside 1..3"),
+        ("t", "0,1,1", "point 1: image 0 outside 1..3"),
+        ("is", "a,1,2", "point 1: bad image token 'a'"),
+        ("is", "", "empty element text"),
+        ("is", "+1,-,-", "point 1: bad image token '+1'"),
+    ],
+)
+def test_parse_errors_name_the_fault(cli, family, text, message):
+    code, _, err = cli("green", "--family", family, "--n", "3", "--a", text, "--relation", "r")
+    assert code == 2
+    assert err.endswith(f"greenvar: error: {message}\n")
+
+
+def test_element_pattern_matches_the_schema():
+    # The element grammar is written in the schema and in the argv folding.
+    assert cli_module._ELEMENT_RE.pattern == SCHEMA["$defs"]["element"]["pattern"]
 
 
 # ---------------------------------------------------------------------------

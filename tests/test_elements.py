@@ -1,3 +1,4 @@
+import dataclasses
 import doctest
 import itertools
 
@@ -17,6 +18,7 @@ from greenvar.elements import (
     constant,
     empty_map,
     enumerate_family,
+    family_element,
     family_of,
     family_size,
     format_element,
@@ -197,6 +199,27 @@ def test_universe_texts_match_format_element():
             assert universe_texts(family, n) is texts
 
 
+def test_families_stay_apart():
+    # The two families share one body but never meet: no equality, no
+    # order, distinct keys, and each instance keeps its own class.
+    x, y = PartialPerm((1, 2)), Transformation((1, 2))
+    assert x != y and y != x
+    with pytest.raises(TypeError):
+        x < y
+    with pytest.raises(TypeError):
+        y >= x
+    assert len({x: "is", y: "t"}) == 2
+    assert (repr(x), repr(y)) == ("PartialPerm((1, 2))", "Transformation((1, 2))")
+    for z in (x, y):
+        swapped = dataclasses.replace(z, images=(2, 1))
+        assert type(swapped) is type(z) and swapped.images == (2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            z.images = (2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            z.note = "frozen"
+    assert (family_of(x), family_of(y)) == (FAMILY_IS, FAMILY_T)
+
+
 def test_family_of():
     assert family_of(PartialPerm((1, 0))) == FAMILY_IS
     assert family_of(Transformation((1, 1))) == FAMILY_T
@@ -239,11 +262,31 @@ def test_parse_round_trip_exhaustive_n3():
         (FAMILY_IS, "1,,2"),
         (FAMILY_IS, "a,b"),
         (FAMILY_T, "1 2"),
+        (FAMILY_T, "+1,1"),  # images are ASCII digits only
+        (FAMILY_T, "٣,1,1"),
     ],
 )
 def test_parse_rejects(family, text):
     with pytest.raises(ParseError):
         parse_element(family, text)
+
+
+@pytest.mark.parametrize("family", [FAMILY_IS, FAMILY_T])
+def test_constructor_and_parser_accept_the_same_images(family):
+    # One validity rule: built and parsed elements are rejected together,
+    # and agree when both are accepted.  The text writes 0 as "-".
+    for n in (1, 2, 3):
+        for images in itertools.product(range(n + 2), repeat=n):
+            text = ",".join("-" if v == 0 else str(v) for v in images)
+            try:
+                built = family_element(family, images)
+            except ValueError:
+                built = None
+            try:
+                parsed = parse_element(family, text)
+            except ParseError:
+                parsed = None
+            assert parsed == built, text
 
 
 def test_parse_rejects_unknown_family():
