@@ -76,7 +76,7 @@ def clause_keys(clauses: list[tuple[np.ndarray, np.ndarray | int]], rows: int) -
     keys = np.arange(rows, dtype=np.int64)
     for t in reversed(range(len(clauses))):  # earlier clauses overwrite later ones
         cond, value = clauses[t]
-        keys = np.where(cond, np.add(value, (t + 1) * _CLAUSE, dtype=np.int64), keys)
+        np.add(value, (t + 1) * _CLAUSE, out=keys, where=cond, dtype=np.int64)
     return keys
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from math import comb, factorial
 from typing import ClassVar, Iterable
 
@@ -215,9 +214,12 @@ def family_size(family: str, n: int) -> int:
 def universe_images(family: str, n: int) -> np.ndarray:
     """The family's image tuples as a read-only (s, n) int8 array, in canonical order.
 
-    Row i holds ``enumerate_family(family, n)[i].images``: the mixed-radix
-    digits of i, plus one, for ``t``; for ``is`` the base-(n+1) digits of
-    0..(n+1)^n - 1, keeping the rows with no repeated defined image.
+    Row i holds ``enumerate_family(family, n)[i].images``, and each family is
+    built directly in that order.  For ``t`` the rows are the mixed-radix
+    digits of i, plus one, so column j repeats each image n**(n-1-j) times
+    and that block n**j times.  For ``is`` the rows grow one point at a time:
+    each prefix, in order, extends by 0 and then by every image it does not
+    use yet, in increasing order.
 
     >>> universe_images("is", 2).tolist()
     [[0, 0], [0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
@@ -229,18 +231,19 @@ def universe_images(family: str, n: int) -> np.ndarray:
         raise CapacityError(
             f"listing {family.upper()}_{n} ({size} elements) exceeds the cap n <= {cap}"
         )
-    base = n if family == FAMILY_T else n + 1
-    codes = np.arange(base**n, dtype=np.int32)
-    images = np.empty((base**n, n), dtype=np.int8)
-    for i in range(n):
-        images[:, i] = codes // base ** (n - 1 - i) % base
     if family == FAMILY_T:
-        images += 1
+        images = np.empty((n**n, n), dtype=np.int8)
+        points = np.arange(1, n + 1, dtype=np.int8)
+        for j in range(n):
+            images[:, j] = np.tile(np.repeat(points, n ** (n - 1 - j)), n**j)
     else:
-        injective = np.ones(len(images), dtype=bool)
-        for i, j in itertools.combinations(range(n), 2):
-            injective &= (images[:, i] != images[:, j]) | (images[:, i] == UNDEFINED)
-        images = images[injective]
+        bits = (np.uint8(1) << np.arange(n + 1, dtype=np.uint8)) >> 1  # image 0 uses no bit
+        images = np.zeros((1, 0), dtype=np.int8)
+        used = np.zeros(1, dtype=np.uint8)
+        for _ in range(n):
+            prefix, image = np.nonzero((used[:, None] & bits) == 0)  # row-major: canonical
+            images = np.column_stack((images[prefix], image.astype(np.int8)))
+            used = used[prefix] | bits[image]
     images.setflags(write=False)
     return images
 
@@ -320,21 +323,26 @@ def universe_index(family: str, n: int, images: np.ndarray) -> np.ndarray:
 
 
 def range_masks(images: np.ndarray) -> np.ndarray:
-    """ran of each row of an image array as a bitmask (bit i - 1 for point i);
-    undefined entries set no bit."""
-    bits = (np.int64(1) << images.astype(np.int64)) >> 1
-    return np.bitwise_or.reduce(bits, axis=1)
+    """ran of each row of a 2-d integer image array, any integer dtype, as a
+    uint8 bitmask (bit i - 1 for point i); undefined entries set no bit.
+    The bits are ORed in one column at a time, so no wider temporary of the
+    array's shape is formed."""
+    ran = np.zeros(len(images), dtype=np.uint8)
+    for column in images.T:
+        ran |= (np.uint8(1) << column.astype(np.uint8)) >> 1
+    return ran
 
 
 # The per-universe invariants of the closed forms, each computed once per
-# (family, n) and kept read-only in the narrowest dtype that holds it: n <= 7
-# points fit a mask in uint8, and 7**7 kernel codes fit int32.
+# (family, n), one image column at a time, and kept read-only in the
+# narrowest dtype that holds it: n <= 7 points fit a mask in uint8, and
+# 7**7 kernel codes fit int32.
 
 
 @functools.lru_cache(maxsize=None)
 def universe_ranges(family: str, n: int) -> np.ndarray:
-    """``range_masks(universe_images(family, n))`` as read-only uint8."""
-    ran = range_masks(universe_images(family, n)).astype(np.uint8)
+    """``range_masks(universe_images(family, n))``, read-only."""
+    ran = range_masks(universe_images(family, n))
     ran.setflags(write=False)
     return ran
 
@@ -342,9 +350,11 @@ def universe_ranges(family: str, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def universe_domains(n: int) -> np.ndarray:
     """dom of each row of the IS_n universe as a read-only uint8 bitmask
-    (bit i - 1 for point i), an OR of shifted bits as in range_masks."""
-    bits = (universe_images(FAMILY_IS, n) != UNDEFINED).astype(np.uint8) << np.arange(n, dtype=np.uint8)
-    dom = np.bitwise_or.reduce(bits, axis=1)
+    (bit i - 1 for point i)."""
+    images = universe_images(FAMILY_IS, n)
+    dom = np.zeros(len(images), dtype=np.uint8)
+    for i in range(n):
+        dom |= (images[:, i] != UNDEFINED).astype(np.uint8) << i
     dom.setflags(write=False)
     return dom
 
@@ -355,10 +365,16 @@ def universe_kernels(n: int) -> np.ndarray:
     least point of each point's fiber, 0-based, read as a base-n integer.
     Equal codes mean equal kernels."""
     images = universe_images(FAMILY_T, n)
-    codes = np.zeros(len(images), dtype=np.int64)
+    ker = np.zeros(len(images), dtype=np.int32)
+    least = np.empty(len(images), dtype=np.int8)
+    same = np.empty(len(images), dtype=bool)
     for i in range(n):
-        codes = codes * n + np.argmax(images[:, : i + 1] == images[:, i : i + 1], axis=1)
-    ker = codes.astype(np.int32)
+        least.fill(i)
+        for j in reversed(range(i)):  # the least earlier point with the same image wins
+            np.equal(images[:, j], images[:, i], out=same)
+            np.copyto(least, j, where=same)
+        ker *= n
+        ker += least
     ker.setflags(write=False)
     return ker
 

@@ -265,8 +265,21 @@ class GreenClassification:
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
     """Class ids for rows grouped by equal keys, numbered by least row."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse.ravel()]
+    order = np.argsort(keys, kind="stable")  # equal keys keep their rows in order
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # where each run of equal keys begins
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered
+    least = order[starts]  # the least row of each key
+    is_least = np.zeros(len(keys), dtype=bool)
+    is_least[least] = True
+    ids = np.cumsum(is_least)[least] - 1  # class ids, numbered by least row
+    run = np.cumsum(starts)
+    run -= 1
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = ids[run]
+    return labels
 
 
 def _row_ids(packed: np.ndarray, seen: dict[bytes, int] | None = None) -> np.ndarray:

@@ -329,3 +329,31 @@ def test_t6_r_class_builds_only_its_class():
     assert cls == (x,)
     assert peak < 8 * 2**20, f"the r-class of x peaked at {peak / 2**20:.1f} MB"
     assert enumerate_family.cache_info().misses == 0
+
+
+def cold_peak_mib(n, a_text, relation):
+    # Traced peak of one classification with every universe_* cache cleared,
+    # so the universe and its invariants are built inside the trace.
+    for cache in (elements.universe_images, elements.universe_ranges, elements.universe_kernels):
+        cache.cache_clear()
+    a = tr(a_text)
+    tracemalloc.start()
+    try:
+        closed_classification_t(n, a, relation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_cold_t6_d_classification_stays_small():
+    # The universe and its invariants are built one narrow column at a time,
+    # with no int64 temporary of the universe's (s, n) shape: about 3 MiB.
+    peak = cold_peak_mib(6, "3,5,2,3,5,2", "d")
+    assert peak < 4, f"a cold T_6 d classification peaked at {peak:.2f} MiB"
+
+
+def test_cold_t7_d_classification_stays_small():
+    # 823,543 rows: about 53 MiB, of which the int64 keys and labels take most.
+    peak = cold_peak_mib(7, "1,1,2,2,3,3,4", "d")
+    assert peak < 64, f"a cold T_7 d classification peaked at {peak:.2f} MiB"

@@ -170,6 +170,42 @@ def test_universe_images_match_enumeration_and_are_read_only():
                 images += 0
 
 
+def obeys_element_rule(images, family, n):
+    # The element rule, restated over whole columns: every image is a point
+    # (or 0, undefined, in a partial map), and a partial map repeats no image.
+    if not ((images >= (1 if family == FAMILY_T else 0)) & (images <= n)).all():
+        return False
+    return family == FAMILY_T or all(
+        ((images[:, i] != images[:, j]) | (images[:, i] == 0)).all()
+        for i, j in itertools.combinations(range(n), 2)
+    )
+
+
+@pytest.mark.parametrize("family", (FAMILY_IS, FAMILY_T))
+def test_universe_images_are_the_family_in_canonical_order(family):
+    # Checked against the definition, not against enumerate_family (which is
+    # built from this same array): distinct rows in canonical order, each an
+    # element, as many as the family has, so exactly the family.
+    for n in range(1, elements.ENUMERATION_CAP[family] + 1):
+        images = universe_images(family, n)
+        codes = np.zeros(len(images), dtype=np.int64)
+        for i in range(n):
+            codes = codes * (n + 1) + images[:, i]
+        assert (np.diff(codes) > 0).all(), (family, n)
+        assert images.shape == (family_size(family, n), n)
+        assert obeys_element_rule(images, family, n), (family, n)
+        if n <= 4:
+            total = family == FAMILY_T
+            reference = []
+            for row in itertools.product(range(0 if family == FAMILY_IS else 1, n + 1), repeat=n):
+                try:
+                    elements._check_images(tuple(v or None for v in row), total=total)
+                except ValueError:
+                    continue
+                reference.append(list(row))
+            assert images.tolist() == reference, (family, n)
+
+
 def mask(points):
     return sum(1 << (i - 1) for i in points)
 
