@@ -15,6 +15,13 @@ on a class mismatch, verify and count on any corrected-mode discrepancy,
 iso and dual on verification failure); 2 usage or capacity errors.
 Literal-mode discrepancies are findings, reported with exit 0.
 
+Each command first builds one payload, its JSON document, and only then
+renders it: JSON dumps the payload, and the text and CSV views are read
+from it.  Three things are read from elsewhere: the counterexample pairs
+of iso and dual, which JSON does not carry, and, so that no large
+universe is held as text, green's class lists, streamed from the label
+arrays, and eggbox's DOT grids, written from the egg-box index tuples.
+
 Output is deterministic byte-for-byte for a fixed invocation.  JSON output
 validates against output_schema.json shipped in this package.  Member
 lists longer than MEMBER_LIMIT are elided unless --full is given.
@@ -24,13 +31,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 # greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -103,18 +109,17 @@ def _parse_or_error(parser: argparse.ArgumentParser, family: str, n: int, text: 
     return x
 
 
-def _add_selection(sub: argparse.ArgumentParser, *, rank_reps: bool) -> None:
+def _add_selection(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--a", help="one deformation, element text like 2,-,1")
     group.add_argument(
         "--all-a", action="store_true", help=f"every deformation (n <= {ALL_A_CAP})"
     )
-    if rank_reps:
-        group.add_argument(
-            "--rank-reps",
-            action="store_true",
-            help="one deformation per rank (family is only)",
-        )
+    group.add_argument(
+        "--rank-reps",
+        action="store_true",
+        help="one deformation per rank (family is only)",
+    )
     group.add_argument(
         "--sample", type=_positive_int, metavar="K", help="K seeded-random deformations"
     )
@@ -136,7 +141,9 @@ def _select_deformations(
         return [rank_representative(n, k) for k in range(n + 1)]
     if args.all_a:
         if n > ALL_A_CAP:
-            parser.error(f"--all-a is capped at n <= {ALL_A_CAP}; use --sample")
+            # dual selects with --a or --all-a alone, so only verify and count can sample.
+            hint = "; use --sample" if hasattr(args, "sample") else ""
+            parser.error(f"--all-a is capped at n <= {ALL_A_CAP}{hint}")
         return list(enumerate_family(family, n))
     # Sampling indices draws what sampling the elements would; only the
     # drawn elements are built.
@@ -175,12 +182,19 @@ def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict
     return {"representative": texts[cls[0]], "size": len(cls), "members": members}
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_text(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _emit(
+    fmt: str, payload: dict,
+    text: Callable[[dict], list[str]] | None = None,
+    rows: Callable[[dict], Iterable[list]] | None = None,
+) -> None:
+    """Write payload in format fmt: JSON dumps it, text writes the lines
+    text(payload) and CSV the rows rows(payload)."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows(payload))
+    else:
+        sys.stdout.write("\n".join(text(payload)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +295,38 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
 
     agreement = None
-    exit_code = 0
     if method == "both":
-        brute = results[0]
         agreement = [
-            {"closed": c.method, "matches_brute": c.same_partition(brute)}
+            {"closed": c.method, "matches_brute": c.same_partition(results[0])}
             for c in results[1:]
         ]
-        if not all(entry["matches_brute"] for entry in agreement):
-            exit_code = 1
-    args.status = exit_code  # main's status if the reader leaves early
+    # main's status if the reader leaves early
+    args.status = exit_code = int(not all(e["matches_brute"] for e in agreement or ()))
 
     chars = universe_chars(family, n)
+    placeholder = "<classes>"
+    payload = {
+        "command": "green",
+        "family": family,
+        "n": n,
+        "a": str(a),
+        "relation": relation,
+        "method": method,
+        "mode": args.mode,
+        "results": [
+            {
+                "method": c.method,
+                "class_count": len(c.sizes),
+                "singleton_count": c.singleton_count,
+                "classes": placeholder,
+            }
+            for c in results
+        ],
+        "agreement": agreement,
+    }
     if args.format == "json":
         # The class lists are written from the text table where json.dumps
         # put a placeholder; the indenting encoder is pure Python.
-        placeholder = "<classes>"
-        payload = {
-            "command": "green",
-            "family": family,
-            "n": n,
-            "a": str(a),
-            "relation": relation,
-            "method": method,
-            "mode": args.mode,
-            "results": [
-                {
-                    "method": c.method,
-                    "class_count": len(c.sizes),
-                    "singleton_count": c.singleton_count,
-                    "classes": placeholder,
-                }
-                for c in results
-            ],
-            "agreement": agreement,
-        }
         pieces = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split(f'"{placeholder}"')
         sys.stdout.write(pieces[0])
         for c, piece in zip(results, pieces[1:]):
@@ -325,37 +336,35 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         sys.stdout.write("family,n,a,relation,method,class_index,size,representative,members\n")
         # Element texts hold a comma from n = 2 on, so csv quotes them.
         q = '"' if chars.shape[1] > 1 else ""
-        for c in results:
-            prefix = f"{family},{n},{q}{a}{q},{relation},{c.method},"
+        for c, result in zip(results, payload["results"]):
+            prefix = f"{family},{n},{q}{a}{q},{relation},{result['method']},"
             _write_classes(c, chars, args.full, lambda i, size, rep, members: (
                 f"{prefix}{i},{size},{q}{rep}{q}," + ("" if members is None else f"{q}{members}{q}")
             ), " ")
     else:
         sys.stdout.write(
-            f"green family={family} n={n} a=\"{a}\" relation={relation}"
-            f" method={method} mode={args.mode}\n"
+            'green family={family} n={n} a="{a}" relation={relation} method={method}'
+            " mode={mode}\n".format_map(payload)
         )
-        for c in results:
+        for c, result in zip(results, payload["results"]):
             _write_classes(
                 c, chars, args.full, _text_entry, " ",
-                first=f"{c.method}: {len(c.sizes)} classes ({c.singleton_count} singletons)\n",
+                first=f"{result['method']}: {result['class_count']} classes"
+                f" ({result['singleton_count']} singletons)\n",
             )
-        if agreement is not None:
-            brute, lines = results[0], []
-            for c, entry in zip(results[1:], agreement):
-                if entry["matches_brute"]:
-                    lines.append(f"diff {c.method} vs brute: none")
-                else:
-                    x = c.first_divergence(brute)
-                    closed_cls, brute_cls = (
-                        _texts(chars, np.flatnonzero(k.labels == k.labels[x]), " ")
-                        for k in (c, brute)
-                    )
-                    lines.append(
-                        f"diff {c.method} vs brute: class of {_texts(chars, [x], '')} differs;"
-                        f" {c.method} has {{{closed_cls}}}, brute has {{{brute_cls}}}"
-                    )
-            _emit_text(lines)
+        for c, entry in zip(results[1:], agreement or ()):
+            line = f"diff {entry['closed']} vs brute: "
+            if entry["matches_brute"]:
+                sys.stdout.write(line + "none\n")
+                continue
+            x = c.first_divergence(results[0])
+            closed_cls, brute_cls = (
+                _texts(chars, np.flatnonzero(k.labels == k.labels[x]), " ") for k in (c, results[0])
+            )
+            sys.stdout.write(
+                f"{line}class of {_texts(chars, [x], '')} differs;"
+                f" {entry['closed']} has {{{closed_cls}}}, brute has {{{brute_cls}}}\n"
+            )
     return exit_code
 
 
@@ -388,66 +397,50 @@ def _verify_one(family: str, n: int, a: Element) -> dict:
     }
 
 
+def _verify_lines(p: dict) -> list[str]:
+    summary, k = p["summary"], p["summary"]["deformation_count"]
+    lines = ["verify family={family} n={n} deformations=".format_map(p) + str(k)]
+    for e in p["deformations"]:
+        checks = [f"{rel}={'ok' if e['corrected'][rel] else 'MISMATCH'}" for rel in p["relations"]]
+        lines.append(
+            f"  a=\"{e['a']}\" {' '.join(checks)} d==j={'ok' if e['d_equals_j'] else 'MISMATCH'}"
+            f" literal-d={'ok' if e['literal_d_matches_brute'] else 'drift'}"
+            f" counts={','.join(e['count_flags']) or 'ok'}"
+        )
+    return [
+        *lines,
+        "corrected closed forms vs brute force: "
+        + ("all agree" if summary["corrected_ok"] else "MISMATCH (bug)"),
+        f"literal d-description drift: {summary['literal_d_drift_count']} of {k} deformations",
+        f"literal count findings: {summary['count_finding_count']} of {k} deformations",
+    ]
+
+
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
-    deformations = _select_deformations(parser, args, family, n)
-    entries = [_verify_one(family, n, a) for a in deformations]
-
+    entries = [_verify_one(family, n, a) for a in _select_deformations(parser, args, family, n)]
     corrected_ok = all(
         all(e["corrected"].values())
         and e["d_equals_j"]
         and not any(f.startswith("corrected:") for f in e["count_flags"])
         for e in entries
     )
-    drift = sum(1 for e in entries if not e["literal_d_matches_brute"])
-    findings = sum(
-        1 for e in entries if any(f.startswith("literal:") for f in e["count_flags"])
-    )
-    summary = {
-        "deformation_count": len(entries),
-        "corrected_ok": corrected_ok,
-        "literal_d_drift_count": drift,
-        "count_finding_count": findings,
+    payload = {
+        "command": "verify",
+        "family": family,
+        "n": n,
+        "relations": list(VERIFY_RELATIONS),
+        "deformations": entries,
+        "summary": {
+            "deformation_count": len(entries),
+            "corrected_ok": corrected_ok,
+            "literal_d_drift_count": sum(not e["literal_d_matches_brute"] for e in entries),
+            "count_finding_count": sum(
+                any(f.startswith("literal:") for f in e["count_flags"]) for e in entries
+            ),
+        },
     }
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "family": family,
-                "n": n,
-                "relations": list(VERIFY_RELATIONS),
-                "deformations": entries,
-                "summary": summary,
-            }
-        )
-    else:
-        lines = [f"verify family={family} n={n} deformations={len(entries)}"]
-        for e in entries:
-            parts = [f"a=\"{e['a']}\""]
-            parts.extend(
-                f"{rel}={'ok' if e['corrected'][rel] else 'MISMATCH'}"
-                for rel in VERIFY_RELATIONS
-            )
-            parts.append(f"d==j={'ok' if e['d_equals_j'] else 'MISMATCH'}")
-            parts.append(
-                f"literal-d={'ok' if e['literal_d_matches_brute'] else 'drift'}"
-            )
-            parts.append(
-                "counts=" + (",".join(e["count_flags"]) if e["count_flags"] else "ok")
-            )
-            lines.append("  " + " ".join(parts))
-        lines.append(
-            "corrected closed forms vs brute force: "
-            + ("all agree" if corrected_ok else "MISMATCH (bug)")
-        )
-        lines.append(
-            f"literal d-description drift: {drift} of {len(entries)} deformations"
-        )
-        lines.append(
-            f"literal count findings: {findings} of {len(entries)} deformations"
-        )
-        _emit_text(lines)
+    _emit(args.format, payload, _verify_lines)
     return 0 if corrected_ok else 1
 
 
@@ -455,46 +448,47 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # count
 
 
+def _count_bug(p: dict) -> bool:
+    """Whether a corrected formula differs from enumeration in some row."""
+    return any(
+        "corrected" in row["flag"].split(",") for report in p["reports"] for row in report["rows"]
+    )
+
+
+def _count_rows(p: dict) -> Iterable[list]:
+    yield ["family", "n", "a", "p", *COUNT_COLUMNS]
+    for report in p["reports"]:
+        for row in report["rows"]:
+            yield [p["family"], p["n"], report["a"], report["p"], *map(row.get, COUNT_COLUMNS)]
+
+
+def _count_lines(p: dict) -> list[str]:
+    lines = ["count family={family} n={n} deformations=".format_map(p) + str(len(p["reports"]))]
+    header = tuple(column.removesuffix("_value") for column in COUNT_COLUMNS)
+    for report in p["reports"]:
+        lines.append('a="{a}" p={p}'.format_map(report))
+        grid = [header] + [tuple(str(row[c]) for c in COUNT_COLUMNS) for row in report["rows"]]
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        lines += ["  " + "  ".join(map(str.ljust, r, widths)).rstrip() for r in grid]
+    lines.append(
+        "corrected formulas vs enumeration: " + ("MISMATCH (bug)" if _count_bug(p) else "all agree")
+    )
+    return lines
+
+
 def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
     if family == FAMILY_T and n < 2:
         parser.error("count needs n >= 2 for family t")
-    deformations = _select_deformations(parser, args, family, n)
-    reports = [_count_report(family, n, a) for a in deformations]
-    tables = [
-        (rep, [(*row[:5], ",".join(row.marks)) for row in rep.rows]) for rep in reports
-    ]
-    exit_code = int(any(f.startswith("corrected:") for rep in reports for f in rep.flags))
-
-    if args.format == "json":
-        _emit_json({"command": "count", "family": family, "n": n, "reports": [
-            {"a": str(rep.a), "p": rep.p, "rows": [dict(zip(COUNT_COLUMNS, row)) for row in rows]}
-            for rep, rows in tables
-        ]})
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["family", "n", "a", "p", *COUNT_COLUMNS])
-        for rep, rows in tables:
-            writer.writerows([family, n, str(rep.a), rep.p, *row] for row in rows)
-        sys.stdout.write(buf.getvalue())
-    else:
-        lines = [f"count family={family} n={n} deformations={len(tables)}"]
-        for rep, rows in tables:
-            lines.append(f"a=\"{rep.a}\" p={rep.p}")
-            header = tuple(column.removesuffix("_value") for column in COUNT_COLUMNS)
-            grid = [header] + [tuple(map(str, row)) for row in rows]
-            widths = [max(len(r[i]) for r in grid) for i in range(6)]
-            for r in grid:
-                lines.append(
-                    "  " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-                )
-        lines.append(
-            "corrected formulas vs enumeration: "
-            + ("MISMATCH (bug)" if exit_code else "all agree")
-        )
-        _emit_text(lines)
-    return exit_code
+    reports = [_count_report(family, n, a) for a in _select_deformations(parser, args, family, n)]
+    payload = {"command": "count", "family": family, "n": n, "reports": [
+        {"a": str(rep.a), "p": rep.p, "rows": [
+            dict(zip(COUNT_COLUMNS, (*row[:5], ",".join(row.marks)))) for row in rep.rows
+        ]}
+        for rep in reports
+    ]}
+    _emit(args.format, payload, _count_lines, _count_rows)
+    return int(_count_bug(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +496,6 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
-    if not cell:
-        return "&middot;"
     if full:
         return " ".join(texts[x] for x in cell)
     if len(cell) == 1:
@@ -548,31 +540,29 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     else:
         boxes = all_egg_boxes(v)
 
-    if args.format == "json":
-        texts = universe_texts(family, n)
-        _emit_json(
+    if args.format == "dot":
+        _write_dot(boxes, family, n, a, args.full)
+        return 0
+    texts = universe_texts(family, n)
+    _emit(args.format, {
+        "command": "eggbox",
+        "family": family,
+        "n": n,
+        "a": str(a),
+        "d_classes": [
             {
-                "command": "eggbox",
-                "family": family,
-                "n": n,
-                "a": str(a),
-                "d_classes": [
-                    {
-                        "representative": texts[box.members[0]],
-                        "size": len(box.members),
-                        "rows": [texts[r[0]] for r in box.row_members],
-                        "cols": [texts[c[0]] for c in box.col_members],
-                        "cells": [
-                            [_class_entry(cell, texts, args.full) for cell in row]
-                            for row in box.cell_members
-                        ],
-                    }
-                    for box in boxes
+                "representative": texts[box.members[0]],
+                "size": len(box.members),
+                "rows": [texts[r[0]] for r in box.row_members],
+                "cols": [texts[c[0]] for c in box.col_members],
+                "cells": [
+                    [_class_entry(cell, texts, args.full) for cell in row]
+                    for row in box.cell_members
                 ],
             }
-        )
-    else:
-        _write_dot(boxes, family, n, a, args.full)
+            for box in boxes
+        ],
+    })
     return 0
 
 
@@ -580,110 +570,73 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # iso and dual
 
 
+def _iso_lines(p: dict, counterexample: tuple[Element, Element] | None) -> list[str]:
+    lines = [
+        'iso n={n} a="{a}" b="{b}"'.format_map(p),
+        "rank(a)={rank_a} rank(b)={rank_b}".format_map(p),
+    ]
+    w = p["witness"]
+    if w is None:
+        return [*lines, "rank mismatch: no isomorphism exists between deformations of unequal rank"]
+    lines.append(f"witness g={w['g']} h={w['h']} (phi(x) = h . x . g, with g . b . h = a)")
+    if not p["verified"]:
+        x, y = counterexample
+        return [*lines, f"verification FAILED at pair ({x}, {y})"]
+    return [
+        *lines,
+        "bijective homomorphism: verified on all pairs",
+        "class preservation (r l h d): " + ("pass" if p["classes_preserved"] else "FAIL"),
+    ]
+
+
 def cmd_iso(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     n = args.n
     a = _parse_or_error(parser, FAMILY_IS, n, args.a)
     b = _parse_or_error(parser, FAMILY_IS, n, args.b)
     witness = iso_witness(a, b)
-    verified = classes_preserved = None
-    counterexample = None
+    verified = classes_preserved = counterexample = None
     if witness is not None:
         verified, counterexample = verify_isomorphism(witness)
-        classes_preserved = iso_preserves_classes(witness) if verified else False
-    exit_code = 0 if witness is None else (0 if verified and classes_preserved else 1)
+        classes_preserved = verified and iso_preserves_classes(witness)
+    payload = {
+        "command": "iso",
+        "n": n,
+        "a": str(a),
+        "b": str(b),
+        "rank_a": a.rank,
+        "rank_b": b.rank,
+        "witness": None if witness is None else {"g": str(witness.g), "h": str(witness.h)},
+        "verified": verified,
+        "classes_preserved": classes_preserved,
+    }
+    _emit(args.format, payload, lambda p: _iso_lines(p, counterexample))
+    return int(witness is not None and not classes_preserved)
 
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "iso",
-                "n": n,
-                "a": str(a),
-                "b": str(b),
-                "rank_a": a.rank,
-                "rank_b": b.rank,
-                "witness": None
-                if witness is None
-                else {"g": str(witness.g), "h": str(witness.h)},
-                "verified": verified,
-                "classes_preserved": classes_preserved,
-            }
+
+def _dual_lines(p: dict, counterexamples: list[tuple[Element, Element] | None]) -> list[str]:
+    lines = [f"dual n={p['n']} deformations={len(p['deformations'])}"]
+    for e, pair in zip(p["deformations"], counterexamples):
+        line = (
+            f"  a=\"{e['a']}\" anti-isomorphism={'pass' if e['holds'] else 'FAIL'}"
+            f" r-vs-l-classes={'match' if e['classes_match'] else 'FAIL'}"
         )
-    else:
-        lines = [f"iso n={n} a=\"{a}\" b=\"{b}\"", f"rank(a)={a.rank} rank(b)={b.rank}"]
-        if witness is None:
-            lines.append(
-                "rank mismatch: no isomorphism exists between deformations of"
-                " unequal rank"
-            )
-        else:
-            lines.append(
-                f"witness g={witness.g} h={witness.h}"
-                " (phi(x) = h . x . g, with g . b . h = a)"
-            )
-            if verified:
-                lines.append("bijective homomorphism: verified on all pairs")
-                lines.append(
-                    "class preservation (r l h d): "
-                    + ("pass" if classes_preserved else "FAIL")
-                )
-            else:
-                x, y = counterexample
-                lines.append(f"verification FAILED at pair ({x}, {y})")
-        _emit_text(lines)
-    return exit_code
+        lines.append(line if pair is None else f"{line} counterexample=({pair[0]}, {pair[1]})")
+    return [*lines, "all deformations pass" if p["all_ok"] else "FAIL"]
 
 
 def cmd_dual(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    n = args.n
-    if args.a is not None:
-        deformations = [_parse_or_error(parser, FAMILY_IS, n, args.a)]
-    else:
-        if n > ALL_A_CAP:
-            parser.error(f"--all-a is capped at n <= {ALL_A_CAP}")
-        deformations = list(enumerate_family(FAMILY_IS, n))
-
-    entries = []
-    all_ok = True
-    for a in deformations:
-        report = dual_check(a)
-        ok = report.holds and report.classes_match
-        all_ok = all_ok and ok
-        entries.append(
-            {
-                "a": str(a),
-                "holds": report.holds,
-                "classes_match": report.classes_match,
-                "counterexample": report.counterexample,
-            }
-        )
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "dual",
-                "n": n,
-                "deformations": [
-                    {"a": e["a"], "holds": e["holds"], "classes_match": e["classes_match"]}
-                    for e in entries
-                ],
-                "all_ok": all_ok,
-            }
-        )
-    else:
-        lines = [f"dual n={n} deformations={len(entries)}"]
-        for e in entries:
-            line = (
-                f"  a=\"{e['a']}\""
-                f" anti-isomorphism={'pass' if e['holds'] else 'FAIL'}"
-                f" r-vs-l-classes={'match' if e['classes_match'] else 'FAIL'}"
-            )
-            if e["counterexample"] is not None:
-                x, y = e["counterexample"]
-                line += f" counterexample=({x}, {y})"
-            lines.append(line)
-        lines.append("all deformations pass" if all_ok else "FAIL")
-        _emit_text(lines)
-    return 0 if all_ok else 1
+    reports = [dual_check(a) for a in _select_deformations(parser, args, FAMILY_IS, args.n)]
+    entries = [
+        {"a": str(r.a), "holds": r.holds, "classes_match": r.classes_match} for r in reports
+    ]
+    payload = {
+        "command": "dual",
+        "n": args.n,
+        "deformations": entries,
+        "all_ok": all(e["holds"] and e["classes_match"] for e in entries),
+    }
+    _emit(args.format, payload, lambda p: _dual_lines(p, [r.counterexample for r in reports]))
+    return 0 if payload["all_ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-check closed forms against brute force")
     verify.add_argument("--family", choices=FAMILIES, required=True)
     verify.add_argument("--n", type=_positive_int, required=True)
-    _add_selection(verify, rank_reps=True)
+    _add_selection(verify)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
 
     count = sub.add_parser("count", help="audit class-count formulas")
     count.add_argument("--family", choices=FAMILIES, required=True)
     count.add_argument("--n", type=_positive_int, required=True)
-    _add_selection(count, rank_reps=True)
+    _add_selection(count)
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     count.set_defaults(func=cmd_count)
 

@@ -572,6 +572,23 @@ def test_usage_errors_exit_2(cli, args):
     assert err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("verify", "--family", "t", "--n", "5", "--all-a"),
+         "--all-a is capped at n <= 4; use --sample"),
+        (("count", "--family", "is", "--n", "5", "--all-a"),
+         "--all-a is capped at n <= 4; use --sample"),
+        # dual has no --sample to point to
+        (("dual", "--n", "5", "--all-a"), "--all-a is capped at n <= 4"),
+    ],
+)
+def test_all_a_cap_names_only_options_the_command_has(cli, args, message):
+    code, out, err = cli(*args)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"greenvar: error: {message}\n")
+
+
 def test_leading_dash_element_forms(cli):
     for argv in (
         ("green", "--family", "is", "--n", "2", "--a", "-,-", "--relation", "r"),
