@@ -43,7 +43,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .closedform_is import CLOSED_RELATIONS, MODES, closed_classification_is, count_is_classes
+from .closedform_is import MODES, closed_classification_is, count_is_classes
 from .closedform_t import closed_classification_t, count_t_classes
 from .elements import (
     FAMILIES,
@@ -66,6 +66,7 @@ from .engine import (
     RELATIONS,
     all_egg_boxes,
     brute_classification,
+    check_brute_cap,
     egg_box,
     variant_semigroup,
     verify_d_equals_j,
@@ -109,12 +110,14 @@ def _parse_or_error(parser: argparse.ArgumentParser, family: str, n: int, text: 
     return x
 
 
-def _add_selection(sub: argparse.ArgumentParser) -> None:
+def _add_selection(sub: argparse.ArgumentParser, *, sampled: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--a", help="one deformation, element text like 2,-,1")
     group.add_argument(
         "--all-a", action="store_true", help=f"every deformation (n <= {ALL_A_CAP})"
     )
+    if not sampled:
+        return
     group.add_argument(
         "--rank-reps",
         action="store_true",
@@ -146,7 +149,9 @@ def _select_deformations(
             parser.error(f"--all-a is capped at n <= {ALL_A_CAP}{hint}")
         return list(enumerate_family(family, n))
     # Sampling indices draws what sampling the elements would; only the
-    # drawn elements are built.
+    # drawn elements are built.  Every sampled deformation goes to brute
+    # force, so its cap is checked before the universe is listed.
+    check_brute_cap(n)
     images = universe_images(family, n)
     if args.sample > len(images):
         parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
@@ -282,8 +287,6 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         method = "brute" if relation == "j" else "both"
     if relation == "j" and method != "brute":
         parser.error("relation j has no closed form; use --method brute")
-    if relation not in CLOSED_RELATIONS and method != "brute":
-        parser.error(f"closed forms cover {'/'.join(CLOSED_RELATIONS)}")
 
     modes = list(MODES) if args.mode == "both" else [args.mode]
     results: list[GreenClassification] = []
@@ -706,9 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dual", help="inversion anti-isomorphism onto the inverse deformation"
     )
     dual.add_argument("--n", type=_positive_int, required=True)
-    group = dual.add_mutually_exclusive_group(required=True)
-    group.add_argument("--a", help="deformation, element text")
-    group.add_argument("--all-a", action="store_true")
+    _add_selection(dual, sampled=False)
     dual.add_argument("--format", choices=("text", "json"), default="text")
     dual.set_defaults(func=cmd_dual)
 

@@ -21,7 +21,9 @@ left factors: their |Sa| x |S| block of products is computed on the image
 array, a few rows at a time, checked to stay in the universe and stored as
 uint16 indices (every universe with n <= 6 has fewer than 65,536
 elements); each x keeps only the index of its factor's row, so no full
-|S| x |S| table is ever formed.
+|S| x |S| table is ever formed.  A VariantSemigroup owns what is built
+from it, each thing once: its table, its packed factor rows and every
+classification asked of it; whatever is handed a semigroup reads them.
 
 Ideals are packed bit rows, one bit per universe element, built a block
 at a time, so no |S| x |S| matrix of any dtype is formed and grouping is
@@ -103,12 +105,10 @@ class VariantSemigroup:
         self.a = a
         self.size = family_size(family, n)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._ideal_ids: dict[str, np.ndarray] = {}  # r and l ids, reused by h and d
-        self._factor_rows: np.ndarray | None = None  # packed once, read by r and j
+        self._classes: dict[str, GreenClassification] = {}  # kept by green_classes_brute
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The product table in factored form (rows, left_of) of indices,
-        uint16 when |S| < 65,536 and int32 otherwise.
+        """The product table in factored form (rows, left_of) of uint16 indices.
 
         rows[k, j] is the index of z . universe[j] for the k-th distinct left
         factor z = x . a, and left_of[i] is the row of universe[i]'s factor,
@@ -118,7 +118,6 @@ class VariantSemigroup:
         if self._table is not None:
             return self._table
         family, n, s = self.family, self.n, self.size
-        index = np.uint16 if s < 2**16 else np.int32
         images = universe_images(family, n)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
         a_pad = np.zeros(n + 1, dtype=np.int8)
@@ -127,7 +126,7 @@ class VariantSemigroup:
         _, reps, left_of = np.unique(
             universe_index(family, n, xa), return_index=True, return_inverse=True
         )
-        left_of = left_of.ravel().astype(index)
+        left_of = left_of.ravel().astype(np.uint16)
         # by_point[k, y] = y(k), so by_point[left[f, i]] holds the image of
         # point i under left[f] . y for every y.  The codes of the products
         # are accumulated point by point, in buffers allocated once.  Every
@@ -137,7 +136,7 @@ class VariantSemigroup:
         by_point[1:] = images.T
         left = xa[reps]
         lookup = elements._index_lookup(family, n)  # code -> index, -1 for no element
-        rows = np.empty((len(reps), s), dtype=index)
+        rows = np.empty((len(reps), s), dtype=np.uint16)
         point = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int8)
         codes = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
         products = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
@@ -163,6 +162,12 @@ class VariantSemigroup:
         that broadcast together."""
         rows, left_of = self.table()
         return rows[left_of[xs], ys]
+
+    @functools.cached_property
+    def factor_rows(self) -> np.ndarray:
+        """zS for each distinct left factor z . a, packed: the rows of the
+        table, packed once and read by r and j."""
+        return _pack(self.table()[0], self.size)
 
     def _spot_check_associativity(self, rows: np.ndarray, left_of: np.ndarray) -> None:
         # On a few picked elements: the table is associative, and its
@@ -312,14 +317,6 @@ def _has_bit(packed: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray
     return (packed[rows, xs >> 3] << (xs & 7) & 0x80).astype(bool)
 
 
-def _factor_rows(v: VariantSemigroup) -> np.ndarray:
-    """zS for each distinct left factor z . a, packed: the rows of the table,
-    packed once per semigroup."""
-    if v._factor_rows is None:
-        v._factor_rows = _pack(v.table()[0], v.size)
-    return v._factor_rows
-
-
 def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Class ids under "equal ideals" by the singleton lemma, from the keys
     of the ideals I(x) without their {x} term.
@@ -358,24 +355,6 @@ def _column_ids(
     return _singletons_apart(inside, keys)
 
 
-def _ideal_ids(v: VariantSemigroup, relation: str) -> np.ndarray:
-    """The r or l class ids of v, grouped once per semigroup.
-
-    x *_a S = (x . a) . S is the factor row of x, so r groups the |Sa|
-    factor rows and tests x in xS as bit x of x's factor row; l groups the
-    columns of the table (_column_ids).
-    """
-    if relation not in v._ideal_ids:
-        if relation == "r":
-            left_of = v.table()[1]
-            factor_rows = _factor_rows(v)
-            inside = _has_bit(factor_rows, left_of, np.arange(v.size))
-            v._ideal_ids[relation] = _singletons_apart(inside, _row_ids(factor_rows)[left_of])
-        else:
-            v._ideal_ids[relation] = _column_ids(v)
-    return v._ideal_ids[relation]
-
-
 def _sxs_rows(v: VariantSemigroup, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S x S for each x in reps, packed, as (unions, set_of): S reps[i] S is
     unions[set_of[i]].
@@ -392,20 +371,30 @@ def _sxs_rows(v: VariantSemigroup, reps: np.ndarray) -> tuple[np.ndarray, np.nda
     set_of = _row_ids(sets)
     _, first = np.unique(set_of, return_index=True)
     masks = (np.unpackbits(sets[i], count=len(rows)).view(bool) for i in first)
-    factor_rows = _factor_rows(v)
-    return np.array([np.bitwise_or.reduce(factor_rows[mask]) for mask in masks]), set_of
+    return np.array([np.bitwise_or.reduce(v.factor_rows[mask]) for mask in masks]), set_of
 
 
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
-    """Classify the whole universe by ideal comparison (or their join for d)."""
+    """Classify the whole universe by ideal comparison (or their join for d),
+    once per semigroup: v keeps each classification it is asked for.
+
+    x *_a S = (x . a) . S is the factor row of x, so r groups the |Sa|
+    factor rows and tests x in xS as bit x of x's factor row; l groups the
+    columns of the table (_column_ids).  h, d and j read the r and l labels.
+    """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-    s = v.size
+    if relation in v._classes:
+        return v._classes[relation]
+    s, left_of = v.size, v.table()[1]
 
-    if relation in ("r", "l"):
-        labels = _ideal_ids(v, relation)
+    if relation == "r":
+        inside = _has_bit(v.factor_rows, left_of, np.arange(s))
+        labels = _singletons_apart(inside, _row_ids(v.factor_rows)[left_of])
+    elif relation == "l":
+        labels = _column_ids(v)
     elif relation in ("h", "d"):
-        r_ids, l_ids = _ideal_ids(v, "r"), _ideal_ids(v, "l")
+        r_ids, l_ids = (green_classes_brute(v, side).labels for side in "rl")
         if relation == "h":
             labels = canonical_labels(r_ids * s + l_ids)
         else:
@@ -423,23 +412,17 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
                 least = reached
             labels = canonical_labels(least)
     else:  # j: J(x) = {x} | Sx | xS | SxS, with SxS read through the l ids
-        left_of = v.table()[1]
-        factor_rows = _factor_rows(v)
-        l_ids = _ideal_ids(v, "l")
+        l_ids = green_classes_brute(v, "l").labels
         _, reps = np.unique(l_ids, return_index=True)  # least member of each l-class
         unions, set_of = _sxs_rows(v, reps)
         labels = _column_ids(
-            v, lambda xs: factor_rows[left_of[xs]] | unions[set_of[l_ids[xs]]]
+            v, lambda xs: v.factor_rows[left_of[xs]] | unions[set_of[l_ids[xs]]]
         )
 
-    return GreenClassification(
-        family=v.family,
-        n=v.n,
-        a=v.a,
-        relation=relation,
-        method="brute",
-        labels=labels,
+    v._classes[relation] = GreenClassification(
+        family=v.family, n=v.n, a=v.a, relation=relation, method="brute", labels=labels
     )
+    return v._classes[relation]
 
 
 @functools.lru_cache(maxsize=BRUTE_CACHE_SIZE)
@@ -482,8 +465,8 @@ class EggBox:
 
 
 def egg_box(v: VariantSemigroup, x: Element) -> EggBox:
-    """Grid layout of x's d-class, read from the cached r, l and d labels."""
-    r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
+    """Grid layout of x's d-class, read from v's r, l and d classes."""
+    r, l, d = (green_classes_brute(v, rel) for rel in "rld")
     members = d._members(x)
     return _egg_boxes(members, np.zeros(len(members), dtype=np.int64), r, l)[0]
 
@@ -538,7 +521,7 @@ def _egg_boxes(
 
 
 def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
-    r, l, d = (brute_classification(v.family, v.n, v.a, rel) for rel in "rld")
+    r, l, d = (green_classes_brute(v, rel) for rel in "rld")
     return _egg_boxes(np.arange(v.size), d.labels, r, l)
 
 

@@ -43,6 +43,7 @@ from .engine import (
     brute_classification,
     canonical_labels,
     check_brute_cap,
+    green_classes_brute,
     variant_semigroup,
 )
 
@@ -118,8 +119,7 @@ def dual_check(a: PartialPerm) -> DualCheckReport:
     failing = _first_failing_pair(v_inv, v, inv, reverse=True)
     if failing is not None:
         return DualCheckReport(a, False, failing, None)
-    r = brute_classification(FAMILY_IS, a.n, a, "r")
-    l = brute_classification(FAMILY_IS, a.n, a_inv, "l")
+    r, l = green_classes_brute(v, "r"), green_classes_brute(v_inv, "l")
     return DualCheckReport(a, True, None, _carries(inv, r, l))
 
 

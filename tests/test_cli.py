@@ -16,7 +16,7 @@ import pytest
 from conftest import class_lists
 
 from greenvar import cli as cli_module
-from greenvar import closedform_t
+from greenvar import closedform_t, engine
 from greenvar.cli import MEMBER_LIMIT
 from greenvar.closedform_is import MODES, closed_classification_is
 from greenvar.closedform_t import closed_classification_t
@@ -410,6 +410,47 @@ def test_verify_rank_reps_is(cli):
     assert "deformations=4" in out
 
 
+def test_verify_t1_all_a_skips_the_count_audit(cli):
+    # Count formulas start at n = 2 for family t, so T_1 has no count flags.
+    code, out, _ = cli("verify", "--family", "t", "--n", "1", "--all-a")
+    assert code == 0
+    assert out == (
+        "verify family=t n=1 deformations=1\n"
+        '  a="1" r=ok l=ok h=ok d=ok d==j=ok literal-d=ok counts=ok\n'
+        "corrected closed forms vs brute force: all agree\n"
+        "literal d-description drift: 0 of 1 deformations\n"
+        "literal count findings: 0 of 1 deformations\n"
+    )
+
+
+def test_verify_classifies_each_relation_once_per_deformation(cli, monkeypatch):
+    # verify reads d for the corrected check, the literal check and d = j:
+    # from cold caches each of the 34 deformations of IS_3 is classified
+    # once per relation.
+    built = []
+    genuine = engine.GreenClassification
+    monkeypatch.setattr(
+        engine, "GreenClassification", lambda **kw: built.append(kw["relation"]) or genuine(**kw)
+    )
+    for cache in (brute_classification, variant_semigroup):
+        cache.cache_clear()
+    code, _, _ = cli("verify", "--family", "is", "--n", "3", "--all-a")
+    assert code == 0
+    assert sorted(built) == sorted(engine.RELATIONS * 34)
+
+
+def test_sample_refuses_brute_force_before_listing(cli, monkeypatch):
+    # T_7 can be listed, but every sampled deformation would go to brute
+    # force: the cap is reported without listing the universe.
+    def listed(*_):
+        raise AssertionError("the universe was listed")
+
+    monkeypatch.setattr(cli_module, "universe_images", listed)
+    for command in ("verify", "count"):
+        code, out, err = cli(command, "--family", "t", "--n", "7", "--sample", "1")
+        assert (code, out, err) == (2, "", "error: brute force is capped at n <= 5, got n = 7\n")
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -587,6 +628,27 @@ def test_all_a_cap_names_only_options_the_command_has(cli, args, message):
     code, out, err = cli(*args)
     assert (code, out) == (2, "")
     assert err.endswith(f"greenvar: error: {message}\n")
+
+
+@pytest.mark.parametrize("option, args", [
+    ("--n", ("--n", "0", "--all-a")),
+    ("--sample", ("--n", "3", "--sample", "0")),
+])
+def test_positive_options_reject_zero(cli, option, args):
+    code, out, err = cli("verify", "--family", "t", *args)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected a positive integer, got '0'\n")
+
+
+def test_dual_help_states_the_all_a_cap(cli):
+    # dual shares verify's and count's --a and --all-a, help included.
+    helps = {}
+    for command in ("dual", "verify"):
+        code, out, _ = cli(command, "--help")
+        assert code == 0
+        helps[command] = [line for line in out.splitlines() if line.lstrip().startswith("--a")]
+    assert helps["dual"] == helps["verify"] and len(helps["dual"]) == 2
+    assert "every deformation (n <= 4)" in helps["dual"][1]
 
 
 def test_leading_dash_element_forms(cli):

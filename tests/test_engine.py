@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -29,8 +30,8 @@ from greenvar.engine import (
     VariantSemigroup,
     _bits,
     _egg_boxes,
-    _factor_rows,
     _sxs_rows,
+    canonical_labels,
     all_egg_boxes,
     brute_classification,
     egg_box,
@@ -434,6 +435,27 @@ def test_d_equals_j_spot_checks():
         assert ok and witness is None
 
 
+def test_d_equals_j_reports_a_witness_when_j_disagrees(monkeypatch):
+    # With j's first two classes merged, the first element whose class
+    # differs is universe[0]; it shares its j-class, but not its d-class,
+    # with the least member of d-class 1.
+    genuine = engine.green_classes_brute
+
+    def merged_j(v, relation):
+        c = genuine(v, relation)
+        if relation != "j":
+            return c
+        return dataclasses.replace(c, labels=canonical_labels(np.where(c.labels == 1, 0, c.labels)))
+
+    monkeypatch.setattr(engine, "green_classes_brute", merged_j)
+    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    d = genuine(v, "d")
+    ok, witness = verify_d_equals_j(v)
+    universe = enumerate_family(FAMILY_T, 3)
+    assert not ok
+    assert witness == (universe[0], universe[int(np.argmax(d.labels == 1))])
+
+
 # ---------------------------------------------------------------------------
 # egg boxes
 
@@ -462,12 +484,12 @@ def test_egg_box_grid_invariants():
 
 
 def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
-    # h and d read the r and l ids that the semigroup already holds from
-    # the r and l classifications, so grouping each relation once serves
-    # every egg box; a fresh semigroup still classifies h and d on its own.
-    # _ideal_ids groups r from the packed factor rows and l by _column_ids.
+    # h and d read the r and l classes that the semigroup already holds, so
+    # grouping each relation once serves every egg box; a fresh semigroup
+    # still classifies h and d on its own.  r packs the factor rows (the
+    # one _pack of an egg box) and l groups the columns by _column_ids.
     calls = {"r": 0, "l": 0}
-    for relation, name in (("r", "_factor_rows"), ("l", "_column_ids")):
+    for relation, name in (("r", "_pack"), ("l", "_column_ids")):
         def counted(*args, _pass=getattr(engine, name), _relation=relation):
             calls[_relation] += 1
             return _pass(*args)
@@ -483,16 +505,56 @@ def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
     assert calls == {"r": 3, "l": 3}
 
 
-def test_factor_rows_packed_once_per_semigroup():
+def test_factor_rows_packed_once_per_semigroup(monkeypatch):
     # r packs the factor rows and keeps them on the semigroup; j (and the
     # SxS unions inside it) reads the same array instead of packing again.
     v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
     green_classes_brute(v, "r")
-    packed = v._factor_rows
+    packed = v.factor_rows
     assert np.array_equal(np.unpackbits(packed, axis=1, count=v.size), _bits(v.table()[0], v.size))
+    packs = []
+    genuine = engine._pack
+    monkeypatch.setattr(engine, "_pack", lambda rows, s: packs.append(s) or genuine(rows, s))
     green_classes_brute(v, "j")
-    assert v._factor_rows is packed
-    assert _factor_rows(v) is packed
+    assert v.factor_rows is packed
+    assert v.size not in packs  # only the SxS factor sets, over len(rows) bits, were packed
+
+
+def test_each_relation_classified_once_per_semigroup(monkeypatch):
+    # v keeps every classification it is asked for: asking again, directly
+    # or through h, d, j and the egg boxes, returns the stored object.
+    built = []
+    genuine = engine.GreenClassification
+    monkeypatch.setattr(
+        engine, "GreenClassification", lambda **kw: built.append(kw["relation"]) or genuine(**kw)
+    )
+    v = VariantSemigroup(FAMILY_IS, 3, pp("2,3,-"))
+    first = {relation: green_classes_brute(v, relation) for relation in RELATIONS}
+    all_egg_boxes(v)
+    egg_box(v, pp("1,-,-"))
+    verify_d_equals_j(v)
+    assert all(green_classes_brute(v, relation) is first[relation] for relation in RELATIONS)
+    assert sorted(built) == sorted(RELATIONS)
+
+
+def test_egg_boxes_read_the_semigroup_they_are_given(monkeypatch):
+    # A semigroup built directly lays out its own egg boxes: its table is
+    # built, and no other semigroup or table is.
+    variant_semigroup.cache_clear()
+    brute_classification.cache_clear()
+    tables = []
+    genuine = VariantSemigroup.table
+    monkeypatch.setattr(
+        VariantSemigroup, "table",
+        lambda self: (self._table is None and tables.append(self)) or genuine(self),
+    )
+    v = VariantSemigroup(FAMILY_T, 4, tr("1,1,2,3"))
+    boxes = all_egg_boxes(v)
+    assert tables == [v]
+    assert variant_semigroup.cache_info().misses == brute_classification.cache_info().misses == 0
+    x = enumerate_family(FAMILY_T, 4)[boxes[-1].members[0]]
+    assert egg_box(v, x) == boxes[-1]
+    assert tables == [v]
 
 
 def test_egg_box_frozen_shapes():

@@ -132,19 +132,19 @@ def test_dual_check_memory_bound():
 
 
 def _merging_first_two_classes(monkeypatch, target):
-    # brute_classification as seen by structure, with classes 0 and 1
-    # merged for the deformation target only.
-    genuine = structure.brute_classification
+    # The brute classifications as structure reads them, by deformation
+    # (brute_classification) or from a semigroup (green_classes_brute),
+    # with classes 0 and 1 merged for the deformation target only.
+    by_a, of_v = structure.brute_classification, structure.green_classes_brute
 
-    def patched(family, n, x, relation):
-        c = genuine(family, n, x, relation)
-        if x != target:
+    def merged(c):
+        if c.a != target:
             return c
         assert len(c.sizes) > 2
-        merged = np.where(c.labels == 1, 0, c.labels)
-        return dataclasses.replace(c, labels=canonical_labels(merged))
+        return dataclasses.replace(c, labels=canonical_labels(np.where(c.labels == 1, 0, c.labels)))
 
-    monkeypatch.setattr(structure, "brute_classification", patched)
+    monkeypatch.setattr(structure, "brute_classification", lambda *key: merged(by_a(*key)))
+    monkeypatch.setattr(structure, "green_classes_brute", lambda v, relation: merged(of_v(v, relation)))
 
 
 def test_dual_check_class_test_catches_merged_classes(monkeypatch):
