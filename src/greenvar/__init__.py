@@ -4,6 +4,7 @@ transformations, computed two independent ways and cross-checked.
 The package splits along that duplication:
 
     elements       the finite maps themselves and their universes
+    classes        classifications and count reports, shared by both methods
     engine         brute-force classification through principal ideals
     closedform_is  closed-form classes and counts for partial injections
     closedform_t   closed-form classes and counts for transformations
@@ -16,7 +17,8 @@ brute-force engine is the referee between them.
 
 Importing the package loads no submodule: each exported name is imported
 from its module on first use (PEP 562), so ``import greenvar`` does not
-load numpy.
+load numpy.  The CLI likewise executes engine, the closed forms and
+structure only when a command first calls into them.
 """
 
 import importlib
@@ -24,15 +26,16 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "classes": "RELATIONS ClassCountSummary CountReport GreenClassification",
     "closedform_is": """DivisibilityVerdict closed_classification_is
         count_is_classes falling_factorial right_divisible""",
     "closedform_t": "closed_classification_t count_t_classes fed spread stirling2",
     "elements": """FAMILIES FAMILY_IS FAMILY_T UNDEFINED CapacityError Element ParseError
         PartialPerm Transformation compose constant elements_at empty_map enumerate_family
         family_of family_size format_element identity parse_element""",
-    "engine": """BRUTE_CAP RELATIONS ClassCountSummary CountReport EggBox GreenClassification
-        VariantSemigroup all_egg_boxes brute_classification egg_box green_classes_brute
-        summarize_classes_by_rank variant_product variant_semigroup verify_d_equals_j""",
+    "engine": """BRUTE_CAP EggBox VariantSemigroup all_egg_boxes brute_classification egg_box
+        green_classes_brute summarize_classes_by_rank variant_product variant_semigroup
+        verify_d_equals_j""",
     "structure": """DualCheckReport IsoWitness dual_check iso_preserves_classes iso_witness
         rank_representative verify_isomorphism""",
 }

@@ -22,6 +22,13 @@ of iso and dual, which JSON does not carry, and, so that no large
 universe is held as text, green's class lists, streamed from the label
 arrays, and eggbox's DOT grids, written from the egg-box index tuples.
 
+A process executes only the modules its command runs.  numpy, elements
+and classes, which every command uses, are imported here; engine, the two
+closed-form modules and structure are registered through
+``importlib.util.LazyLoader`` and called through the module
+(``engine.brute_classification(...)``), so the body of each executes when
+a command first reads from it.  ``greenvar --help`` executes none of them.
+
 Output is deterministic byte-for-byte for a fixed invocation.  JSON output
 validates against output_schema.json shipped in this package.  Member
 lists longer than MEMBER_LIMIT are elided unless --full is given.
@@ -31,20 +38,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import random
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from types import ModuleType
 
 # greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .closedform_is import MODES, closed_classification_is, count_is_classes
-from .closedform_t import closed_classification_t, count_t_classes
+from .classes import MODES, RELATIONS, CountReport, GreenClassification
 from .elements import (
     FAMILIES,
     FAMILY_IS,
@@ -59,24 +67,29 @@ from .elements import (
     universe_images,
     universe_texts,
 )
-from .engine import (
-    CountReport,
-    EggBox,
-    GreenClassification,
-    RELATIONS,
-    all_egg_boxes,
-    brute_classification,
-    check_brute_cap,
-    egg_box,
-    variant_semigroup,
-    verify_d_equals_j,
-)
-from .structure import (
-    dual_check,
-    iso_preserves_classes,
-    iso_witness,
-    rank_representative,
-    verify_isomorphism,
+
+
+def _lazy(name: str) -> ModuleType:
+    """greenvar's module name, registered so that its body executes when
+    one of its attributes is first read; a module loaded already is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Their bodies import nothing that is not loaded by now, so executing one
+# adds no entry to sys.modules: perfbench's span tracer reads attributes of
+# every greenvar module while it walks sys.modules.
+engine, closedform_is, closedform_t, structure = map(
+    _lazy, ("engine", "closedform_is", "closedform_t", "structure")
 )
 
 MEMBER_LIMIT = 50  # longest member list printed without --full
@@ -141,7 +154,7 @@ def _select_deformations(
             parser.error(
                 "--rank-reps is only justified for family is; use --all-a or --sample"
             )
-        return [rank_representative(n, k) for k in range(n + 1)]
+        return [structure.rank_representative(n, k) for k in range(n + 1)]
     if args.all_a:
         if n > ALL_A_CAP:
             # dual selects with --a or --all-a alone, so only verify and count can sample.
@@ -151,7 +164,7 @@ def _select_deformations(
     # Sampling indices draws what sampling the elements would; only the
     # drawn elements are built.  Every sampled deformation goes to brute
     # force, so its cap is checked before the universe is listed.
-    check_brute_cap(n)
+    engine.check_brute_cap(n)
     images = universe_images(family, n)
     if args.sample > len(images):
         parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
@@ -163,14 +176,14 @@ def _closed_classification(
     family: str, n: int, a: Element, relation: str, mode: str
 ) -> GreenClassification:
     if family == FAMILY_IS:
-        return closed_classification_is(n, a, relation, mode)
-    return closed_classification_t(n, a, relation, mode)
+        return closedform_is.closed_classification_is(n, a, relation, mode)
+    return closedform_t.closed_classification_t(n, a, relation, mode)
 
 
 def _count_report(family: str, n: int, a: Element) -> CountReport:
     if family == FAMILY_IS:
-        return count_is_classes(n, a)
-    return count_t_classes(n, a)
+        return closedform_is.count_is_classes(n, a)
+    return closedform_t.count_t_classes(n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +304,7 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     modes = list(MODES) if args.mode == "both" else [args.mode]
     results: list[GreenClassification] = []
     if method in ("brute", "both"):
-        results.append(brute_classification(family, n, a, relation))
+        results.append(engine.brute_classification(family, n, a, relation))
     if method in ("closed", "both"):
         results.extend(
             _closed_classification(family, n, a, relation, mode) for mode in modes
@@ -376,16 +389,16 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _verify_one(family: str, n: int, a: Element) -> dict:
-    v = variant_semigroup(family, n, a)
+    v = engine.variant_semigroup(family, n, a)
     corrected = {}
     for relation in VERIFY_RELATIONS:
-        brute = brute_classification(family, n, a, relation)
+        brute = engine.brute_classification(family, n, a, relation)
         corrected[relation] = _closed_classification(
             family, n, a, relation, "corrected"
         ).same_partition(brute)
-    d_equals_j, _ = verify_d_equals_j(v)
+    d_equals_j, _ = engine.verify_d_equals_j(v)
     literal_d = _closed_classification(family, n, a, "d", "literal").same_partition(
-        brute_classification(family, n, a, "d")
+        engine.brute_classification(family, n, a, "d")
     )
     if family == FAMILY_T and n < 2:
         count_flags: tuple[str, ...] = ()
@@ -506,7 +519,9 @@ def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
     return f"{texts[cell[0]]} ({len(cell)})"
 
 
-def _write_dot(boxes: Sequence[EggBox], family: str, n: int, a: Element, full: bool) -> None:
+def _write_dot(
+    boxes: Sequence[engine.EggBox], family: str, n: int, a: Element, full: bool
+) -> None:
     """Write the DOT document of the egg boxes, one d-class to a write."""
     texts = universe_texts(family, n)
     sys.stdout.write(
@@ -536,12 +551,12 @@ def _write_dot(boxes: Sequence[EggBox], family: str, n: int, a: Element, full: b
 def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
     a = _parse_or_error(parser, family, n, args.a)
-    v = variant_semigroup(family, n, a)
+    v = engine.variant_semigroup(family, n, a)
     if args.d_rep is not None:
         x = _parse_or_error(parser, family, n, args.d_rep)
-        boxes: tuple[EggBox, ...] = (egg_box(v, x),)
+        boxes: tuple[engine.EggBox, ...] = (engine.egg_box(v, x),)
     else:
-        boxes = all_egg_boxes(v)
+        boxes = engine.all_egg_boxes(v)
 
     if args.format == "dot":
         _write_dot(boxes, family, n, a, args.full)
@@ -596,11 +611,11 @@ def cmd_iso(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     n = args.n
     a = _parse_or_error(parser, FAMILY_IS, n, args.a)
     b = _parse_or_error(parser, FAMILY_IS, n, args.b)
-    witness = iso_witness(a, b)
+    witness = structure.iso_witness(a, b)
     verified = classes_preserved = counterexample = None
     if witness is not None:
-        verified, counterexample = verify_isomorphism(witness)
-        classes_preserved = verified and iso_preserves_classes(witness)
+        verified, counterexample = structure.verify_isomorphism(witness)
+        classes_preserved = verified and structure.iso_preserves_classes(witness)
     payload = {
         "command": "iso",
         "n": n,
@@ -628,7 +643,8 @@ def _dual_lines(p: dict, counterexamples: list[tuple[Element, Element] | None]) 
 
 
 def cmd_dual(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    reports = [dual_check(a) for a in _select_deformations(parser, args, FAMILY_IS, args.n)]
+    deformations = _select_deformations(parser, args, FAMILY_IS, args.n)
+    reports = [structure.dual_check(a) for a in deformations]
     entries = [
         {"a": str(r.a), "holds": r.holds, "classes_match": r.classes_match} for r in reports
     ]

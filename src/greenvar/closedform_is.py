@@ -37,6 +37,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .classes import MODES, ClassCountSummary, CountReport, GreenClassification, canonical_labels
 from .elements import (
     FAMILY_IS,
     Element,
@@ -47,15 +48,7 @@ from .elements import (
     universe_domains,
     universe_ranges,
 )
-from .engine import (
-    ClassCountSummary,
-    CountReport,
-    GreenClassification,
-    canonical_labels,
-    count_report,
-)
 
-MODES = ("corrected", "literal")
 CLOSED_RELATIONS = ("r", "l", "h", "d")
 
 
@@ -210,4 +203,6 @@ def count_is_classes(n: int, a: PartialPerm) -> CountReport:
         # The literal double sum misses the nowhere-defined map's class.
         if corrected.singleton_count != literal.singleton_count + 1:
             raise AssertionError("census identity failed")
+    from .engine import count_report  # the referee executes only when counts are audited
+
     return count_report(FAMILY_IS, n, a, (literal,) * 2, (corrected,) * 2)

@@ -237,7 +237,7 @@ def universe_images(family: str, n: int) -> np.ndarray:
         for j in range(n):
             images[:, j] = np.tile(np.repeat(points, n ** (n - 1 - j)), n**j)
     else:
-        bits = (np.uint8(1) << np.arange(n + 1, dtype=np.uint8)) >> 1  # image 0 uses no bit
+        bits = range_masks(np.arange(n + 1)[:, None])  # image 0 uses no bit
         images = np.zeros((1, 0), dtype=np.int8)
         used = np.zeros(1, dtype=np.uint8)
         for _ in range(n):
@@ -326,10 +326,19 @@ def range_masks(images: np.ndarray) -> np.ndarray:
     """ran of each row of a 2-d integer image array, any integer dtype, as a
     uint8 bitmask (bit i - 1 for point i); undefined entries set no bit.
     The bits are ORed in one column at a time, so no wider temporary of the
-    array's shape is formed."""
+    array's shape is formed.  Points beyond 8 have no bit: ValueError.
+
+    >>> range_masks(np.array([[8, 1, 0], [0, 0, 0]])).tolist()
+    [129, 0]
+    """
+    if images.size and not 0 <= images.min() <= images.max() <= 8:
+        raise ValueError("a uint8 range mask holds the points 1..8 only")
     ran = np.zeros(len(images), dtype=np.uint8)
+    shift = np.empty(len(images), dtype=np.uint8)
     for column in images.T:
-        ran |= (np.uint8(1) << column.astype(np.uint8)) >> 1
+        np.copyto(shift, column, casting="unsafe")
+        shift -= 1  # point i shifts by i - 1; undefined wraps to 255 and sets no bit
+        ran |= np.left_shift(1, shift, out=shift)
     return ran
 
 

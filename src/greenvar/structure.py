@@ -27,6 +27,7 @@ import dataclasses
 
 import numpy as np
 
+from .classes import GreenClassification, canonical_labels
 from .elements import (
     FAMILY_IS,
     PartialPerm,
@@ -38,10 +39,8 @@ from .elements import (
 )
 from .engine import (
     IDEAL_BLOCK,
-    GreenClassification,
     VariantSemigroup,
     brute_classification,
-    canonical_labels,
     check_brute_cap,
     green_classes_brute,
     variant_semigroup,

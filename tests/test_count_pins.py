@@ -6,14 +6,15 @@ change to how the count audit is stated that moves any value, flag or
 exit code shows here.  The other invocations pin each command's text,
 CSV, DOT and JSON views, so a change to how a view is rendered that moves
 one byte shows here too.  The failure lines of iso and dual, which no
-correct structure check prints, are reached by replacing the check in cli.
+correct structure check prints, are reached by replacing the check in
+structure, the module cli calls it through.
 """
 
 import hashlib
 
 import pytest
 
-from greenvar import cli as cli_module
+from greenvar import structure
 from greenvar.elements import parse_element
 from greenvar.structure import DualCheckReport
 
@@ -165,6 +166,6 @@ FAILED = {
 @pytest.mark.parametrize("case", sorted(FAILED))
 def test_failure_stdout_pinned(cli, monkeypatch, case):
     name, check, argv, text, json_digest = FAILED[case]
-    monkeypatch.setattr(cli_module, name, check)
+    monkeypatch.setattr(structure, name, check)
     assert cli(*argv) == (1, text, "")
     assert _digest(cli, (*argv, "--format", "json"), 1) == json_digest

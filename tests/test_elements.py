@@ -24,6 +24,7 @@ from greenvar.elements import (
     format_element,
     identity,
     parse_element,
+    range_masks,
     universe_domains,
     universe_images,
     universe_index,
@@ -225,6 +226,24 @@ def test_universe_masks_match_sets_and_are_narrow_and_read_only():
             with pytest.raises(ValueError):
                 cached[0] = 1
     assert universe_kernels(7).max() == int("0123456", 7)  # the identity's, digits 0..6
+
+
+def test_range_masks_hold_point_8_and_refuse_points_beyond():
+    # Point i is bit i - 1, so point 8 is bit 7, the last bit of a uint8.
+    rows = [[8, 1, 1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6, 7, 8], [0, 8, 0, 0, 0, 0, 0, 0]]
+    for dtype in (np.int8, np.uint8, np.int64):
+        ran = range_masks(np.array(rows, dtype=dtype))
+        assert ran.dtype == np.uint8 and ran.tolist() == [129, 255, 128]
+    for bad in ([[9]], [[1, 200]], [[-1, 2]], [[256]]):
+        with pytest.raises(ValueError):
+            range_masks(np.array(bad))
+    assert range_masks(np.zeros((2, 0), dtype=np.int8)).tolist() == [0, 0]
+
+
+def test_range_masks_match_python_sets_at_n_8():
+    rng = np.random.default_rng(8)
+    images = rng.integers(0, 9, size=(2000, 8), dtype=np.int8)
+    assert range_masks(images).tolist() == [mask(set(row) - {0}) for row in images.tolist()]
 
 
 def test_universe_texts_match_format_element():

@@ -92,3 +92,81 @@ def test_no_blas_calls_in_the_package():
             if name in BLAS_NAMES:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the CLI's import graph
+
+# Prints, as JSON, the greenvar modules whose bodies `greenvar ARGV`
+# executed, in order, and the greenvar modules registered after
+# `import greenvar.cli`.  A module body is one `exec` audit event of a code
+# object named <module>.
+EXECUTED = """
+import contextlib, io, json, pathlib, sys
+executed = []
+def hook(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>":
+        path = pathlib.Path(code.co_filename)
+        if path.parent.name == "greenvar":
+            executed.append(path.stem)
+sys.addaudithook(hook)
+import greenvar.cli
+registered = sorted(m for m in sys.modules if m.split(".")[0] == "greenvar")
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        greenvar.cli.main(ARGV)
+    except SystemExit:
+        pass
+print(json.dumps([executed, registered]))
+"""
+
+EAGER = {"__init__", "cli", "classes", "elements"}  # what `import greenvar.cli` executes
+
+# command -> the modules its run executes beyond EAGER.
+IMPORT_GRAPH = {
+    ("--help",): set(),
+    ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "d",
+     "--method", "closed"): {"closedform_is"},
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "r",
+     "--method", "closed", "--mode", "both", "--format", "json"): {"closedform_is", "closedform_t"},
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "j"): {"engine"},
+    ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "h"):
+        {"engine", "closedform_is"},
+    ("eggbox", "--family", "t", "--n", "3", "--a", "2,2,1"): {"engine"},
+    ("eggbox", "--family", "is", "--n", "3", "--a", "1,2,-", "--format", "json"): {"engine"},
+    ("count", "--family", "is", "--n", "3", "--a", "1,2,-"): {"closedform_is", "engine"},
+    ("count", "--family", "t", "--n", "3", "--sample", "2"):
+        {"closedform_is", "closedform_t", "engine"},
+    ("verify", "--family", "t", "--n", "2", "--all-a"):
+        {"closedform_is", "closedform_t", "engine"},
+    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"): {"structure", "engine"},
+    ("dual", "--n", "2", "--all-a", "--format", "json"): {"structure", "engine"},
+}
+
+
+@pytest.mark.parametrize("argv", list(IMPORT_GRAPH), ids=" ".join)
+def test_each_command_executes_only_the_modules_it_runs(argv):
+    # So closed-form green runs no engine or structure; eggbox, iso and dual
+    # no closed form; green, eggbox and count no structure; --help no lazy module.
+    executed, registered = fresh_python(EXECUTED.replace("ARGV", repr(list(argv))))
+    assert len(set(executed)) == len(executed), f"a module body ran twice: {executed}"
+    assert set(executed) == EAGER | IMPORT_GRAPH[argv]
+    # The span tracer looks every module up in sys.modules right after
+    # `import greenvar.cli`, so the lazy ones are registered before they run.
+    modules = {f"greenvar.{path.stem}" for path in SRC.glob("*.py")}
+    assert set(registered) == modules - {"greenvar.__init__", "greenvar.__main__"} | {"greenvar"}
+
+
+def test_lazy_module_bodies_import_nothing_new():
+    # The span tracer reads attributes of every greenvar module while it
+    # walks sys.modules; a lazy body that imported a new module then would
+    # change sys.modules under the walk.
+    added = fresh_python(
+        "import json, sys, greenvar.cli\n"
+        "before = set(sys.modules)\n"
+        "for name in ('engine', 'closedform_is', 'closedform_t', 'structure'):\n"
+        "    getattr(sys.modules['greenvar.' + name], '__doc__')\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert added == []
