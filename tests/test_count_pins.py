@@ -7,7 +7,8 @@ exit code shows here.  The other invocations pin each command's text,
 CSV, DOT and JSON views, so a change to how a view is rendered that moves
 one byte shows here too.  The failure lines of iso and dual, which no
 correct structure check prints, are reached by replacing the check in
-structure, the module cli calls it through.
+structure, the module cli calls it through.  Help texts and usage
+errors are pinned the same way, on the stream each writes.
 """
 
 import hashlib
@@ -169,3 +170,74 @@ def test_failure_stdout_pinned(cli, monkeypatch, case):
     monkeypatch.setattr(structure, name, check)
     assert cli(*argv) == (1, text, "")
     assert _digest(cli, (*argv, "--format", "json"), 1) == json_digest
+
+
+# Help and usage errors: argv -> (exit code, sha256 of the one stream
+# written: stdout for help, stderr for errors), with help laid out in 80
+# columns.  The errors cover a missing --n on every command, each element
+# and selection check the commands make, and the capacity errors.
+PINNED_USAGE = {
+    ():
+        (2, "53f76740a88dd71492b5800040389fceefdcd776ccd2199f32c45a6c24cbb86a"),
+    ("bogus",):
+        (2, "80e67303924a39459d49884d2bd0dc867591c44cb4eda3c947258f32a7c2bbd1"),
+    ("--help",):
+        (0, "2c7953fcf9715ad9c074c3a2c0e5f8ab62cdeee745f87d21f1e3d91398f2ed2f"),
+    ("green", "--help"):
+        (0, "88dd35aae0e384559818dd72b37cb79c68f4faa2577740335c23524d300381f5"),
+    ("verify", "--help"):
+        (0, "a45d02383a1e1505da8f8020248eaa569c1e44a07fc40ffc5aa1125e4f561900"),
+    ("count", "--help"):
+        (0, "5638932dbe315de1890ea63c4ebe5f6d75a460e4a8ce758a7f29fbd7d10b97e7"),
+    ("eggbox", "--help"):
+        (0, "f2c804c53e237c87b646ea4d5fd491bc8b844847e963b9eec4ccf6d2cd64138e"),
+    ("iso", "--help"):
+        (0, "075296c02df67624717492e4dd2f776b53066e54c239e33ea18131147d7c3fb5"),
+    ("dual", "--help"):
+        (0, "a726e9f906c1a199da10663eb46f71232d167fb5976f8b859298c23aad278f75"),
+    ("green", "--family", "t", "--a", "1,1", "--relation", "r"):
+        (2, "67e3fe577249fca116c499d2822189afc6e5420b075229743ee9939feb3b2360"),
+    ("verify", "--family", "t", "--all-a"):
+        (2, "57a5592bb6aa324f39e9dde6ccd5fd3a52ff6b6a98c1150bf7ec84ddb0fe257c"),
+    ("count", "--family", "t", "--all-a"):
+        (2, "5b1d7997ae2f9cbac1e84c975052e423a3169e34abc9772cf5f09f4dc29d6e59"),
+    ("eggbox", "--family", "t", "--a", "1,1"):
+        (2, "211bea937443bf31886625b25300f0a0901824d12add7cc6e87ab019276316fe"),
+    ("iso", "--a", "1,-", "--b", "-,1"):
+        (2, "97bbb0b59606fdc73fa6a3d35638a05d48a4b54975833a04c1339cf52aac994c"),
+    ("dual", "--all-a"):
+        (2, "425fae303a671ae54409c045984f4d9b9c6d6425eb5912fcc01d0b505623cc4c"),
+    ("green", "--family", "t", "--n", "3", "--a", "1,4,2", "--relation", "r"):
+        (2, "c64c4b01ca0bfe3d56df3c3ad2a912db1e0252aa775224480f00b23e217faeac"),
+    ("green", "--family", "t", "--n", "2", "--a", "1,1", "--relation", "j", "--method", "closed"):
+        (2, "ef242aad9f3f5c05dbf386d18f0d34c44692107f13c2db21da47168cea84fd80"),
+    ("verify", "--family", "t", "--n", "2", "--a", "1"):
+        (2, "f1fd0062c8658e847bbee654fd426960031d66e45777ec70ec471b22d843a944"),
+    ("verify", "--family", "t", "--n", "2", "--rank-reps"):
+        (2, "d571769c746de93e1e4c047d80d762a9e744fff12941bc22ff527d4fe486f3bb"),
+    ("verify", "--family", "t", "--n", "3", "--sample", "100"):
+        (2, "b29534c79cbc2a8b3a3c1cce00de443951e04b5cc0a3fd2487deae2381805d07"),
+    ("verify", "--family", "t", "--n", "6", "--sample", "1"):
+        (2, "cbadbb5ed2f7038de31d16a21521cfa29ca691d3eaa026ad806f8ddc788662cf"),
+    ("count", "--family", "t", "--n", "1", "--all-a"):
+        (2, "037bfc0cce97e1cb26624014acf7061fb58476d3aa276439c2f7f104235df453"),
+    ("eggbox", "--family", "is", "--n", "3", "--a", "1,2"):
+        (2, "8216891e8f61b27d93588c4d4e40c74943c9dd43878ea96d9fe7304160c7ebe5"),
+    ("eggbox", "--family", "t", "--n", "2", "--a", "1,1", "--d-rep", "1,1,1"):
+        (2, "780f045ad1d0879b30def66563886bef4409692893b41bb00945172624ef6d97"),
+    ("eggbox", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3"):
+        (2, "cbadbb5ed2f7038de31d16a21521cfa29ca691d3eaa026ad806f8ddc788662cf"),
+    ("iso", "--n", "2", "--a", "1,-", "--b", "1,1"):
+        (2, "4d0ecfb1ae817b852116367bd7109e25027dddd6b776207e409bec27f40b8107"),
+    ("dual", "--n", "5", "--all-a"):
+        (2, "c0148d794a98dd686bb6e1933e7fa740ed4b4338ee641a33868b65f55545aaa4"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_USAGE), ids=lambda argv: " ".join(argv) or "-")
+def test_help_and_usage_errors_pinned(cli, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = cli(*argv)
+    assert code == PINNED_USAGE[argv][0]
+    assert (out, err)[code != 2] == ""
+    assert hashlib.sha256((out or err).encode()).hexdigest() == PINNED_USAGE[argv][1]
