@@ -1,28 +1,28 @@
-"""Green classifications and the count audit's censuses, shared by both methods.
+"""Green classifications, shared by both methods, and the closed forms'
+keying, shared by both families.
 
 The brute-force referee (engine) and the closed forms (closedform_is,
 closedform_t) each partition a universe, and a GreenClassification holds
 one partition as a class id per universe index.  Nothing here runs brute
 force, so a closed-form command never executes the referee.
 
-The count audit of both families is stated here once: a CountReport holds
-the literal and corrected formula censuses (ClassCountSummary) of the r-
-and l-classes, which the closed forms state, beside the censuses of the
-brute-force classes, which ``engine.count_report`` takes; its rows compare
-each value with enumeration once, and its flags are read from the rows.
+The closed forms of both families are evaluated the same way, stated here
+once: a family's case split keys every universe row by the first clause
+that holds (clause_keys), and classify_by_key numbers the classes by least
+member.  So a closed-form command executes only its own family's module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Iterable
-from typing import NamedTuple
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from .elements import (
     Element,
+    check_deformation,
     elements_at,
     family_of,
     family_size,
@@ -32,6 +32,7 @@ from .elements import (
 
 RELATIONS = ("r", "l", "h", "d", "j")
 MODES = ("corrected", "literal")
+CLOSED_RELATIONS = ("r", "l", "h", "d")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -127,97 +128,48 @@ def canonical_labels(keys: np.ndarray) -> np.ndarray:
     return labels
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassCountSummary:
-    """Multi-class census of one classification, grouped by member rank.
-
-    size_lines rows are (rank, class size, how many classes of that shape);
-    the members of any multi r- or l-class share their rank, so the least
-    member's rank stands for the class.
-    """
-
-    singleton_count: int
-    multi_class_count: int
-    size_lines: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def census(cls, size: int, size_lines: Iterable[tuple[int, int, int]]) -> ClassCountSummary:
-        """The census of a universe of size elements whose multi classes are
-        size_lines: every element they leave uncovered is a singleton."""
-        size_lines = tuple(size_lines)
-        return cls(
-            singleton_count=size - sum(count * sz for _, sz, count in size_lines),
-            multi_class_count=sum(count for *_, count in size_lines),
-            size_lines=size_lines,
-        )
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-COUNT_SIDES = ("r", "l")
-COUNT_QUANTITIES = ("singleton_count", "multi_class_count", "size_lines")
-COUNT_MARKS = ("literal", "corrected")
-CountPair = tuple[ClassCountSummary, ClassCountSummary]
+# Class keys are int64: clause t of a case split keys a row as
+# (t + 1) * _CLAUSE + value, and a row no clause takes keeps its own index.
+# Every value (a mask, a kernel code, a rank) stays below _CLAUSE.
+_CLAUSE = 1 << 40
 
 
-class CountRow(NamedTuple):
-    """One value a CountReport compares, in column order: marks name the
-    formulas that differ from enumerated, census the field it comes from."""
-
-    side: str
-    quantity: str
-    literal: int
-    corrected: int
-    enumerated: int
-    marks: tuple[str, ...]
-    census: str
+def clause_keys(clauses: list[tuple[np.ndarray, np.ndarray | int]], rows: int) -> np.ndarray:
+    """One key per row from the first (condition, value) clause that holds,
+    as an if-chain would take them; rows no clause takes stay singletons."""
+    keys = np.arange(rows, dtype=np.int64)
+    for t in reversed(range(len(clauses))):  # earlier clauses overwrite later ones
+        cond, value = clauses[t]
+        np.add(value, (t + 1) * _CLAUSE, out=keys, where=cond, dtype=np.int64)
+    return keys
 
 
-@dataclasses.dataclass(frozen=True)
-class CountReport:
-    """Formula-vs-enumeration audit of the r- and l-class counts of one
-    deformation a of rank p.
+def point_mask(points: Iterable[int]) -> int:
+    """The bitmask of a set of points: bit i - 1 for point i."""
+    return sum(1 << (i - 1) for i in points)
 
-    literal, corrected and enumerated each hold one census per side, r then
-    l: the count formulas as published, as repaired, and the census of the
-    brute-force classes.  flags name each quantity where a formula differs
-    from enumeration, as "literal:quantity:side" (expected findings) or
-    "corrected:quantity:side" (bugs).
-    """
 
-    n: int
-    p: int
-    a: Element
-    literal: CountPair
-    corrected: CountPair
-    enumerated: CountPair
-
-    @property
-    def rows(self) -> tuple[CountRow, ...]:
-        """Per side: the singleton and multi-class counts, then the count of
-        each size line (k, size) of any census, as classes_rank_{k}_size_{size}."""
-        rows = []
-        for side, *censuses in zip(COUNT_SIDES, self.literal, self.corrected, self.enumerated):
-            values = [
-                (quantity, quantity, *(getattr(c, quantity) for c in censuses))
-                for quantity in COUNT_QUANTITIES[:2]
-            ]
-            lit, cor, enu = ({(k, sz): cnt for k, sz, cnt in c.size_lines} for c in censuses)
-            values += [
-                ("size_lines", f"classes_rank_{k}_size_{sz}", lit.get((k, sz), 0),
-                 cor.get((k, sz), 0), enu.get((k, sz), 0))
-                for k, sz in sorted(set(lit) | set(cor) | set(enu))
-            ]
-            for census, quantity, *formulas, enumerated in values:
-                marks = tuple(m for m, v in zip(COUNT_MARKS, formulas) if v != enumerated)
-                rows.append(CountRow(side, quantity, *formulas, enumerated, marks, census))
-        return tuple(rows)
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        marked = {(row.side, row.census, mark) for row in self.rows for mark in row.marks}
-        return tuple(
-            f"{mark}:{census}:{side}"
-            for side in COUNT_SIDES
-            for census in COUNT_QUANTITIES
-            for mark in COUNT_MARKS
-            if (side, census, mark) in marked
-        )
+def classify_by_key(
+    family: str, n: int, a: Element, relation: str, mode: str, key: Callable
+) -> GreenClassification:
+    """The whole universe partitioned in one pass by a family's class key:
+    universe rows share a class exactly when key(n, a, relation, mode)
+    gives them equal keys."""
+    check_mode(mode)
+    if relation not in CLOSED_RELATIONS:
+        raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
+    check_deformation(family, n, a)
+    keys = key(n, a, relation, mode)
+    return GreenClassification(
+        family=family,
+        n=n,
+        a=a,
+        relation=relation,
+        method=f"closed-{mode}",
+        labels=canonical_labels(keys),
+    )

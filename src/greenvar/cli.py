@@ -22,12 +22,15 @@ of iso and dual, which JSON does not carry, and, so that no large
 universe is held as text, green's class lists, streamed from the label
 arrays, and eggbox's DOT grids, written from the egg-box index tuples.
 
-A process executes only the modules its command runs.  numpy, elements
-and classes, which every command uses, are imported here; engine, the two
-closed-form modules and structure are registered through
-``importlib.util.LazyLoader`` and called through the module
-(``engine.brute_classification(...)``), so the body of each executes when
-a command first reads from it.  ``greenvar --help`` executes none of them.
+A process compiles and executes only the code its command runs.  numpy,
+elements and classes, which every command uses, are imported here, and
+this module holds green, the parser and what the commands share.  The
+handlers of the other five commands are in commands.  It, the referee
+(engine), the two closed-form modules, the count audit (counts) and
+structure are registered through ``importlib.util.LazyLoader`` and called
+through the module (``engine.brute_classification(...)``), so the body of
+each executes when a command first reads from it; json is imported only
+where JSON is written.  ``greenvar --help`` executes none of them.
 
 Output is deterministic byte-for-byte for a fixed invocation.  JSON output
 validates against output_schema.json shipped in this package.  Member
@@ -37,14 +40,12 @@ lists longer than MEMBER_LIMIT are elided unless --full is given.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
-import json
 import os
 import random
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from types import ModuleType
 
 # greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
@@ -52,11 +53,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .classes import MODES, RELATIONS, CountReport, GreenClassification
+from .classes import MODES, RELATIONS, GreenClassification
 from .elements import (
     FAMILIES,
     FAMILY_IS,
-    FAMILY_T,
     CapacityError,
     Element,
     ParseError,
@@ -65,7 +65,6 @@ from .elements import (
     parse_element,
     universe_chars,
     universe_images,
-    universe_texts,
 )
 
 
@@ -88,18 +87,15 @@ def _lazy(name: str) -> ModuleType:
 # Their bodies import nothing that is not loaded by now, so executing one
 # adds no entry to sys.modules: perfbench's span tracer reads attributes of
 # every greenvar module while it walks sys.modules.
-engine, closedform_is, closedform_t, structure = map(
-    _lazy, ("engine", "closedform_is", "closedform_t", "structure")
+engine, closedform_is, closedform_t, structure, commands = map(
+    _lazy, ("engine", "closedform_is", "closedform_t", "structure", "commands")
 )
+_lazy("counts")  # the closed forms' count audits import it
 
 MEMBER_LIMIT = 50  # longest member list printed without --full
 RENDER_BLOCK = 2048  # classes of a green class list rendered per write
 DEFAULT_SEED = 7
 ALL_A_CAP = 4  # --all-a sweeps stop here; sample larger universes instead
-
-VERIFY_RELATIONS = ("r", "l", "h", "d")
-# The count table's columns after family, n, a and p, as named in JSON and CSV.
-COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumerated_value", "flag")
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +176,6 @@ def _closed_classification(
     return closedform_t.closed_classification_t(n, a, relation, mode)
 
 
-def _count_report(family: str, n: int, a: Element) -> CountReport:
-    if family == FAMILY_IS:
-        return closedform_is.count_is_classes(n, a)
-    return closedform_t.count_t_classes(n, a)
-
-
 # ---------------------------------------------------------------------------
 # shared rendering
 
@@ -193,26 +183,6 @@ def _count_report(family: str, n: int, a: Element) -> CountReport:
 def _listed(size: int, full: bool) -> bool:
     """Whether a class's members are printed rather than elided."""
     return full or size <= MEMBER_LIMIT
-
-
-def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict:
-    members = [texts[x] for x in cls] if _listed(len(cls), full) else None
-    return {"representative": texts[cls[0]], "size": len(cls), "members": members}
-
-
-def _emit(
-    fmt: str, payload: dict,
-    text: Callable[[dict], list[str]] | None = None,
-    rows: Callable[[dict], Iterable[list]] | None = None,
-) -> None:
-    """Write payload in format fmt: JSON dumps it, text writes the lines
-    text(payload) and CSV the rows rows(payload)."""
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows(payload))
-    else:
-        sys.stdout.write("\n".join(text(payload)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +311,8 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "agreement": agreement,
     }
     if args.format == "json":
+        import json
+
         # The class lists are written from the text table where json.dumps
         # put a placeholder; the indenting encoder is pure Python.
         pieces = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split(f'"{placeholder}"')
@@ -385,280 +357,6 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
-
-
-def _verify_one(family: str, n: int, a: Element) -> dict:
-    v = engine.variant_semigroup(family, n, a)
-    corrected = {}
-    for relation in VERIFY_RELATIONS:
-        brute = engine.brute_classification(family, n, a, relation)
-        corrected[relation] = _closed_classification(
-            family, n, a, relation, "corrected"
-        ).same_partition(brute)
-    d_equals_j, _ = engine.verify_d_equals_j(v)
-    literal_d = _closed_classification(family, n, a, "d", "literal").same_partition(
-        engine.brute_classification(family, n, a, "d")
-    )
-    if family == FAMILY_T and n < 2:
-        count_flags: tuple[str, ...] = ()
-    else:
-        count_flags = _count_report(family, n, a).flags
-    return {
-        "a": str(a),
-        "corrected": corrected,
-        "d_equals_j": d_equals_j,
-        "literal_d_matches_brute": literal_d,
-        "count_flags": list(count_flags),
-    }
-
-
-def _verify_lines(p: dict) -> list[str]:
-    summary, k = p["summary"], p["summary"]["deformation_count"]
-    lines = ["verify family={family} n={n} deformations=".format_map(p) + str(k)]
-    for e in p["deformations"]:
-        checks = [f"{rel}={'ok' if e['corrected'][rel] else 'MISMATCH'}" for rel in p["relations"]]
-        lines.append(
-            f"  a=\"{e['a']}\" {' '.join(checks)} d==j={'ok' if e['d_equals_j'] else 'MISMATCH'}"
-            f" literal-d={'ok' if e['literal_d_matches_brute'] else 'drift'}"
-            f" counts={','.join(e['count_flags']) or 'ok'}"
-        )
-    return [
-        *lines,
-        "corrected closed forms vs brute force: "
-        + ("all agree" if summary["corrected_ok"] else "MISMATCH (bug)"),
-        f"literal d-description drift: {summary['literal_d_drift_count']} of {k} deformations",
-        f"literal count findings: {summary['count_finding_count']} of {k} deformations",
-    ]
-
-
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family, n = args.family, args.n
-    entries = [_verify_one(family, n, a) for a in _select_deformations(parser, args, family, n)]
-    corrected_ok = all(
-        all(e["corrected"].values())
-        and e["d_equals_j"]
-        and not any(f.startswith("corrected:") for f in e["count_flags"])
-        for e in entries
-    )
-    payload = {
-        "command": "verify",
-        "family": family,
-        "n": n,
-        "relations": list(VERIFY_RELATIONS),
-        "deformations": entries,
-        "summary": {
-            "deformation_count": len(entries),
-            "corrected_ok": corrected_ok,
-            "literal_d_drift_count": sum(not e["literal_d_matches_brute"] for e in entries),
-            "count_finding_count": sum(
-                any(f.startswith("literal:") for f in e["count_flags"]) for e in entries
-            ),
-        },
-    }
-    _emit(args.format, payload, _verify_lines)
-    return 0 if corrected_ok else 1
-
-
-# ---------------------------------------------------------------------------
-# count
-
-
-def _count_bug(p: dict) -> bool:
-    """Whether a corrected formula differs from enumeration in some row."""
-    return any(
-        "corrected" in row["flag"].split(",") for report in p["reports"] for row in report["rows"]
-    )
-
-
-def _count_rows(p: dict) -> Iterable[list]:
-    yield ["family", "n", "a", "p", *COUNT_COLUMNS]
-    for report in p["reports"]:
-        for row in report["rows"]:
-            yield [p["family"], p["n"], report["a"], report["p"], *map(row.get, COUNT_COLUMNS)]
-
-
-def _count_lines(p: dict) -> list[str]:
-    lines = ["count family={family} n={n} deformations=".format_map(p) + str(len(p["reports"]))]
-    header = tuple(column.removesuffix("_value") for column in COUNT_COLUMNS)
-    for report in p["reports"]:
-        lines.append('a="{a}" p={p}'.format_map(report))
-        grid = [header] + [tuple(str(row[c]) for c in COUNT_COLUMNS) for row in report["rows"]]
-        widths = [max(map(len, column)) for column in zip(*grid)]
-        lines += ["  " + "  ".join(map(str.ljust, r, widths)).rstrip() for r in grid]
-    lines.append(
-        "corrected formulas vs enumeration: " + ("MISMATCH (bug)" if _count_bug(p) else "all agree")
-    )
-    return lines
-
-
-def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family, n = args.family, args.n
-    if family == FAMILY_T and n < 2:
-        parser.error("count needs n >= 2 for family t")
-    reports = [_count_report(family, n, a) for a in _select_deformations(parser, args, family, n)]
-    payload = {"command": "count", "family": family, "n": n, "reports": [
-        {"a": str(rep.a), "p": rep.p, "rows": [
-            dict(zip(COUNT_COLUMNS, (*row[:5], ",".join(row.marks)))) for row in rep.rows
-        ]}
-        for rep in reports
-    ]}
-    _emit(args.format, payload, _count_lines, _count_rows)
-    return int(_count_bug(payload))
-
-
-# ---------------------------------------------------------------------------
-# eggbox
-
-
-def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
-    if full:
-        return " ".join(texts[x] for x in cell)
-    if len(cell) == 1:
-        return texts[cell[0]]
-    return f"{texts[cell[0]]} ({len(cell)})"
-
-
-def _write_dot(
-    boxes: Sequence[engine.EggBox], family: str, n: int, a: Element, full: bool
-) -> None:
-    """Write the DOT document of the egg boxes, one d-class to a write."""
-    texts = universe_texts(family, n)
-    sys.stdout.write(
-        "digraph eggbox {\n"
-        f'  label="family={family} n={n} a=\\"{a}\\" d_classes={len(boxes)}";\n'
-        '  labelloc="t";\n'
-        "  node [shape=plaintext];\n"
-    )
-    for i, box in enumerate(boxes):
-        rows_html = "".join(
-            "<TR>"
-            + "".join(f"<TD>{_cell_text(cell, texts, full)}</TD>" for cell in row)
-            + "</TR>"
-            for row in box.cell_members
-        )
-        sys.stdout.write(
-            f"  subgraph cluster_{i} {{\n"
-            f'    label="d{i} rep {texts[box.members[0]]} size {len(box.members)}'
-            f' ({len(box.row_members)}x{len(box.col_members)})";\n'
-            f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
-            f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
-            "  }\n"
-        )
-    sys.stdout.write("}\n")
-
-
-def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family, n = args.family, args.n
-    a = _parse_or_error(parser, family, n, args.a)
-    v = engine.variant_semigroup(family, n, a)
-    if args.d_rep is not None:
-        x = _parse_or_error(parser, family, n, args.d_rep)
-        boxes: tuple[engine.EggBox, ...] = (engine.egg_box(v, x),)
-    else:
-        boxes = engine.all_egg_boxes(v)
-
-    if args.format == "dot":
-        _write_dot(boxes, family, n, a, args.full)
-        return 0
-    texts = universe_texts(family, n)
-    _emit(args.format, {
-        "command": "eggbox",
-        "family": family,
-        "n": n,
-        "a": str(a),
-        "d_classes": [
-            {
-                "representative": texts[box.members[0]],
-                "size": len(box.members),
-                "rows": [texts[r[0]] for r in box.row_members],
-                "cols": [texts[c[0]] for c in box.col_members],
-                "cells": [
-                    [_class_entry(cell, texts, args.full) for cell in row]
-                    for row in box.cell_members
-                ],
-            }
-            for box in boxes
-        ],
-    })
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# iso and dual
-
-
-def _iso_lines(p: dict, counterexample: tuple[Element, Element] | None) -> list[str]:
-    lines = [
-        'iso n={n} a="{a}" b="{b}"'.format_map(p),
-        "rank(a)={rank_a} rank(b)={rank_b}".format_map(p),
-    ]
-    w = p["witness"]
-    if w is None:
-        return [*lines, "rank mismatch: no isomorphism exists between deformations of unequal rank"]
-    lines.append(f"witness g={w['g']} h={w['h']} (phi(x) = h . x . g, with g . b . h = a)")
-    if not p["verified"]:
-        x, y = counterexample
-        return [*lines, f"verification FAILED at pair ({x}, {y})"]
-    return [
-        *lines,
-        "bijective homomorphism: verified on all pairs",
-        "class preservation (r l h d): " + ("pass" if p["classes_preserved"] else "FAIL"),
-    ]
-
-
-def cmd_iso(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    n = args.n
-    a = _parse_or_error(parser, FAMILY_IS, n, args.a)
-    b = _parse_or_error(parser, FAMILY_IS, n, args.b)
-    witness = structure.iso_witness(a, b)
-    verified = classes_preserved = counterexample = None
-    if witness is not None:
-        verified, counterexample = structure.verify_isomorphism(witness)
-        classes_preserved = verified and structure.iso_preserves_classes(witness)
-    payload = {
-        "command": "iso",
-        "n": n,
-        "a": str(a),
-        "b": str(b),
-        "rank_a": a.rank,
-        "rank_b": b.rank,
-        "witness": None if witness is None else {"g": str(witness.g), "h": str(witness.h)},
-        "verified": verified,
-        "classes_preserved": classes_preserved,
-    }
-    _emit(args.format, payload, lambda p: _iso_lines(p, counterexample))
-    return int(witness is not None and not classes_preserved)
-
-
-def _dual_lines(p: dict, counterexamples: list[tuple[Element, Element] | None]) -> list[str]:
-    lines = [f"dual n={p['n']} deformations={len(p['deformations'])}"]
-    for e, pair in zip(p["deformations"], counterexamples):
-        line = (
-            f"  a=\"{e['a']}\" anti-isomorphism={'pass' if e['holds'] else 'FAIL'}"
-            f" r-vs-l-classes={'match' if e['classes_match'] else 'FAIL'}"
-        )
-        lines.append(line if pair is None else f"{line} counterexample=({pair[0]}, {pair[1]})")
-    return [*lines, "all deformations pass" if p["all_ok"] else "FAIL"]
-
-
-def cmd_dual(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    deformations = _select_deformations(parser, args, FAMILY_IS, args.n)
-    reports = [structure.dual_check(a) for a in deformations]
-    entries = [
-        {"a": str(r.a), "holds": r.holds, "classes_match": r.classes_match} for r in reports
-    ]
-    payload = {
-        "command": "dual",
-        "n": args.n,
-        "deformations": entries,
-        "all_ok": all(e["holds"] and e["classes_match"] for e in entries),
-    }
-    _emit(args.format, payload, lambda p: _dual_lines(p, [r.counterexample for r in reports]))
-    return 0 if payload["all_ok"] else 1
-
-
-# ---------------------------------------------------------------------------
 # parser assembly
 
 
@@ -685,21 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     green.add_argument("--mode", choices=MODES + ("both",), default="corrected")
     green.add_argument("--format", choices=("text", "json", "csv"), default="text")
     green.add_argument("--full", action="store_true", help="never elide member lists")
-    green.set_defaults(func=cmd_green)
 
     verify = sub.add_parser("verify", help="cross-check closed forms against brute force")
     verify.add_argument("--family", choices=FAMILIES, required=True)
     verify.add_argument("--n", type=_positive_int, required=True)
     _add_selection(verify)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
 
     count = sub.add_parser("count", help="audit class-count formulas")
     count.add_argument("--family", choices=FAMILIES, required=True)
     count.add_argument("--n", type=_positive_int, required=True)
     _add_selection(count)
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    count.set_defaults(func=cmd_count)
 
     eggbox_p = sub.add_parser("eggbox", help="export d-class grids")
     eggbox_p.add_argument("--family", choices=FAMILIES, required=True)
@@ -710,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eggbox_p.add_argument("--format", choices=("dot", "json"), default="dot")
     eggbox_p.add_argument("--full", action="store_true", help="list every member")
-    eggbox_p.set_defaults(func=cmd_eggbox)
 
     iso = sub.add_parser(
         "iso", help="isomorphism witness between two partial-injection variants"
@@ -719,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("--a", required=True)
     iso.add_argument("--b", required=True)
     iso.add_argument("--format", choices=("text", "json"), default="text")
-    iso.set_defaults(func=cmd_iso)
 
     dual = sub.add_parser(
         "dual", help="inversion anti-isomorphism onto the inverse deformation"
@@ -727,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     dual.add_argument("--n", type=_positive_int, required=True)
     _add_selection(dual, sampled=False)
     dual.add_argument("--format", choices=("text", "json"), default="text")
-    dual.set_defaults(func=cmd_dual)
 
     return parser
 
@@ -755,8 +447,10 @@ def _glue_element_args(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_element_args(sys.argv[1:] if argv is None else argv))
+    # green runs here; the other commands' handlers are in commands.
+    handler = cmd_green if args.command == "green" else getattr(commands, f"cmd_{args.command}")
     try:
-        return args.func(parser, args)
+        return handler(parser, args)
     except (ParseError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -769,4 +463,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # python -m runs this file as __main__; commands imports it by its name.
+    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     sys.exit(main())

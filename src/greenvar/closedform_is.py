@@ -32,15 +32,14 @@ a singleton), so corrected = literal + 1 whenever p > 1.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classes import MODES, ClassCountSummary, CountReport, GreenClassification, canonical_labels
+from .classes import GreenClassification, classify_by_key, clause_keys, point_mask
 from .elements import (
     FAMILY_IS,
-    Element,
     PartialPerm,
     check_deformation,
     family_of,
@@ -49,54 +48,8 @@ from .elements import (
     universe_ranges,
 )
 
-CLOSED_RELATIONS = ("r", "l", "h", "d")
-
-
-def check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-# Class keys are int64: clause t of a case split keys a row as
-# (t + 1) * _CLAUSE + value, and a row no clause takes keeps its own index.
-# Every value (a mask, a kernel code, a rank) stays below _CLAUSE.
-_CLAUSE = 1 << 40
-
-
-def clause_keys(clauses: list[tuple[np.ndarray, np.ndarray | int]], rows: int) -> np.ndarray:
-    """One key per row from the first (condition, value) clause that holds,
-    as an if-chain would take them; rows no clause takes stay singletons."""
-    keys = np.arange(rows, dtype=np.int64)
-    for t in reversed(range(len(clauses))):  # earlier clauses overwrite later ones
-        cond, value = clauses[t]
-        np.add(value, (t + 1) * _CLAUSE, out=keys, where=cond, dtype=np.int64)
-    return keys
-
-
-def point_mask(points: Iterable[int]) -> int:
-    """The bitmask of a set of points: bit i - 1 for point i."""
-    return sum(1 << (i - 1) for i in points)
-
-
-def classify_by_key(
-    family: str, n: int, a: Element, relation: str, mode: str, key: Callable
-) -> GreenClassification:
-    """The whole universe partitioned in one pass by a family's class key:
-    universe rows share a class exactly when key(n, a, relation, mode)
-    gives them equal keys."""
-    check_mode(mode)
-    if relation not in CLOSED_RELATIONS:
-        raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
-    check_deformation(family, n, a)
-    keys = key(n, a, relation, mode)
-    return GreenClassification(
-        family=family,
-        n=n,
-        a=a,
-        relation=relation,
-        method=f"closed-{mode}",
-        labels=canonical_labels(keys),
-    )
+if TYPE_CHECKING:
+    from .counts import CountReport
 
 
 def falling_factorial(p: int, k: int) -> int:
@@ -194,6 +147,8 @@ def count_is_classes(n: int, a: PartialPerm) -> CountReport:
     mirror symmetry the l side has the same census, so the same formulas
     serve both sides.  size_lines rows are (rank k, class size [p]_k, class
     count C(n, k)); rank(a) <= 1 leaves every class a singleton."""
+    from .counts import ClassCountSummary, count_report  # executed only where counts are audited
+
     check_deformation(FAMILY_IS, n, a)
     p = a.rank
     lines = [(k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)] if p > 1 else []
@@ -203,6 +158,4 @@ def count_is_classes(n: int, a: PartialPerm) -> CountReport:
         # The literal double sum misses the nowhere-defined map's class.
         if corrected.singleton_count != literal.singleton_count + 1:
             raise AssertionError("census identity failed")
-    from .engine import count_report  # the referee executes only when counts are audited
-
     return count_report(FAMILY_IS, n, a, (literal,) * 2, (corrected,) * 2)

@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import functools
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classes import ClassCountSummary, CountReport, GreenClassification
+from .classes import GreenClassification, classify_by_key, clause_keys, point_mask
 from .elements import (
     FAMILY_T,
     Transformation,
@@ -58,7 +59,9 @@ from .elements import (
     universe_kernels,
     universe_ranges,
 )
-from .closedform_is import classify_by_key, clause_keys, point_mask
+
+if TYPE_CHECKING:
+    from .counts import CountReport
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,6 +173,8 @@ def count_t_classes(n: int, a: Transformation) -> CountReport:
     (rank m, class size, class count).  The r side is a single set of
     formulas (printed and corrected coincide); rank(a) = 1 leaves every
     l-class a singleton."""
+    from .counts import ClassCountSummary, count_report  # executed only where counts are audited
+
     check_deformation(FAMILY_T, n, a)
     if n < 2:
         raise ValueError("class counts need n >= 2")
@@ -185,6 +190,4 @@ def count_t_classes(n: int, a: Transformation) -> CountReport:
     l_corrected = ClassCountSummary.census(
         size, [(m, _l_size_corrected(n, p, m), comb(n, m)) for m in range(2, p + 1)]
     )
-    from .engine import count_report  # the referee executes only when counts are audited
-
     return count_report(FAMILY_T, n, a, (r, l_literal), (r, l_corrected))

@@ -65,16 +65,27 @@ def _check_images(images: tuple[int | None, ...], *, total: bool) -> None:
         raise ValueError("repeated image; partial maps here are injective")
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+# One dataclass body for both families, frozen by hand: a frozen
+# dataclass's own __setattr__ lets a subclass's instances take new
+# attributes, and decorating each family again would generate every
+# method three times at each import.
+@dataclasses.dataclass(order=True, unsafe_hash=True, init=False)
 class _Map:
     """The body both families share."""
 
     images: tuple[int, ...]
     family: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        images = tuple(None if isinstance(v, int) and v == UNDEFINED else v for v in self.images)
-        _check_images(images, total=self.family == FAMILY_T)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        checked = tuple(None if isinstance(v, int) and v == UNDEFINED else v for v in images)
+        _check_images(checked, total=self.family == FAMILY_T)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -111,9 +122,6 @@ class _Map:
         return f"{type(self).__name__}({self.images!r})"
 
 
-# Each family re-applies the decorator so that its instances stay frozen
-# against new attributes too; repr=False keeps the shared __repr__.
-@dataclasses.dataclass(frozen=True, order=True, repr=False)
 class PartialPerm(_Map):
     """An injective partial map on {1, ..., n}, stored as its image tuple.
 
@@ -145,7 +153,6 @@ class PartialPerm(_Map):
         return len(self.dom) == self.n
 
 
-@dataclasses.dataclass(frozen=True, order=True, repr=False)
 class Transformation(_Map):
     """A total map on {1, ..., n}, stored as its image tuple.
 
@@ -359,7 +366,10 @@ def universe_ranges(family: str, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def universe_domains(n: int) -> np.ndarray:
     """dom of each row of the IS_n universe as a read-only uint8 bitmask
-    (bit i - 1 for point i)."""
+    (bit i - 1 for point i).  Points beyond 8 have no bit: ValueError,
+    before the universe is listed."""
+    if n > 8:
+        raise ValueError("a uint8 domain mask holds the points 1..8 only")
     images = universe_images(FAMILY_IS, n)
     dom = np.zeros(len(images), dtype=np.uint8)
     for i in range(n):

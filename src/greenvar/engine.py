@@ -43,32 +43,23 @@ tuples of universe indices.  Element objects are built only at the edges,
 through ``elements_at``: the members of one class asked for by element, a
 failure witness, and the spot-checked products.
 
-This module is the referee alone.  The classification and count-report
-types it fills are in ``classes``, shared with the closed forms, so a
-closed-form command never executes this module; the count audit reaches
-it only for ``count_report``, the census of the brute-force r- and
-l-classes set beside the formula censuses.
+This module is the referee alone.  The classification type it fills is
+in ``classes``, shared with the closed forms, so a closed-form command
+never executes this module; the count audit (``counts``) reaches it for
+the brute-force r- and l-classes whose census it sets beside the formula
+censuses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter
 from collections.abc import Callable
 
 import numpy as np
 
 from . import elements
-from .classes import (
-    COUNT_SIDES,
-    RELATIONS,
-    ClassCountSummary,
-    CountPair,
-    CountReport,
-    GreenClassification,
-    canonical_labels,
-)
+from .classes import RELATIONS, GreenClassification, canonical_labels
 from .elements import (
     CapacityError,
     Element,
@@ -78,7 +69,6 @@ from .elements import (
     family_size,
     universe_images,
     universe_index,
-    universe_ranges,
 )
 
 BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
@@ -435,28 +425,3 @@ def _egg_boxes(
 def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
     r, l, d = (green_classes_brute(v, rel) for rel in "rld")
     return _egg_boxes(np.arange(v.size), d.labels, r, l)
-
-
-def summarize_classes_by_rank(classification: GreenClassification) -> ClassCountSummary:
-    c = classification
-    sizes = np.bincount(c.labels)
-    _, least = np.unique(c.labels, return_index=True)
-    ranks = np.bitwise_count(universe_ranges(c.family, c.n)[least])
-    multi = sizes > 1
-    lines = Counter(zip(ranks[multi].tolist(), sizes[multi].tolist()))
-    return ClassCountSummary(
-        singleton_count=int((sizes == 1).sum()),
-        multi_class_count=int(multi.sum()),
-        size_lines=tuple(sorted((k, sz, cnt) for (k, sz), cnt in lines.items())),
-    )
-
-
-def count_report(
-    family: str, n: int, a: Element, literal: CountPair, corrected: CountPair
-) -> CountReport:
-    """The formula censuses of a, side r then side l, beside the censuses
-    of its brute-force r- and l-classes."""
-    enumerated = tuple(
-        summarize_classes_by_rank(brute_classification(family, n, a, side)) for side in COUNT_SIDES
-    )
-    return CountReport(n, a.rank, a, literal, corrected, enumerated)

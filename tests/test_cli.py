@@ -6,6 +6,7 @@ import importlib.resources
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,8 @@ from conftest import class_lists
 from greenvar import cli as cli_module
 from greenvar import closedform_t, engine
 from greenvar.cli import MEMBER_LIMIT
-from greenvar.closedform_is import MODES, closed_classification_is
+from greenvar.classes import MODES
+from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.elements import (
     enumerate_family,
@@ -705,6 +707,26 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "green" in result.stdout and "eggbox" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "is", "--n", "2", "--all-a"),
+    ("dual", "--n", "2", "--all-a"),
+    ("count", "--family", "t", "--n", "3", "--a", "1,1,2", "--format", "csv"),
+    ("eggbox", "--family", "t", "--n", "2", "--a", "1,1", "--format", "json"),
+    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"),
+], ids=" ".join)
+def test_python_m_cli_runs_the_commands_module_once(cli, argv):
+    # Under -m, cli.py runs as __main__ and commands imports it by name; a
+    # second import of greenvar.cli would execute its body again.
+    # -X importtime lists every module imported by name, on stderr.
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "greenvar.cli", *argv],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == cli(*argv)[:2]
+    imported = re.findall(r"^import time:.*\| +(greenvar\S*)$", result.stderr, re.M)
+    assert sorted(imported) == ["greenvar", "greenvar.classes", "greenvar.elements"]
 
 
 def test_python_m_greenvar():

@@ -12,7 +12,8 @@ import hashlib
 import pytest
 from conftest import class_lists
 
-from greenvar.closedform_is import CLOSED_RELATIONS, MODES, closed_classification_is
+from greenvar.classes import CLOSED_RELATIONS, MODES
+from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family, universe_texts
 

@@ -18,7 +18,8 @@ from greenvar.elements import (
     identity,
     parse_element,
 )
-from greenvar.engine import brute_classification, summarize_classes_by_rank, variant_product
+from greenvar.counts import summarize_classes_by_rank
+from greenvar.engine import brute_classification, variant_product
 from greenvar.structure import rank_representative
 
 

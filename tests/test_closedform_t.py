@@ -29,7 +29,8 @@ from greenvar.elements import (
     universe_kernels,
     universe_ranges,
 )
-from greenvar.engine import brute_classification, summarize_classes_by_rank
+from greenvar.counts import summarize_classes_by_rank
+from greenvar.engine import brute_classification
 
 
 def tr(text):

@@ -228,6 +228,18 @@ def test_universe_masks_match_sets_and_are_narrow_and_read_only():
     assert universe_kernels(7).max() == int("0123456", 7)  # the identity's, digits 0..6
 
 
+def test_universe_domains_refuse_points_beyond_8(monkeypatch):
+    # Point 9 would shift a uint8 bit out; the mask states that limit
+    # itself rather than leaning on the listing cap, and refuses first.
+    def listed(*_):
+        raise AssertionError("the universe was listed")
+
+    monkeypatch.setitem(elements.ENUMERATION_CAP, FAMILY_IS, 9)
+    monkeypatch.setattr(elements, "universe_images", listed)
+    with pytest.raises(ValueError, match=r"points 1\.\.8 only"):
+        universe_domains(9)
+
+
 def test_range_masks_hold_point_8_and_refuse_points_beyond():
     # Point i is bit i - 1, so point 8 is bit 7, the last bit of a uint8.
     rows = [[8, 1, 1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6, 7, 8], [0, 8, 0, 0, 0, 0, 0, 0]]

@@ -24,6 +24,7 @@ from greenvar.elements import (
 )
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
+from greenvar.counts import summarize_classes_by_rank
 from greenvar.engine import (
     RELATIONS,
     GreenClassification,
@@ -36,7 +37,6 @@ from greenvar.engine import (
     brute_classification,
     egg_box,
     green_classes_brute,
-    summarize_classes_by_rank,
     variant_product,
     variant_semigroup,
     verify_d_equals_j,

@@ -98,11 +98,12 @@ def test_no_blas_calls_in_the_package():
 # the CLI's import graph
 
 # Prints, as JSON, the greenvar modules whose bodies `greenvar ARGV`
-# executed, in order, and the greenvar modules registered after
-# `import greenvar.cli`.  A module body is one `exec` audit event of a code
-# object named <module>.
+# executed, in order, with json and csv if the run imported them, and the
+# greenvar modules registered after `import greenvar.cli`.  A module body
+# is one `exec` audit event of a code object named <module>.  json is
+# imported only after the run, to print.
 EXECUTED = """
-import contextlib, io, json, pathlib, sys
+import contextlib, io, pathlib, sys
 executed = []
 def hook(event, args):
     code = args[0] if event == "exec" else None
@@ -118,37 +119,52 @@ with contextlib.redirect_stdout(io.StringIO()):
         greenvar.cli.main(ARGV)
     except SystemExit:
         pass
+executed += [m for m in ("json", "csv") if m in sys.modules]
+import json
 print(json.dumps([executed, registered]))
 """
 
 EAGER = {"__init__", "cli", "classes", "elements"}  # what `import greenvar.cli` executes
 
-# command -> the modules its run executes beyond EAGER.
+# command -> the modules its run executes beyond EAGER, and json or csv
+# where it writes that format.
 IMPORT_GRAPH = {
     ("--help",): set(),
     ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "d",
      "--method", "closed"): {"closedform_is"},
     ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "r",
-     "--method", "closed", "--mode", "both", "--format", "json"): {"closedform_is", "closedform_t"},
+     "--method", "closed", "--mode", "both", "--format", "json"): {"closedform_t", "json"},
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "d",
+     "--method", "closed", "--format", "csv"): {"closedform_t"},
     ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "j"): {"engine"},
     ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "h"):
         {"engine", "closedform_is"},
-    ("eggbox", "--family", "t", "--n", "3", "--a", "2,2,1"): {"engine"},
-    ("eggbox", "--family", "is", "--n", "3", "--a", "1,2,-", "--format", "json"): {"engine"},
-    ("count", "--family", "is", "--n", "3", "--a", "1,2,-"): {"closedform_is", "engine"},
+    ("eggbox", "--family", "t", "--n", "3", "--a", "2,2,1"): {"commands", "engine"},
+    ("eggbox", "--family", "is", "--n", "3", "--a", "1,2,-", "--format", "json"):
+        {"commands", "engine", "json"},
+    ("count", "--family", "is", "--n", "3", "--a", "1,2,-"):
+        {"commands", "closedform_is", "counts", "engine"},
     ("count", "--family", "t", "--n", "3", "--sample", "2"):
-        {"closedform_is", "closedform_t", "engine"},
+        {"commands", "closedform_t", "counts", "engine"},
+    ("count", "--family", "t", "--n", "3", "--a", "1,1,2", "--format", "csv"):
+        {"commands", "closedform_t", "counts", "engine", "csv"},
     ("verify", "--family", "t", "--n", "2", "--all-a"):
-        {"closedform_is", "closedform_t", "engine"},
-    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"): {"structure", "engine"},
-    ("dual", "--n", "2", "--all-a", "--format", "json"): {"structure", "engine"},
+        {"commands", "closedform_t", "counts", "engine"},
+    ("verify", "--family", "is", "--n", "2", "--all-a", "--format", "json"):
+        {"commands", "closedform_is", "counts", "engine", "json"},
+    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"): {"commands", "structure", "engine"},
+    ("dual", "--n", "2", "--all-a", "--format", "json"):
+        {"commands", "structure", "engine", "json"},
 }
 
 
 @pytest.mark.parametrize("argv", list(IMPORT_GRAPH), ids=" ".join)
 def test_each_command_executes_only_the_modules_it_runs(argv):
-    # So closed-form green runs no engine or structure; eggbox, iso and dual
-    # no closed form; green, eggbox and count no structure; --help no lazy module.
+    # So closed-form green runs no engine, structure or commands, and a
+    # family's closed form not the other family's; eggbox, iso and dual no
+    # closed form; green, eggbox and count no structure; only count and
+    # verify the count audit; --help no lazy module; text, DOT and green's
+    # CSV neither json nor csv.
     executed, registered = fresh_python(EXECUTED.replace("ARGV", repr(list(argv))))
     assert len(set(executed)) == len(executed), f"a module body ran twice: {executed}"
     assert set(executed) == EAGER | IMPORT_GRAPH[argv]
@@ -163,10 +179,13 @@ def test_lazy_module_bodies_import_nothing_new():
     # walks sys.modules; a lazy body that imported a new module then would
     # change sys.modules under the walk.
     added = fresh_python(
-        "import json, sys, greenvar.cli\n"
+        "import sys, greenvar.cli\n"
         "before = set(sys.modules)\n"
-        "for name in ('engine', 'closedform_is', 'closedform_t', 'structure'):\n"
-        "    getattr(sys.modules['greenvar.' + name], '__doc__')\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "for name in sorted(before):\n"
+        "    if name.startswith('greenvar.'):\n"
+        "        getattr(sys.modules[name], '__doc__')\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(added))"
     )
     assert added == []
