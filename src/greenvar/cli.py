@@ -23,9 +23,9 @@ universe is held as text, green's class lists, streamed from the label
 arrays, and eggbox's DOT grids, written from the egg-box index tuples.
 
 A process compiles and executes only the code its command runs.  numpy,
-elements and classes, which every command uses, are imported here, and
-this module holds green, the parser and what the commands share.  The
-handlers of the other five commands are in commands.  It, the referee
+elements and classes, which every command uses, are imported here.  This
+module holds the parser, the helpers every command shares and green;
+commands holds the handlers of the other five.  commands, the referee
 (engine), the two closed-form modules, the count audit (counts) and
 structure are registered through ``importlib.util.LazyLoader`` and called
 through the module (``engine.brute_classification(...)``), so the body of

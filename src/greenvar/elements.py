@@ -65,10 +65,9 @@ def _check_images(images: tuple[int | None, ...], *, total: bool) -> None:
         raise ValueError("repeated image; partial maps here are injective")
 
 
-# One dataclass body for both families, frozen by hand: a frozen
-# dataclass's own __setattr__ lets a subclass's instances take new
-# attributes, and decorating each family again would generate every
-# method three times at each import.
+# Frozen by hand, so that one decorator serves both families: a frozen
+# dataclass's generated __setattr__ lets instances of an undecorated
+# subclass take new attributes.
 @dataclasses.dataclass(order=True, unsafe_hash=True, init=False)
 class _Map:
     """The body both families share."""
