@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import hashlib
 import importlib.resources
 import io
@@ -642,6 +643,16 @@ def test_positive_options_reject_zero(cli, option, args):
     assert err.endswith(f"error: argument {option}: expected a positive integer, got '0'\n")
 
 
+@pytest.mark.parametrize("option, value, args", [
+    ("--n", "abc", ("--all-a",)),
+    ("--sample", "2.5", ("--n", "3")),
+])
+def test_positive_options_reject_non_integers(cli, option, value, args):
+    code, out, err = cli("verify", "--family", "t", *args, option, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected a positive integer, got {value!r}\n")
+
+
 def test_dual_help_states_the_all_a_cap(cli):
     # dual shares verify's and count's --a and --all-a, help included.
     helps = {}
@@ -735,6 +746,36 @@ def test_python_m_greenvar():
     )
     assert result.returncode == 0
     assert "green" in result.stdout and "eggbox" in result.stdout
+
+
+# The process that runs main on its own argv freezes the heap its imports
+# built; an atexit hook registered before main runs after main returns.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+    "from greenvar.cli import main\n"
+    "sys.exit(main())\n"
+)
+
+
+def test_main_with_argv_freezes_nothing(cli):
+    assert cli("green", "--family", "t", "--n", "2", "--a", "1,1", "--relation", "r")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("green", "--family", "t", "--n", "5", "--a", "4,3,4,5,5", "--relation", "j",
+     "--format", "json"),
+], ids=" ".join)
+def test_main_on_sys_argv_freezes_and_keeps_its_output(cli, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+    result = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == cli(*argv)[:2]
+    frozen = re.fullmatch(r"freeze count (\d+)\n", result.stderr)
+    assert frozen and int(frozen[1]) > 0
 
 
 # ---------------------------------------------------------------------------

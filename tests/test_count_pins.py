@@ -174,8 +174,9 @@ def test_failure_stdout_pinned(cli, monkeypatch, case):
 
 # Help and usage errors: argv -> (exit code, sha256 of the one stream
 # written: stdout for help, stderr for errors), with help laid out in 80
-# columns.  The errors cover a missing --n on every command, each element
-# and selection check the commands make, and the capacity errors.
+# columns.  The errors cover a missing --n on every command, a non-integer
+# --n, each element and selection check the commands make, and the capacity
+# errors.
 PINNED_USAGE = {
     ():
         (2, "53f76740a88dd71492b5800040389fceefdcd776ccd2199f32c45a6c24cbb86a"),
@@ -209,6 +210,8 @@ PINNED_USAGE = {
         (2, "425fae303a671ae54409c045984f4d9b9c6d6425eb5912fcc01d0b505623cc4c"),
     ("green", "--family", "t", "--n", "3", "--a", "1,4,2", "--relation", "r"):
         (2, "c64c4b01ca0bfe3d56df3c3ad2a912db1e0252aa775224480f00b23e217faeac"),
+    ("green", "--family", "t", "--n", "abc", "--a", "1", "--relation", "r"):
+        (2, "0ac804c949c417fd80cba0f3c0ae75df2f2fb74817c7b069f20ef2c73d3ea5fe"),
     ("green", "--family", "t", "--n", "2", "--a", "1,1", "--relation", "j", "--method", "closed"):
         (2, "ef242aad9f3f5c05dbf386d18f0d34c44692107f13c2db21da47168cea84fd80"),
     ("verify", "--family", "t", "--n", "2", "--a", "1"):
