@@ -15,33 +15,33 @@ term to each ideal, which is what the unions above encode.
 
 Everything is exact integer work on small universes, under one size rule,
 checked before any universe is listed: n <= BRUTE_CAP.  By associativity
-``x *_a y = (x . a) . y``, so a row of the product table depends on x only
-through its left factor x . a.  The table is built from the |Sa| distinct
-left factors: their |Sa| x |S| block of products is computed on the image
-array, a few rows at a time, checked to stay in the universe and stored as
-uint16 indices (every universe with n <= 6 has fewer than 65,536
-elements); each x keeps only the index of its factor's row, so no full
-|S| x |S| table is ever formed.  A VariantSemigroup owns what is built
-from it, each thing once: its table, its packed factor rows and every
-classification asked of it; whatever is handed a semigroup reads them.
+``x *_a y = (x . a) . y = x . (a . y)``, so a product depends on x only
+through its left factor x . a and on y only through its right factor a . y.
+The table is the |Sa| x |aS| block of products of the distinct left
+factors by one y per right factor, computed on the image array a few rows
+at a time, checked to stay in the universe and stored as uint16 indices
+(every universe with n <= 6 has fewer than 65,536 elements); each x keeps
+the indices of its two factors, so no |S| x |S| table is ever formed.  A
+VariantSemigroup owns what is built from it, each thing once: its table,
+its packed factor rows and columns and every classification asked of it;
+whatever is handed a semigroup reads them.
 
 Ideals are packed bit rows, one bit per universe element, built a block
 at a time, so no |S| x |S| matrix of any dtype is formed and grouping is
 byte comparison.  Grouping follows the singleton lemma, which holds in any
 semigroup: if x is not in xS then R_x = {x}, and likewise for Sx and L_x,
 and for xS | Sx | SxS and J_x.  So only the x inside their own ideal are
-grouped, by that ideal alone.  For r, x in xS is bit x of x's packed
-factor row, and only the |Sa| factor rows are grouped.  For l the columns
-of the factor block are packed a block of columns at a time, and only the
-x in Sx are grouped; j ORs xS and SxS into the same blocks.  SxS depends on x
-only through L(x): if L(x) = L(y) then x is in S^1 y and y in S^1 x, so
-SxS = SyS.  SxS is the union of the factor rows of the left factors in Sx,
-so it is taken and stored once per distinct set of those factors among
-the l-class representatives, and read back through the l ids.  Every
-classification is one class id per universe index, and an egg box is
-tuples of universe indices.  Element objects are built only at the edges,
-through ``elements_at``: the members of one class asked for by element, a
-failure witness, and the spot-checked products.
+grouped, by that ideal alone.  xS is the packed row of x's left factor and
+Sx the packed column of x's right factor, so r and l take one path: x in
+its ideal is one bit of that row or column, and only the distinct rows
+(|Sa|) or columns (|aS|) are grouped.  SxS is the union of zS over z in
+Sx, so it depends on x only through its packed column: it is OR-ed from
+the factor rows once per distinct column.  j ORs xS, Sx and SxS a block
+of elements at a time, and reads no l labels.  Every classification is
+one class id per universe index, and an egg box is tuples of universe
+indices.  Element objects are built only at the edges, through
+``elements_at``: the members of one class asked for by element, a failure
+witness, and the spot-checked products.
 
 This module is the referee alone.  The classification type it fills is
 in ``classes``, shared with the closed forms, so a closed-form command
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable
 
 import numpy as np
 
@@ -99,42 +98,47 @@ class VariantSemigroup:
         self.n = n
         self.a = a
         self.size = family_size(family, n)
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._classes: dict[str, GreenClassification] = {}  # kept by green_classes_brute
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The product table in factored form (rows, left_of) of uint16 indices.
-
-        rows[k, j] is the index of z . universe[j] for the k-th distinct left
-        factor z = x . a, and left_of[i] is the row of universe[i]'s factor,
-        so universe[i] *_a universe[j] = universe[rows[left_of[i], j]].  The
-        full |S| x |S| table rows[left_of] is never formed here.
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The product table in factored form (rows, left_of, right_of) of
+        uint16 indices: rows[k, c] is the index of z . w for the k-th distinct
+        left factor z = x . a and the c-th distinct right factor w = a . y,
+        and left_of[i] and right_of[i] are the row and column of universe[i]'s
+        factors, so universe[i] *_a universe[j] is
+        universe[rows[left_of[i], right_of[j]]].  No |S| x |S| table is formed.
         """
         if self._table is not None:
             return self._table
-        family, n, s = self.family, self.n, self.size
+        family, n = self.family, self.n
         images = universe_images(family, n)
         # Padding slot 0 makes "undefined" propagate through fancy indexing.
-        a_pad = np.zeros(n + 1, dtype=np.int8)
-        a_pad[1:] = self.a.images
-        xa = a_pad[images]  # (s, n): images of x . a
-        _, reps, left_of = np.unique(
-            universe_index(family, n, xa), return_index=True, return_inverse=True
+        padded = np.pad(images, ((0, 0), (1, 0)))
+        xa = np.array((0, *self.a.images), dtype=np.int8)[images]  # (s, n): images of x . a
+        ay = padded[:, self.a.images]  # (s, n): images of a . y
+        # Each side's first element with each distinct factor, and the
+        # factor of every element.
+        (reps, left_of), (cols, right_of) = (
+            np.unique(universe_index(family, n, f), return_index=True, return_inverse=True)[1:]
+            for f in (xa, ay)
         )
-        left_of = left_of.ravel().astype(np.uint16)
-        # by_point[k, y] = y(k), so by_point[left[f, i]] holds the image of
-        # point i under left[f] . y for every y.  The codes of the products
+        left_of, right_of = left_of.ravel().astype(np.uint16), right_of.ravel().astype(np.uint16)
+        # x . a . y = x . (a . y), so a product depends on y only through its
+        # right factor, and y_c = universe[cols[c]] stands for column c.
+        # by_point[k, c] = y_c(k), so by_point[left[f, i]] holds the image of
+        # point i under left[f] . y_c for every c.  The codes of the products
         # are accumulated point by point, in buffers allocated once.  Every
         # index given to np.take is in range, and mode "clip" keeps it from
         # buffering its output.
-        by_point = np.zeros((n + 1, s), dtype=np.int8)
-        by_point[1:] = images.T
+        w = len(cols)
+        by_point = np.ascontiguousarray(padded[cols].T)
         left = xa[reps]
         lookup = elements._index_lookup(family, n)  # code -> index, -1 for no element
-        rows = np.empty((len(reps), s), dtype=np.uint16)
-        point = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int8)
-        codes = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
-        products = np.empty((TABLE_BLOCK_ROWS, s), dtype=np.int32)
+        rows = np.empty((len(reps), w), dtype=np.uint16)
+        point = np.empty((TABLE_BLOCK_ROWS, w), dtype=np.int8)
+        codes = np.empty((TABLE_BLOCK_ROWS, w), dtype=np.int32)
+        products = np.empty((TABLE_BLOCK_ROWS, w), dtype=np.int32)
         for start in range(0, len(reps), TABLE_BLOCK_ROWS):
             b = min(TABLE_BLOCK_ROWS, len(reps) - start)
             code, found = codes[:b], products[:b]
@@ -148,15 +152,15 @@ class VariantSemigroup:
             if found.min() < 0:
                 raise AssertionError("a product left the universe")
             rows[start : start + b] = found
-        self._spot_check_associativity(rows, left_of)
-        self._table = rows, left_of
+        self._spot_check_associativity(rows, left_of, right_of)
+        self._table = rows, left_of, right_of
         return self._table
 
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The indices of universe[xs] *_a universe[ys], for index arrays
         that broadcast together."""
-        rows, left_of = self.table()
-        return rows[left_of[xs], ys]
+        rows, left_of, right_of = self.table()
+        return rows[left_of[xs], right_of[ys]]
 
     @functools.cached_property
     def factor_rows(self) -> np.ndarray:
@@ -164,14 +168,22 @@ class VariantSemigroup:
         table, packed once and read by r and j."""
         return _pack(self.table()[0], self.size)
 
-    def _spot_check_associativity(self, rows: np.ndarray, left_of: np.ndarray) -> None:
+    @functools.cached_property
+    def factor_cols(self) -> np.ndarray:
+        """Sw for each distinct right factor w = a . y, packed: the columns
+        of the table, packed once and read by l and j."""
+        return _pack(self.table()[0].T, self.size)
+
+    def _spot_check_associativity(
+        self, rows: np.ndarray, left_of: np.ndarray, right_of: np.ndarray
+    ) -> None:
         # On a few picked elements: the table is associative, and its
         # pick-pair entries agree with the object-level product.
         s = self.size
         picks = sorted({0, s - 1, s // 2, s // 3, s // 7})
 
         def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-            return rows[left_of[i], j]
+            return rows[left_of[i], right_of[j]]
 
         x, y, z = np.ix_(picks, picks, picks)
         if (product(product(x, y), z) != product(x, product(y, z))).any():
@@ -232,69 +244,49 @@ def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return canonical_labels(np.where(inside, keys, s + np.arange(s)))
 
 
-def _column_ids(
-    v: VariantSemigroup, more: Callable[[np.ndarray], np.ndarray] | None = None
-) -> np.ndarray:
-    """Class ids under equal S^1 *_a x (l), or under equal S^1 *_a x *_a S^1
-    (j) when more(xs) gives the packed xS | SxS of the elements xs.
-
-    S *_a x = (Sa) . x is column x of the factor rows, so the ideals are
-    packed IDEAL_BLOCK columns at a time, from views of the table; only the
-    x inside their own ideal are grouped (see _singletons_apart).
-    """
-    rows, s = v.table()[0], v.size
-    inside = np.empty(s, dtype=bool)
-    keys = np.zeros(s, dtype=np.int64)
-    seen: dict[bytes, int] = {}
-    for start in range(0, s, IDEAL_BLOCK):
-        block = rows[:, start : start + IDEAL_BLOCK].T
-        xs = np.arange(start, start + len(block))
-        packed = np.packbits(_bits(block, s), axis=1)
-        if more is not None:
-            packed |= more(xs)
-        inside[xs] = mine = _has_bit(packed, np.arange(len(xs)), xs)
-        keys[xs[mine]] = _row_ids(packed[mine], seen)
-    return _singletons_apart(inside, keys)
+def _ideal_classes(packed: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """Class ids under equal ideals {x} | I(x), where I(x) is packed row
+    of[x]: r reads the factor rows through left_of, l the factor columns
+    through right_of.  Only the distinct packed rows are grouped."""
+    s = len(of)
+    return _singletons_apart(_has_bit(packed, of, np.arange(s)), _row_ids(packed)[of])
 
 
-def _sxs_rows(v: VariantSemigroup, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S x S for each x in reps, packed, as (unions, set_of): S reps[i] S is
-    unions[set_of[i]].
+def _sxs_rows(v: VariantSemigroup) -> tuple[np.ndarray, np.ndarray]:
+    """S x S for each right factor, packed, as (unions, set_of): S x S is
+    unions[set_of[right_of[x]]].
 
     S x S is the union of zS over z in Sx, and zS is the factor row of z's
-    left factor.  Sx is column x of the table, so S x S depends on x only
-    through the set of left factors in that column.  The sets are packed
-    IDEAL_BLOCK reps at a time and grouped, and the factor rows are OR-ed
-    once per distinct set.
+    left factor.  Sx is column right_of[x] of the table, so S x S depends on
+    x only through that packed column; the factor rows are OR-ed once per
+    distinct packed column.
     """
-    rows, left_of = v.table()
-    blocks = (reps[i : i + IDEAL_BLOCK] for i in range(0, len(reps), IDEAL_BLOCK))
-    sets = np.concatenate([_pack(left_of[rows[:, block].T], len(rows)) for block in blocks])
-    set_of = _row_ids(sets)
+    rows, left_of, _ = v.table()
+    set_of = _row_ids(v.factor_cols)
     _, first = np.unique(set_of, return_index=True)
-    masks = (np.unpackbits(sets[i], count=len(rows)).view(bool) for i in first)
-    return np.array([np.bitwise_or.reduce(v.factor_rows[mask]) for mask in masks]), set_of
+    factors = (np.bincount(left_of[rows[:, c]], minlength=len(rows)) > 0 for c in first)
+    return np.array([np.bitwise_or.reduce(v.factor_rows[f]) for f in factors]), set_of
 
 
 def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassification:
     """Classify the whole universe by ideal comparison (or their join for d),
     once per semigroup: v keeps each classification it is asked for.
 
-    x *_a S = (x . a) . S is the factor row of x, so r groups the |Sa|
-    factor rows and tests x in xS as bit x of x's factor row; l groups the
-    columns of the table (_column_ids).  h, d and j read the r and l labels.
+    x *_a S is the factor row of x's left factor and S *_a x the factor
+    column of x's right factor, so r and l group the packed rows and columns
+    of the table (_ideal_classes).  h and d read the r and l labels; j ORs
+    xS, Sx and SxS a block of elements at a time.
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     if relation in v._classes:
         return v._classes[relation]
-    s, left_of = v.size, v.table()[1]
+    s, (_, left_of, right_of) = v.size, v.table()
 
     if relation == "r":
-        inside = _has_bit(v.factor_rows, left_of, np.arange(s))
-        labels = _singletons_apart(inside, _row_ids(v.factor_rows)[left_of])
+        labels = _ideal_classes(v.factor_rows, left_of)
     elif relation == "l":
-        labels = _column_ids(v)
+        labels = _ideal_classes(v.factor_cols, right_of)
     elif relation in ("h", "d"):
         r_ids, l_ids = (green_classes_brute(v, side).labels for side in "rl")
         if relation == "h":
@@ -313,13 +305,18 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
                     break
                 least = reached
             labels = canonical_labels(least)
-    else:  # j: J(x) = {x} | Sx | xS | SxS, with SxS read through the l ids
-        l_ids = green_classes_brute(v, "l").labels
-        _, reps = np.unique(l_ids, return_index=True)  # least member of each l-class
-        unions, set_of = _sxs_rows(v, reps)
-        labels = _column_ids(
-            v, lambda xs: v.factor_rows[left_of[xs]] | unions[set_of[l_ids[xs]]]
-        )
+    else:  # j: J(x) = {x} | xS | Sx | SxS, packed IDEAL_BLOCK elements at a time
+        unions, set_of = _sxs_rows(v)
+        inside = np.empty(s, dtype=bool)
+        keys = np.zeros(s, dtype=np.int64)
+        seen: dict[bytes, int] = {}
+        for start in range(0, s, IDEAL_BLOCK):
+            xs = np.arange(start, min(start + IDEAL_BLOCK, s))
+            col = right_of[xs]
+            packed = v.factor_rows[left_of[xs]] | v.factor_cols[col] | unions[set_of[col]]
+            inside[xs] = mine = _has_bit(packed, np.arange(len(xs)), xs)
+            keys[xs[mine]] = _row_ids(packed[mine], seen)
+        labels = _singletons_apart(inside, keys)
 
     v._classes[relation] = GreenClassification(
         family=v.family, n=v.n, a=v.a, relation=relation, method="brute", labels=labels

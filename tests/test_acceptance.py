@@ -242,8 +242,8 @@ def test_a8_engine_sanity_d_equals_j_associativity_partition_cover():
                 v = variant_semigroup(family, n, a)
                 ok, witness = verify_d_equals_j(v)
                 assert ok, (family, n, str(a), witness)
-                rows, left_of = v.table()
-                t = rows[left_of]
+                rows, left_of, right_of = v.table()
+                t = rows[left_of][:, right_of]
                 assert np.array_equal(t[t, :], t[:, t]), (family, n, str(a))
                 for relation in RELATIONS:
                     c = brute_classification(family, n, a, relation)

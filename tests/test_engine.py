@@ -63,7 +63,8 @@ def test_variant_product_chains_through_a():
 
 def test_product_table_matches_direct_products():
     # The last column says whether x -> x . a is injective, that is whether
-    # the table has |Sa| = |S| distinct left factors.
+    # the table has |Sa| = |S| distinct left factors.  In T_n at rank r the
+    # table is r^n x n^r (|Sa| x |aS|); in IS_n both sides have one size.
     for family, n, a_text, injective in (
         (FAMILY_IS, 2, "1,-", False),
         (FAMILY_IS, 3, "1,2,-", False),
@@ -76,14 +77,21 @@ def test_product_table_matches_direct_products():
     ):
         a = parse_element(family, a_text)
         v = variant_semigroup(family, n, a)
-        rows, left_of = v.table()
-        assert rows.dtype == left_of.dtype == np.uint16  # |S| < 65,536
-        assert rows.shape == (len(rows), v.size) and left_of.shape == (v.size,)
+        rows, left_of, right_of = v.table()
+        assert rows.dtype == left_of.dtype == right_of.dtype == np.uint16  # |S| < 65,536
+        assert left_of.shape == right_of.shape == (v.size,)
+        assert set(left_of.tolist()) == set(range(rows.shape[0]))
+        assert set(right_of.tolist()) == set(range(rows.shape[1]))
+        if family == FAMILY_T:
+            rank = len(set(a.images))
+            assert rows.shape == (rank**n, n**rank)
+        else:
+            assert rows.shape[0] == rows.shape[1]
         assert (len(rows) == v.size) == injective
         universe = enumerate_family(family, n)
         for i, x in enumerate(universe):
             for j, y in enumerate(universe):
-                assert universe[rows[left_of[i], j]] == variant_product(x, a, y)
+                assert universe[rows[left_of[i], right_of[j]]] == variant_product(x, a, y)
 
 
 def _traced_peak(fn):
@@ -98,31 +106,33 @@ def _traced_peak(fn):
 
 
 def test_product_table_memory_bound():
-    # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors of
-    # 3125 elements.  The 243 x 3125 block of their products is 1.5 MB of
-    # uint16; a dense table would be 20 MB, and going through an (s, s, n)
-    # int8 product array and its int64 copy peaks near 490 MB.  The block
-    # buffers are allocated once, with no (rows, n, |S|) gather: those
-    # peaked at 4.8 MB.
+    # T_5 with a rank-3 deformation has |Sa| = 243 distinct left factors and
+    # |aS| = 125 distinct right factors of 3125 elements.  The 243 x 125
+    # table of their products is 59 KB of uint16 and its build peaks at
+    # 0.23 MB; the 243 x 3125 block of products by every element was 1.5 MB
+    # and peaked at 2.3 MB, a dense table would be 20 MB, and going through
+    # an (s, s, n) int8 product array and its int64 copy peaks near 490 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
     peak = _traced_peak(v.table)
-    assert len(v.table()[0]) == 243
-    assert peak <= 3.5 * 2**20, f"table build peaked at {peak / 2**20:.1f} MB"
+    assert v.table()[0].shape == (243, 125)
+    assert peak <= 0.5 * 2**20, f"table build peaked at {peak / 2**20:.2f} MB"
     # Every classification on a fresh semigroup, table included: r and l
-    # group only the elements inside their own ideal (the singleton lemma),
-    # a block of columns at a time, and j ORs its ideals a block of rows at
-    # a time.  Packing |S| ideal rows peaked at 5.7 MB, and j at 5.8 MB.
-    for relation, bound in zip(RELATIONS, (3.5, 3.5, 3.5, 3.5, 5)):
+    # group the packed rows and columns of the table, only the elements
+    # inside their own ideal (the singleton lemma), and j ORs its ideals a
+    # block of elements at a time.  Each peaks at 0.63 to 0.74 MB, most of
+    # it one block of bool rows before packing; packing |S| ideal rows
+    # peaked at 5.7 MB, and j at 5.8 MB.
+    for relation in RELATIONS:
         fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
         peak = _traced_peak(lambda: green_classes_brute(fresh, relation))
-        assert peak <= bound * 2**20, f"{relation} classification peaked at {peak / 2**20:.1f} MB"
+        assert peak <= 1.25 * 2**20, f"{relation} classification peaked at {peak / 2**20:.2f} MB"
 
 
 def test_full_rank_l_memory_bound():
-    # At full rank |Sa| = |S|, so the table alone is 3125 x 3125 uint16
-    # (19.5 MB).  l tests "x in Sx" and packs the columns of the table a
-    # block at a time, from views of the table: an unblocked test or column
-    # gather reached 39.3 MB.
+    # At full rank |Sa| = |aS| = |S|, so the table alone is 3125 x 3125
+    # uint16 (19.5 MB).  l packs the columns of the table a block at a time,
+    # from views of the table, and keeps them (1.2 MB): an unblocked test or
+    # column gather reached 39.3 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "l"))
     assert len(v.table()[0]) == v.size
@@ -130,11 +140,11 @@ def test_full_rank_l_memory_bound():
 
 
 def test_full_rank_j_memory_bound():
-    # At full rank the table alone is 19.5 MB.  j packs the sets of left
-    # factors of its 31 l-class representatives and ORs whole factor rows
-    # once per distinct set, so nothing of |S| x |S| size is formed beside
-    # the table: a float32 product over blocks of factor-row columns peaked
-    # near 29 MB, and dense bool and float32 matrices at 107 MB.
+    # At full rank the table alone is 19.5 MB.  j ORs whole factor rows
+    # once per distinct packed column (31 of them), and the packed rows and
+    # columns it reads are 1.2 MB each, so nothing of |S| x |S| size is
+    # formed beside the table: a float32 product over blocks of factor-row
+    # columns peaked near 29 MB, and dense bool and float32 matrices at 107 MB.
     v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "j"))
     assert len(v.table()[0]) == v.size
@@ -146,8 +156,8 @@ def test_table_rejects_a_product_outside_the_universe_under_optimize():
     # checks the int32 indices of each block before storing them as uint16,
     # where a -1 would become 65,535 and pass any range check; python -O
     # must not drop the check either.
-    rows, left_of = VariantSemigroup(FAMILY_T, 3, tr("1,1,2")).table()
-    target = int(rows[left_of[-1], -1])  # some product's index
+    rows, left_of, right_of = VariantSemigroup(FAMILY_T, 3, tr("1,1,2")).table()
+    target = int(rows[left_of[-1], right_of[-1]])  # some product's index
     script = f"""
 import numpy as np
 from greenvar import elements
@@ -250,12 +260,14 @@ def naive_labels(ideals):
 
 
 def test_singleton_lemma_matches_naive_ideals(monkeypatch):
-    # r and l group only the x inside their own ideal xS (Sx) and give every
-    # other x a class of its own.  Against partitions by the explicit sets
-    # {x} | x *_a S and {x} | S *_a x: every a at n <= 3 in both families,
-    # the constant a with |Sa| = 1 among them, plus seeded a at n = 4.  Each
-    # universe fits one IDEAL_BLOCK, so the columns are also grouped seven
-    # at a time, across block seams.
+    # r, l and j group only the x inside their own ideal xS (Sx, and
+    # xS | Sx | SxS) and give every other x a class of its own.  Against
+    # partitions by the explicit sets {x} | x *_a S, {x} | S *_a x and
+    # {x} | xS | Sx | SxS: every a at n <= 3 in both families, the constant
+    # a with |Sa| = 1 among them, plus seeded a at n = 4.  SxS is the union
+    # of uS over u in Sx, taken once per set Sx.  Each universe fits one
+    # IDEAL_BLOCK, so j's ideals are also built seven elements at a time,
+    # across block seams.
     rng = random.Random(12)
     cases = [(family, n, a) for family in (FAMILY_IS, FAMILY_T) for n in (1, 2, 3)
              for a in enumerate_family(family, n)]
@@ -264,12 +276,19 @@ def test_singleton_lemma_matches_naive_ideals(monkeypatch):
     assert (FAMILY_T, 3, tr("1,1,1")) in cases
     for family, n, a in cases:
         universe = enumerate_family(family, n)
-        right = [frozenset({x} | {variant_product(x, a, y) for y in universe}) for x in universe]
-        left = [frozenset({x} | {variant_product(y, a, x) for y in universe}) for x in universe]
+        x_s = {x: frozenset(variant_product(x, a, y) for y in universe) for x in universe}
+        s_x = {x: frozenset(variant_product(y, a, x) for y in universe) for x in universe}
+        s_x_s = {}
+        for sx in s_x.values():
+            if sx not in s_x_s:
+                s_x_s[sx] = frozenset().union(*(x_s[u] for u in sx))
+        right = [x_s[x] | {x} for x in universe]
+        left = [s_x[x] | {x} for x in universe]
+        two = [x_s[x] | s_x[x] | s_x_s[s_x[x]] | {x} for x in universe]
         for block in (engine.IDEAL_BLOCK, 7):
             monkeypatch.setattr(engine, "IDEAL_BLOCK", block)
             v = VariantSemigroup(family, n, a)
-            for relation, ideals in (("r", right), ("l", left)):
+            for relation, ideals in (("r", right), ("l", left), ("j", two)):
                 labels = green_classes_brute(v, relation).labels.tolist()
                 assert labels == naive_labels(ideals), (family, n, str(a), relation, block)
             monkeypatch.undo()
@@ -287,8 +306,9 @@ def naive_sxs(v, reps):
 
 def test_sxs_rows_match_naive_sets():
     # Every a at n <= 3 in both families with every x, plus seeded a and x
-    # at n = 4: SxS is shared by x with the same set of left factors in Sx,
-    # so the grouping is exercised as well as each union.
+    # at n = 4.  The unions are kept once per distinct set Sx and read
+    # through each right factor, so the grouping of the right factors is
+    # exercised as well as each union.
     rng = random.Random(7)
     cases = [(family, n, a, None) for family in (FAMILY_IS, FAMILY_T) for n in (1, 2, 3)
              for a in enumerate_family(family, n)]
@@ -298,9 +318,11 @@ def test_sxs_rows_match_naive_sets():
     for family, n, a, reps in cases:
         v = VariantSemigroup(family, n, a)
         reps = np.arange(v.size) if reps is None else np.array(reps)
-        unions, set_of = _sxs_rows(v, reps)
-        assert len(unions) == len(set(set_of.tolist()))  # one union per set of factors
-        sxs = np.unpackbits(unions[set_of], axis=1, count=v.size)
+        rows, _, right_of = v.table()
+        unions, set_of = _sxs_rows(v)
+        assert set_of.shape == (rows.shape[1],)  # one union id per right factor
+        assert len(unions) == len(set(set_of.tolist()))  # one union per set Sx
+        sxs = np.unpackbits(unions[set_of[right_of[reps]]], axis=1, count=v.size)
         expected = np.zeros((len(reps), v.size), dtype=np.uint8)
         for row, members in zip(expected, naive_sxs(v, reps.tolist())):
             row[list(members)] = 1
@@ -486,38 +508,52 @@ def test_egg_box_grid_invariants():
 def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
     # h and d read the r and l classes that the semigroup already holds, so
     # grouping each relation once serves every egg box; a fresh semigroup
-    # still classifies h and d on its own.  r packs the factor rows (the
-    # one _pack of an egg box) and l groups the columns by _column_ids.
-    calls = {"r": 0, "l": 0}
-    for relation, name in (("r", "_pack"), ("l", "_column_ids")):
-        def counted(*args, _pass=getattr(engine, name), _relation=relation):
-            calls[_relation] += 1
-            return _pass(*args)
-        monkeypatch.setattr(engine, name, counted)
-    a = tr("2,3,4,5,1")
+    # still classifies h and d on its own.  r packs the factor rows and l
+    # the factor columns: at rank 4 in T_5 those are 1024 rows of 625
+    # entries and 625 columns of 1024, so each _pack is told apart by shape.
+    packs = []
+    genuine = engine._pack
+    monkeypatch.setattr(
+        engine, "_pack", lambda members, s: packs.append(members.shape) or genuine(members, s)
+    )
+    a = tr("1,1,2,3,4")
     brute_classification.cache_clear()
     variant_semigroup.cache_clear()
     all_egg_boxes(variant_semigroup(FAMILY_T, 5, a))
-    assert calls == {"r": 1, "l": 1}
+    r, l = (1024, 625), (625, 1024)
+    assert packs == [r, l]
     for relation in ("h", "d"):
         fresh = green_classes_brute(VariantSemigroup(FAMILY_T, 5, a), relation)
         assert fresh.same_partition(brute_classification(FAMILY_T, 5, a, relation))
-    assert calls == {"r": 3, "l": 3}
+    assert packs == [r, l] * 3
 
 
 def test_factor_rows_packed_once_per_semigroup(monkeypatch):
-    # r packs the factor rows and keeps them on the semigroup; j (and the
-    # SxS unions inside it) reads the same array instead of packing again.
+    # r packs the factor rows and l the factor columns, and the semigroup
+    # keeps both; j (and the SxS unions inside it) reads the same arrays
+    # instead of packing again.
     v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
     green_classes_brute(v, "r")
-    packed = v.factor_rows
-    assert np.array_equal(np.unpackbits(packed, axis=1, count=v.size), _bits(v.table()[0], v.size))
+    green_classes_brute(v, "l")
+    rows, cols = v.factor_rows, v.factor_cols
+    table = v.table()[0]
+    assert np.array_equal(np.unpackbits(rows, axis=1, count=v.size), _bits(table, v.size))
+    assert np.array_equal(np.unpackbits(cols, axis=1, count=v.size), _bits(table.T, v.size))
     packs = []
     genuine = engine._pack
-    monkeypatch.setattr(engine, "_pack", lambda rows, s: packs.append(s) or genuine(rows, s))
+    monkeypatch.setattr(engine, "_pack", lambda members, s: packs.append(s) or genuine(members, s))
     green_classes_brute(v, "j")
-    assert v.factor_rows is packed
-    assert v.size not in packs  # only the SxS factor sets, over len(rows) bits, were packed
+    assert v.factor_rows is rows and v.factor_cols is cols
+    assert packs == []
+
+
+def test_j_does_not_classify_l():
+    # j reads Sx from the factor columns, keyed by right factor, so it
+    # needs no l labels: a fresh semigroup's j leaves l unclassified.
+    for family, n, a_text in ((FAMILY_T, 4, "1,1,2,3"), (FAMILY_IS, 4, "2,3,-,1")):
+        v = VariantSemigroup(family, n, parse_element(family, a_text))
+        green_classes_brute(v, "j")
+        assert list(v._classes) == ["j"]  # no l (nor r) classification
 
 
 def test_each_relation_classified_once_per_semigroup(monkeypatch):
@@ -615,14 +651,14 @@ def test_brute_cap_refused_before_listing():
 
 def test_table_spot_check_catches_a_corrupted_pick_pair():
     v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
-    rows, left_of = v.table()
-    v._spot_check_associativity(rows, left_of)  # the genuine table passes
+    rows, left_of, right_of = v.table()
+    v._spot_check_associativity(rows, left_of, right_of)  # the genuine table passes
     s = v.size
     for i, j in ((0, s - 1), (s // 2, s // 3), (s - 1, 0)):
         corrupted = rows.copy()
-        corrupted[left_of[i], j] = (corrupted[left_of[i], j] + 1) % s
+        corrupted[left_of[i], right_of[j]] = (corrupted[left_of[i], right_of[j]] + 1) % s
         with pytest.raises(AssertionError):
-            v._spot_check_associativity(corrupted, left_of)
+            v._spot_check_associativity(corrupted, left_of, right_of)
     # Another deformation's table is associative, but not the product for a.
     other = VariantSemigroup(FAMILY_T, 3, tr("1,2,3"))
     with pytest.raises(AssertionError, match="disagrees"):

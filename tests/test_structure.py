@@ -63,19 +63,21 @@ def test_dual_check_rejects_transformations_and_big_n():
 
 
 def test_dual_check_reports_first_failing_pair(monkeypatch):
-    # Corrupt the factor rows of universe[1] (column 5) and universe[2]
-    # (column 0) in the table for a^{-1}.  universe[0] shares its left factor
-    # with universe[1], so the first failing pair in row-major order is
-    # (universe[0], universe[5]), although a failing column 0 comes later.
+    # Corrupt the products of universe[1] by universe[5] and of universe[2]
+    # by universe[0] in the table for a^{-1}.  universe[0] shares its left
+    # factor with universe[1], and universe[4] its right factor with
+    # universe[5], so the first failing pair in row-major order is
+    # (universe[0], universe[4]), although a failing column 0 comes later.
     a = pp("2,3,-")
     a_inv = a.inverse()
     corrupted = VariantSemigroup(FAMILY_IS, 3, a_inv)
-    rows, left_of = corrupted.table()
+    rows, left_of, right_of = corrupted.table()
     assert left_of[0] == left_of[1] != left_of[2]
+    assert right_of[3] != right_of[4] == right_of[5]
     rows = rows.copy()
     for i, j in ((1, 5), (2, 0)):
-        rows[left_of[i], j] = (rows[left_of[i], j] + 1) % corrupted.size
-    corrupted._table = rows, left_of
+        rows[left_of[i], right_of[j]] = (rows[left_of[i], right_of[j]] + 1) % corrupted.size
+    corrupted._table = rows, left_of, right_of
     genuine = structure.variant_semigroup
     monkeypatch.setattr(
         structure,
@@ -85,24 +87,24 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     report = dual_check(a)
     assert not report.holds and report.classes_match is None
     universe = enumerate_family(FAMILY_IS, 3)
-    assert report.counterexample == (universe[0], universe[5])
+    assert report.counterexample == (universe[0], universe[4])
 
 
 def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
     # IS_5 has 1546 elements, so the pairs are compared over four blocks of
-    # rows.  At full rank each element is its own left factor; corrupt a
-    # product in the last block (column 0) and one in the second block (last
-    # column): the earlier row is reported, whatever its column.
+    # rows.  At full rank each element is its own left and right factor;
+    # corrupt a product in the last block (column 0) and one in the second
+    # block (last column): the earlier row is reported, whatever its column.
     a = pp("2,3,4,5,1")
     a_inv = a.inverse()
     corrupted = VariantSemigroup(FAMILY_IS, 5, a_inv)
-    rows, left_of = corrupted.table()
+    rows, left_of, right_of = corrupted.table()
     s = corrupted.size
-    assert len(rows) == s and s > 3 * structure.IDEAL_BLOCK
+    assert rows.shape == (s, s) and s > 3 * structure.IDEAL_BLOCK
     rows = rows.copy()
     for i, j in ((s - 1, 0), (structure.IDEAL_BLOCK + 1, s - 1)):
-        rows[left_of[i], j] = (rows[left_of[i], j] + 1) % s
-    corrupted._table = rows, left_of
+        rows[left_of[i], right_of[j]] = (rows[left_of[i], right_of[j]] + 1) % s
+    corrupted._table = rows, left_of, right_of
     genuine = structure.variant_semigroup
     monkeypatch.setattr(
         structure,
