@@ -32,16 +32,26 @@ through the module (``engine.brute_classification(...)``), so the body of
 each executes when a command first reads from it; json is imported only
 where JSON is written.  ``greenvar --help`` executes none of them.
 
+The cyclic collector stays off the imported heap.  While this module
+imports numpy, elements and classes and registers the lazy modules, the
+collector is paused: the 30-odd young collections numpy's import would
+trigger free almost nothing.  Then every object alive moves to the oldest
+generation without a collection (``gc.freeze()``, which also zeroes the
+young counts, then ``gc.unfreeze()``), so the about 350 objects (55 KB) of
+cycles the imports leave are not reclaimed.  The collector is left as the
+caller had it: a disabled one stays disabled and a frozen heap stays
+frozen, and nothing else is left frozen.
+
 When main reads sys.argv, the process exists to run one command: it is the
 greenvar script, ``python -m greenvar`` or this file run as __main__.  main
 then first calls ``gc.freeze()``, which moves every object alive (the
-modules, functions and classes numpy and greenvar imported, about 21,000
-containers held in reference cycles) into the permanent generation.  The
-command's own collections and the full collection Python runs at exit skip
-them, and the OS reclaims their memory when the process ends; atexit
-handlers, the flush of stdout and stderr, and exit codes are unchanged.  A
-caller that passes argv (a test, a library user, a long-lived process) is
-untouched: its collector keeps tracking everything.
+modules, functions and classes numpy and greenvar imported, about 32,000
+tracked containers) into the permanent generation.  The command's own
+collections and the full collection Python runs at exit skip them, and the
+OS reclaims their memory when the process ends; atexit handlers, the flush
+of stdout and stderr, and exit codes are unchanged.  A caller that passes
+argv (a test, a library user, a long-lived process) is untouched: its
+collector keeps tracking everything.
 
 Output is deterministic byte-for-byte for a fixed invocation.  JSON output
 validates against output_schema.json shipped in this package.  Member
@@ -50,59 +60,70 @@ lists longer than MEMBER_LIMIT are elided unless --full is given.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import importlib.util
-import os
-import random
-import re
-import sys
-from collections.abc import Callable, Sequence
-from types import ModuleType
 
-# greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# The imports build most of the heap a command keeps to its end: the
+# collector pauses while they run and is restored as the caller had it.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import importlib.util
+    import os
+    import random
+    import re
+    import sys
+    from collections.abc import Callable, Sequence
+    from types import ModuleType
 
-import numpy as np
+    # greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .classes import MODES, RELATIONS, GreenClassification
-from .elements import (
-    FAMILIES,
-    FAMILY_IS,
-    CapacityError,
-    Element,
-    ParseError,
-    elements_at,
-    enumerate_family,
-    parse_element,
-    universe_chars,
-    universe_images,
-)
+    def _lazy(name: str) -> ModuleType:
+        """greenvar's module name, registered so that its body executes when
+        one of its attributes is first read; a module loaded already is
+        returned as it is."""
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            return sys.modules[fullname]
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+        return module
 
+    import numpy as np
 
-def _lazy(name: str) -> ModuleType:
-    """greenvar's module name, registered so that its body executes when
-    one of its attributes is first read; a module loaded already is
-    returned as it is."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
+    from .classes import MODES, RELATIONS, GreenClassification
+    from .elements import (
+        FAMILIES,
+        FAMILY_IS,
+        CapacityError,
+        Element,
+        ParseError,
+        elements_at,
+        enumerate_family,
+        parse_element,
+        universe_chars,
+        universe_images,
+    )
 
-
-# Their bodies import nothing that is not loaded by now, so executing one
-# adds no entry to sys.modules: perfbench's span tracer reads attributes of
-# every greenvar module while it walks sys.modules.
-engine, closedform_is, closedform_t, structure, commands = map(
-    _lazy, ("engine", "closedform_is", "closedform_t", "structure", "commands")
-)
-_lazy("counts")  # the closed forms' count audits import it
+    # Their bodies import nothing that is not loaded by now, so executing one
+    # adds no entry to sys.modules: perfbench's span tracer reads attributes of
+    # every greenvar module while it walks sys.modules.
+    engine, closedform_is, closedform_t, structure, commands = map(
+        _lazy, ("engine", "closedform_is", "closedform_t", "structure", "commands")
+    )
+    _lazy("counts")  # the closed forms' count audits import it
+finally:
+    if not gc.get_freeze_count():
+        # Promote what the imports built without collecting it.
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
 
 MEMBER_LIMIT = 50  # longest member list printed without --full
 RENDER_BLOCK = 2048  # classes of a green class list rendered per write

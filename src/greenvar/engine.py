@@ -23,8 +23,9 @@ at a time, checked to stay in the universe and stored as uint16 indices
 (every universe with n <= 6 has fewer than 65,536 elements); each x keeps
 the indices of its two factors, so no |S| x |S| table is ever formed.  A
 VariantSemigroup owns what is built from it, each thing once: its table,
-its packed factor rows and columns and every classification asked of it;
-whatever is handed a semigroup reads them.
+its packed factor rows and columns, the ids of its distinct columns and
+every classification asked of it; whatever is handed a semigroup reads
+them.
 
 Ideals are packed bit rows, one bit per universe element, built a block
 at a time, so no |S| x |S| matrix of any dtype is formed and grouping is
@@ -174,6 +175,12 @@ class VariantSemigroup:
         of the table, packed once and read by l and j."""
         return _pack(self.table()[0].T, self.size)
 
+    @functools.cached_property
+    def factor_col_ids(self) -> np.ndarray:
+        """The id of each packed factor column, equal columns sharing one:
+        computed once and read by l and j."""
+        return _row_ids(self.factor_cols)
+
     def _spot_check_associativity(
         self, rows: np.ndarray, left_of: np.ndarray, right_of: np.ndarray
     ) -> None:
@@ -244,12 +251,13 @@ def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return canonical_labels(np.where(inside, keys, s + np.arange(s)))
 
 
-def _ideal_classes(packed: np.ndarray, of: np.ndarray) -> np.ndarray:
+def _ideal_classes(packed: np.ndarray, ids: np.ndarray, of: np.ndarray) -> np.ndarray:
     """Class ids under equal ideals {x} | I(x), where I(x) is packed row
-    of[x]: r reads the factor rows through left_of, l the factor columns
-    through right_of.  Only the distinct packed rows are grouped."""
+    of[x] and ids the _row_ids of packed: r reads the factor rows through
+    left_of, l the factor columns through right_of.  Only the distinct
+    packed rows are grouped."""
     s = len(of)
-    return _singletons_apart(_has_bit(packed, of, np.arange(s)), _row_ids(packed)[of])
+    return _singletons_apart(_has_bit(packed, of, np.arange(s)), ids[of])
 
 
 def _sxs_rows(v: VariantSemigroup) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +270,7 @@ def _sxs_rows(v: VariantSemigroup) -> tuple[np.ndarray, np.ndarray]:
     distinct packed column.
     """
     rows, left_of, _ = v.table()
-    set_of = _row_ids(v.factor_cols)
+    set_of = v.factor_col_ids
     _, first = np.unique(set_of, return_index=True)
     factors = (np.bincount(left_of[rows[:, c]], minlength=len(rows)) > 0 for c in first)
     return np.array([np.bitwise_or.reduce(v.factor_rows[f]) for f in factors]), set_of
@@ -284,9 +292,9 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
     s, (_, left_of, right_of) = v.size, v.table()
 
     if relation == "r":
-        labels = _ideal_classes(v.factor_rows, left_of)
+        labels = _ideal_classes(v.factor_rows, _row_ids(v.factor_rows), left_of)
     elif relation == "l":
-        labels = _ideal_classes(v.factor_cols, right_of)
+        labels = _ideal_classes(v.factor_cols, v.factor_col_ids, right_of)
     elif relation in ("h", "d"):
         r_ids, l_ids = (green_classes_brute(v, side).labels for side in "rl")
         if relation == "h":

@@ -778,6 +778,37 @@ def test_main_on_sys_argv_freezes_and_keeps_its_output(cli, monkeypatch, argv):
     assert frozen and int(frozen[1]) > 0
 
 
+# Counts the collections that start between the probe's first statement and
+# its atexit hook: the command's whole run, start-up included.
+COLLECTIONS_PROBE = (
+    "import atexit, gc, sys\n"
+    "started = []\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info))\n"
+    "atexit.register(lambda: print('collections', len(started), file=sys.stderr))\n"
+    "from greenvar.cli import main\n"
+    "sys.exit(main())\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "d",
+     "--method", "closed"),
+], ids=" ".join)
+def test_command_process_runs_few_collections(cli, monkeypatch, argv):
+    # Importing numpy alone ran about 30 young collections in every command
+    # before greenvar.cli paused the collector around its imports.  Every
+    # module is compiled from source, as the benchmark runs them.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    result = subprocess.run(
+        [sys.executable, "-c", COLLECTIONS_PROBE, *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == cli(*argv)[:2]
+    counted = re.fullmatch(r"collections (\d+)\n", result.stderr)
+    assert counted and int(counted[1]) <= 5
+
+
 # ---------------------------------------------------------------------------
 # python -O strips assert statements, so the package must not rely on them
 

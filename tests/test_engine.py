@@ -547,6 +547,21 @@ def test_factor_rows_packed_once_per_semigroup(monkeypatch):
     assert packs == []
 
 
+def test_factor_col_ids_computed_once_per_semigroup(monkeypatch):
+    # l and the SxS unions of j group the same packed columns, so both read
+    # the semigroup's one factor_col_ids instead of calling _row_ids on them.
+    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    genuine = engine._row_ids
+    grouped = []
+    monkeypatch.setattr(
+        engine, "_row_ids", lambda packed, seen=None: grouped.append(packed) or genuine(packed, seen)
+    )
+    for relation in "lj":
+        green_classes_brute(v, relation)
+    assert sum(packed is v.factor_cols for packed in grouped) == 1
+    assert np.array_equal(v.factor_col_ids, genuine(v.factor_cols))
+
+
 def test_j_does_not_classify_l():
     # j reads Sx from the factor columns, keyed by right factor, so it
     # needs no l labels: a fresh semigroup's j leaves l unclassified.

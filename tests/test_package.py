@@ -189,3 +189,45 @@ def test_lazy_module_bodies_import_nothing_new():
         "print(json.dumps(added))"
     )
     assert added == []
+
+
+# ---------------------------------------------------------------------------
+# the collector around `import greenvar.cli`
+
+# Runs SETUP, then imports greenvar.cli and prints, as JSON, the collections
+# a gc.callbacks hook saw start while cli's module body executed, and the
+# collector's state (enabled, freeze count) before and after the import.
+# Compiling cli.py, when no cached bytecode is at hand, comes before its
+# body and is outside the module's reach.
+COLLECTOR = """
+import gc, json, os, sys
+SETUP
+running, collections = [], []
+def hook(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>":
+        if code.co_filename.endswith(os.path.join("greenvar", "cli.py")):
+            running.append(True)
+sys.addaudithook(hook)
+gc.callbacks.append(lambda phase, info: phase == "start" and running and collections.append(info))
+before = [gc.isenabled(), gc.get_freeze_count()]
+import greenvar.cli
+print(json.dumps([collections, before, [gc.isenabled(), gc.get_freeze_count()]]))
+"""
+
+
+@pytest.mark.parametrize("setup", ["", "gc.disable()"], ids=["enabled", "disabled"])
+def test_cli_import_runs_no_collection_and_restores_the_collector(setup):
+    # numpy's import alone triggered about 30 young collections; the module
+    # pauses the collector around its imports and promotes what they built
+    # without a collection, leaving nothing frozen.
+    collections, before, after = fresh_python(COLLECTOR.replace("SETUP", setup))
+    assert collections == []
+    assert before == [setup == "", 0]
+    assert after == before
+
+
+def test_cli_import_keeps_the_callers_frozen_heap():
+    _, (enabled, frozen), after = fresh_python(COLLECTOR.replace("SETUP", "gc.freeze()"))
+    assert enabled and frozen > 0
+    assert after[0] and after[1] >= frozen
