@@ -2,9 +2,10 @@
 keying, shared by both families.
 
 The brute-force referee (engine) and the closed forms (closedform_is,
-closedform_t) each partition a universe, and a GreenClassification holds
-one partition as a class id per universe index.  Nothing here runs brute
-force, so a closed-form command never executes the referee.
+closedform_t) each partition the universe of a deformation a, which a
+states itself: its family a.family on a.n points.  A GreenClassification
+holds a and one partition as a class id per universe index.  Nothing here
+runs brute force, so a closed-form command never executes the referee.
 
 The closed forms of both families are evaluated the same way, stated here
 once: a family's case split keys every universe row by the first clause
@@ -22,7 +23,6 @@ import numpy as np
 
 from .elements import (
     Element,
-    check_deformation,
     elements_at,
     family_of,
     family_size,
@@ -39,15 +39,14 @@ CLOSED_RELATIONS = ("r", "l", "h", "d")
 class GreenClassification:
     """A full partition of a variant semigroup under one of the equivalences.
 
-    labels[i] is the class id of the i-th universe element (canonical
-    order), and classes are numbered by least member, so two
+    The deformation a states the universe: its family and its n points.
+    labels[i] is the class id of the i-th element of that universe
+    (canonical order), and classes are numbered by least member, so two
     classifications describe the same partition exactly when their labels
     are equal.  The labels are a read-only int64 array.  Elements are built
     only by ``class_of``, and only the members of the one class asked for.
     """
 
-    family: str
-    n: int
     a: Element
     relation: str
     method: str  # "brute", "closed-corrected" or "closed-literal"
@@ -55,7 +54,7 @@ class GreenClassification:
 
     def __post_init__(self) -> None:
         labels = np.array(self.labels, dtype=np.int64)
-        if labels.shape != (family_size(self.family, self.n),):
+        if labels.shape != (family_size(self.a.family, self.a.n),):
             raise ValueError("labels do not cover the universe")
         if labels.min() < 0 or not np.bincount(labels).all():
             raise ValueError("class ids must be 0..k-1, each one used")
@@ -76,16 +75,17 @@ class GreenClassification:
 
     def _members(self, x: Element) -> np.ndarray:
         """The universe indices of x's class, ascending."""
+        family, n = self.a.family, self.a.n
         # n is checked first: universe_index would read only n of x's images.
-        if family_of(x) == self.family and x.n == self.n:
-            i = int(universe_index(self.family, self.n, np.array(x.images)))
+        if family_of(x) == family and x.n == n:
+            i = int(universe_index(family, n, np.array(x.images)))
             if i >= 0:
                 return np.flatnonzero(self.labels == self.labels[i])
-        raise ValueError(f"{format_element(x)} is not an element of {self.family.upper()}_{self.n}")
+        raise ValueError(f"{format_element(x)} is not an element of {family.upper()}_{n}")
 
     def class_of(self, x: Element) -> tuple[Element, ...]:
         """The members of x's class, ascending; no other element is built."""
-        return elements_at(self.family, self.n, self._members(x))
+        return elements_at(self.a.family, self.a.n, self._members(x))
 
     def same_partition(self, other: "GreenClassification") -> bool:
         return np.array_equal(self.labels, other.labels)
@@ -154,22 +154,12 @@ def point_mask(points: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in points)
 
 
-def classify_by_key(
-    family: str, n: int, a: Element, relation: str, mode: str, key: Callable
-) -> GreenClassification:
-    """The whole universe partitioned in one pass by a family's class key:
-    universe rows share a class exactly when key(n, a, relation, mode)
-    gives them equal keys."""
+def classify_by_key(a: Element, relation: str, mode: str, key: Callable) -> GreenClassification:
+    """a's whole universe partitioned in one pass by its family's class key:
+    universe rows share a class exactly when key(a, relation, mode) gives
+    them equal keys.  The caller checks that a is of key's family."""
     check_mode(mode)
     if relation not in CLOSED_RELATIONS:
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
-    check_deformation(family, n, a)
-    keys = key(n, a, relation, mode)
-    return GreenClassification(
-        family=family,
-        n=n,
-        a=a,
-        relation=relation,
-        method=f"closed-{mode}",
-        labels=canonical_labels(keys),
-    )
+    labels = canonical_labels(key(a, relation, mode))
+    return GreenClassification(a=a, relation=relation, method=f"closed-{mode}", labels=labels)

@@ -203,12 +203,10 @@ def _select_deformations(
     return list(elements_at(family, n, sorted(picks)))
 
 
-def _closed_classification(
-    family: str, n: int, a: Element, relation: str, mode: str
-) -> GreenClassification:
-    if family == FAMILY_IS:
-        return closedform_is.closed_classification_is(n, a, relation, mode)
-    return closedform_t.closed_classification_t(n, a, relation, mode)
+def _closed_classification(a: Element, relation: str, mode: str) -> GreenClassification:
+    if a.family == FAMILY_IS:
+        return closedform_is.closed_classification_is(a, relation, mode)
+    return closedform_t.closed_classification_t(a, relation, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +307,9 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     modes = list(MODES) if args.mode == "both" else [args.mode]
     results: list[GreenClassification] = []
     if method in ("brute", "both"):
-        results.append(engine.brute_classification(family, n, a, relation))
+        results.append(engine.brute_classification(a, relation))
     if method in ("closed", "both"):
-        results.extend(
-            _closed_classification(family, n, a, relation, mode) for mode in modes
-        )
+        results.extend(_closed_classification(a, relation, mode) for mode in modes)
 
     agreement = None
     if method == "both":
@@ -494,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         # The reader left early, as `| head` does: keep the flush at exit
-        # quiet.  green, which writes a block at a time, set its status first.
+        # quiet.  Every command set its status before it first wrote.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return args.status

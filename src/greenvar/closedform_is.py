@@ -17,11 +17,12 @@ equal-rank restriction is required.  "literal" evaluates the description
 exactly as stated, "corrected" applies the repair.  r, l and h need no
 repair and ignore the mode.
 
-Each description is evaluated once over the whole universe, on the
-universe's dom and ran bitmasks, which are computed once per n beside its
-image array (elements.universe_domains, elements.universe_ranges); the case
-split in _class_key_is gives every row one integer key, so that equal keys
-share a class, and the classification is one class id per row.  No element
+Each description is evaluated once over the whole universe IS_n, with
+n = a.n, on the universe's dom and ran bitmasks, which are computed once
+per n beside its image array (elements.universe_domains,
+elements.universe_ranges); the case split in _class_key_is gives every row
+one integer key, so that equal keys share a class, and the classification
+is one class id per row.  No element
 object is built on the way.
 
 The class-count formulas audited by count_is_classes follow the same split:
@@ -108,8 +109,10 @@ def right_divisible(x: PartialPerm, y: PartialPerm, a: PartialPerm) -> Divisibil
     return DivisibilityVerdict(solvable=True, witness=u)
 
 
-def _class_key_is(n: int, a: PartialPerm, relation: str, mode: str) -> np.ndarray:
-    """The closed-form case split, one key per row: equal keys share a class."""
+def _class_key_is(a: PartialPerm, relation: str, mode: str) -> np.ndarray:
+    """The closed-form case split, one key per row of a's universe: equal
+    keys share a class."""
+    n = a.n
     dom, ran = universe_domains(n), universe_ranges(FAMILY_IS, n)
     r_ok = (ran & point_mask(a.dom)) == ran
     l_ok = (dom & point_mask(a.ran)) == dom
@@ -126,10 +129,12 @@ def _class_key_is(n: int, a: PartialPerm, relation: str, mode: str) -> np.ndarra
 
 
 def closed_classification_is(
-    n: int, a: PartialPerm, relation: str, mode: str = "corrected"
+    a: PartialPerm, relation: str, mode: str = "corrected"
 ) -> GreenClassification:
-    """The whole universe partitioned by the closed forms in one pass."""
-    return classify_by_key(FAMILY_IS, n, a, relation, mode, _class_key_is)
+    """IS_n, for n = a.n, partitioned by the closed forms in one pass; a
+    transformation a is a ValueError."""
+    check_deformation(FAMILY_IS, a)
+    return classify_by_key(a, relation, mode, _class_key_is)
 
 
 def _literal_singleton_count_is(n: int, p: int) -> int:
@@ -142,15 +147,15 @@ def _literal_singleton_count_is(n: int, p: int) -> int:
     return total
 
 
-def count_is_classes(n: int, a: PartialPerm) -> CountReport:
-    """The r-class count formulas against enumeration.  By the dom/ran
-    mirror symmetry the l side has the same census, so the same formulas
-    serve both sides.  size_lines rows are (rank k, class size [p]_k, class
-    count C(n, k)); rank(a) <= 1 leaves every class a singleton."""
+def count_is_classes(a: PartialPerm) -> CountReport:
+    """The r-class count formulas of IS_n, for n = a.n, against enumeration.
+    By the dom/ran mirror symmetry the l side has the same census, so the
+    same formulas serve both sides.  size_lines rows are (rank k, class size
+    [p]_k, class count C(n, k)); rank(a) <= 1 leaves every class a singleton."""
     from .counts import ClassCountSummary, count_report  # executed only where counts are audited
 
-    check_deformation(FAMILY_IS, n, a)
-    p = a.rank
+    check_deformation(FAMILY_IS, a)
+    n, p = a.n, a.rank
     lines = [(k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)] if p > 1 else []
     corrected = literal = ClassCountSummary.census(family_size(FAMILY_IS, n), lines)
     if p > 1:
@@ -158,4 +163,4 @@ def count_is_classes(n: int, a: PartialPerm) -> CountReport:
         # The literal double sum misses the nowhere-defined map's class.
         if corrected.singleton_count != literal.singleton_count + 1:
             raise AssertionError("census identity failed")
-    return count_report(FAMILY_IS, n, a, (literal,) * 2, (corrected,) * 2)
+    return count_report(a, (literal,) * 2, (corrected,) * 2)

@@ -19,11 +19,11 @@ The classes of (T_n, *_a):
   predicates hold, all y with spread(y) and fed(y), restricted to
   rank(y) = rank(x) in corrected mode.
 
-The descriptions are evaluated once over the whole universe, on its image
-array and on two invariants computed once per n beside it
-(elements.universe_ranges, elements.universe_kernels): ran is a bitmask,
-ker is an integer code (the least point of each point's fiber, read in
-base n), spread(x) holds when m & (m - 1) == 0 for
+The descriptions are evaluated once over the whole universe T_n, with
+n = a.n, on its image array and on two invariants computed once per n
+beside it (elements.universe_ranges, elements.universe_kernels): ran is a
+bitmask, ker is an integer code (the least point of each point's fiber,
+read in base n), spread(x) holds when m & (m - 1) == 0 for
 m = ran(x) & B and every fiber B of a, fed(x) when the bits of x(ran(a))
 make up all of ran(x), and the case split in _class_key_t gives every row
 one integer key.
@@ -117,8 +117,10 @@ def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
     return bool(_overfull_blocks(ran, a).all())
 
 
-def _class_key_t(n: int, a: Transformation, relation: str, mode: str) -> np.ndarray:
-    """The closed-form case split, one key per row: equal keys share a class."""
+def _class_key_t(a: Transformation, relation: str, mode: str) -> np.ndarray:
+    """The closed-form case split, one key per row of a's universe: equal
+    keys share a class."""
+    n = a.n
     images = universe_images(FAMILY_T, n)
     ran, ker = universe_ranges(FAMILY_T, n), universe_kernels(n)
     overfull = _overfull_blocks(ran, a)
@@ -142,10 +144,12 @@ def _class_key_t(n: int, a: Transformation, relation: str, mode: str) -> np.ndar
 
 
 def closed_classification_t(
-    n: int, a: Transformation, relation: str, mode: str = "corrected"
+    a: Transformation, relation: str, mode: str = "corrected"
 ) -> GreenClassification:
-    """The whole universe partitioned by the closed forms in one pass."""
-    return classify_by_key(FAMILY_T, n, a, relation, mode, _class_key_t)
+    """T_n, for n = a.n, partitioned by the closed forms in one pass; a
+    partial injection a is a ValueError."""
+    check_deformation(FAMILY_T, a)
+    return classify_by_key(a, relation, mode, _class_key_t)
 
 
 def _elementary_symmetric(values: tuple[int, ...]) -> list[int]:
@@ -168,17 +172,17 @@ def _l_size_corrected(n: int, p: int, m: int) -> int:
     return factorial(m) * stirling2(p, m) * m ** (n - p)
 
 
-def count_t_classes(n: int, a: Transformation) -> CountReport:
-    """The class count formulas against enumeration.  size_lines rows are
-    (rank m, class size, class count).  The r side is a single set of
-    formulas (printed and corrected coincide); rank(a) = 1 leaves every
-    l-class a singleton."""
+def count_t_classes(a: Transformation) -> CountReport:
+    """The class count formulas of T_n, for n = a.n, against enumeration.
+    size_lines rows are (rank m, class size, class count).  The r side is a
+    single set of formulas (printed and corrected coincide); rank(a) = 1
+    leaves every l-class a singleton."""
     from .counts import ClassCountSummary, count_report  # executed only where counts are audited
 
-    check_deformation(FAMILY_T, n, a)
+    check_deformation(FAMILY_T, a)
+    n, p = a.n, a.rank
     if n < 2:
         raise ValueError("class counts need n >= 2")
-    p = a.rank
     size = family_size(FAMILY_T, n)
     e = _elementary_symmetric(tuple(len(a.preimage(v)) for v in sorted(a.ran)))
     r = ClassCountSummary.census(
@@ -190,4 +194,4 @@ def count_t_classes(n: int, a: Transformation) -> CountReport:
     l_corrected = ClassCountSummary.census(
         size, [(m, _l_size_corrected(n, p, m), comb(n, m)) for m in range(2, p + 1)]
     )
-    return count_report(FAMILY_T, n, a, (r, l_literal), (r, l_corrected))
+    return count_report(a, (r, l_literal), (r, l_corrected))

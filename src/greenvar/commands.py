@@ -32,10 +32,10 @@ COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumer
 # count reports and output
 
 
-def _count_report(family: str, n: int, a: Element) -> CountReport:
-    if family == FAMILY_IS:
-        return closedform_is.count_is_classes(n, a)
-    return closedform_t.count_t_classes(n, a)
+def _count_report(a: Element) -> CountReport:
+    if a.family == FAMILY_IS:
+        return closedform_is.count_is_classes(a)
+    return closedform_t.count_t_classes(a)
 
 
 def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict:
@@ -66,22 +66,21 @@ def _emit(
 # verify
 
 
-def _verify_one(family: str, n: int, a: Element) -> dict:
-    v = engine.variant_semigroup(family, n, a)
-    corrected = {}
-    for relation in VERIFY_RELATIONS:
-        brute = engine.brute_classification(family, n, a, relation)
-        corrected[relation] = _closed_classification(
-            family, n, a, relation, "corrected"
-        ).same_partition(brute)
-    d_equals_j, _ = engine.verify_d_equals_j(v)
-    literal_d = _closed_classification(family, n, a, "d", "literal").same_partition(
-        engine.brute_classification(family, n, a, "d")
+def _verify_one(a: Element) -> dict:
+    corrected = {
+        relation: _closed_classification(a, relation, "corrected").same_partition(
+            engine.brute_classification(a, relation)
+        )
+        for relation in VERIFY_RELATIONS
+    }
+    d_equals_j, _ = engine.verify_d_equals_j(engine.variant_semigroup(a))
+    literal_d = _closed_classification(a, "d", "literal").same_partition(
+        engine.brute_classification(a, "d")
     )
-    if family == FAMILY_T and n < 2:
+    if a.family == FAMILY_T and a.n < 2:
         count_flags: tuple[str, ...] = ()
     else:
-        count_flags = _count_report(family, n, a).flags
+        count_flags = _count_report(a).flags
     return {
         "a": str(a),
         "corrected": corrected,
@@ -112,7 +111,7 @@ def _verify_lines(p: dict) -> list[str]:
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
-    entries = [_verify_one(family, n, a) for a in _select_deformations(parser, args, family, n)]
+    entries = [_verify_one(a) for a in _select_deformations(parser, args, family, n)]
     corrected_ok = all(
         all(e["corrected"].values())
         and e["d_equals_j"]
@@ -134,8 +133,9 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             ),
         },
     }
+    args.status = int(not corrected_ok)  # main's status if the reader leaves early
     _emit(args.format, payload, _verify_lines)
-    return 0 if corrected_ok else 1
+    return args.status
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +174,16 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
     if family == FAMILY_T and n < 2:
         parser.error("count needs n >= 2 for family t")
-    reports = [_count_report(family, n, a) for a in _select_deformations(parser, args, family, n)]
+    reports = [_count_report(a) for a in _select_deformations(parser, args, family, n)]
     payload = {"command": "count", "family": family, "n": n, "reports": [
-        {"a": str(rep.a), "p": rep.p, "rows": [
+        {"a": str(rep.a), "p": rep.a.rank, "rows": [
             dict(zip(COUNT_COLUMNS, (*row[:5], ",".join(row.marks)))) for row in rep.rows
         ]}
         for rep in reports
     ]}
+    args.status = int(_count_bug(payload))  # main's status if the reader leaves early
     _emit(args.format, payload, _count_lines, _count_rows)
-    return int(_count_bug(payload))
+    return args.status
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +198,13 @@ def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
     return f"{texts[cell[0]]} ({len(cell)})"
 
 
-def _write_dot(
-    boxes: Sequence[engine.EggBox], family: str, n: int, a: Element, full: bool
-) -> None:
-    """Write the DOT document of the egg boxes, one d-class to a write."""
-    texts = universe_texts(family, n)
+def _write_dot(boxes: Sequence[engine.EggBox], a: Element, full: bool) -> None:
+    """Write the DOT document of the egg boxes of a's semigroup, one d-class
+    to a write."""
+    texts = universe_texts(a.family, a.n)
     sys.stdout.write(
         "digraph eggbox {\n"
-        f'  label="family={family} n={n} a=\\"{a}\\" d_classes={len(boxes)}";\n'
+        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={len(boxes)}";\n'
         '  labelloc="t";\n'
         "  node [shape=plaintext];\n"
     )
@@ -229,7 +229,7 @@ def _write_dot(
 def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family, n = args.family, args.n
     a = _parse_or_error(parser, family, n, args.a)
-    v = engine.variant_semigroup(family, n, a)
+    v = engine.variant_semigroup(a)
     if args.d_rep is not None:
         x = _parse_or_error(parser, family, n, args.d_rep)
         boxes: tuple[engine.EggBox, ...] = (engine.egg_box(v, x),)
@@ -237,7 +237,7 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         boxes = engine.all_egg_boxes(v)
 
     if args.format == "dot":
-        _write_dot(boxes, family, n, a, args.full)
+        _write_dot(boxes, a, args.full)
         return 0
     texts = universe_texts(family, n)
     _emit(args.format, {
@@ -305,8 +305,9 @@ def cmd_iso(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "verified": verified,
         "classes_preserved": classes_preserved,
     }
+    args.status = int(witness is not None and not classes_preserved)  # if the reader leaves early
     _emit(args.format, payload, lambda p: _iso_lines(p, counterexample))
-    return int(witness is not None and not classes_preserved)
+    return args.status
 
 
 def _dual_lines(p: dict, counterexamples: list[tuple[Element, Element] | None]) -> list[str]:
@@ -332,5 +333,6 @@ def cmd_dual(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "deformations": entries,
         "all_ok": all(e["holds"] and e["classes_match"] for e in entries),
     }
+    args.status = int(not payload["all_ok"])  # main's status if the reader leaves early
     _emit(args.format, payload, lambda p: _dual_lines(p, [r.counterexample for r in reports]))
-    return 0 if payload["all_ok"] else 1
+    return args.status

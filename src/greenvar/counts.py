@@ -1,8 +1,9 @@
 """The count audit: class-count formulas against the brute-force census.
 
 The count audit of both families is stated here once: a CountReport holds
-the literal and corrected formula censuses (ClassCountSummary) of the r-
-and l-classes, which the closed forms state (closedform_is.count_is_classes,
+a deformation a, which states its family, n and rank p, and the literal
+and corrected formula censuses (ClassCountSummary) of the r- and
+l-classes, which the closed forms state (closedform_is.count_is_classes,
 closedform_t.count_t_classes), beside the censuses of the brute-force
 classes, which count_report takes; its rows compare each value with
 enumeration once, and its flags are read from the rows.  Only the count
@@ -70,7 +71,7 @@ class CountRow(NamedTuple):
 @dataclasses.dataclass(frozen=True)
 class CountReport:
     """Formula-vs-enumeration audit of the r- and l-class counts of one
-    deformation a of rank p.
+    deformation a, on a's universe; a.rank is the p of the formulas.
 
     literal, corrected and enumerated each hold one census per side, r then
     l: the count formulas as published, as repaired, and the census of the
@@ -79,8 +80,6 @@ class CountReport:
     "corrected:quantity:side" (bugs).
     """
 
-    n: int
-    p: int
     a: Element
     literal: CountPair
     corrected: CountPair
@@ -123,7 +122,7 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
     c = classification
     sizes = np.bincount(c.labels)
     _, least = np.unique(c.labels, return_index=True)
-    ranks = np.bitwise_count(universe_ranges(c.family, c.n)[least])
+    ranks = np.bitwise_count(universe_ranges(c.a.family, c.a.n)[least])
     multi = sizes > 1
     lines = Counter(zip(ranks[multi].tolist(), sizes[multi].tolist()))
     return ClassCountSummary(
@@ -133,12 +132,10 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
     )
 
 
-def count_report(
-    family: str, n: int, a: Element, literal: CountPair, corrected: CountPair
-) -> CountReport:
+def count_report(a: Element, literal: CountPair, corrected: CountPair) -> CountReport:
     """The formula censuses of a, side r then side l, beside the censuses
     of its brute-force r- and l-classes."""
     enumerated = tuple(
-        summarize_classes_by_rank(brute_classification(family, n, a, side)) for side in COUNT_SIDES
+        summarize_classes_by_rank(brute_classification(a, side)) for side in COUNT_SIDES
     )
-    return CountReport(n, a.rank, a, literal, corrected, enumerated)
+    return CountReport(a, literal, corrected, enumerated)

@@ -1,7 +1,8 @@
 """Variant products and brute-force equivalence classes via principal ideals.
 
-A deformation element a turns a family S on n points into the variant
-semigroup (S, *_a) with ``x *_a y = x . a . y`` (left to right).  The five
+A deformation element a turns its family S on its n points into the
+variant semigroup (S, *_a) with ``x *_a y = x . a . y`` (left to right);
+a states both, so every entry point here takes a alone.  The five
 classic equivalences are computed here from first principles:
 
 - r: equal right ideals  {x} | x *_a S
@@ -63,8 +64,6 @@ from .classes import RELATIONS, GreenClassification, canonical_labels
 from .elements import (
     CapacityError,
     Element,
-    check_deformation,
-    check_family,
     elements_at,
     family_size,
     universe_images,
@@ -89,16 +88,12 @@ def variant_product(x: Element, a: Element, y: Element) -> Element:
 
 
 class VariantSemigroup:
-    """A family on n points under the deformed product x *_a y = x.a.y."""
+    """a's family on a's n points under the deformed product x *_a y = x.a.y."""
 
-    def __init__(self, family: str, n: int, a: Element):
-        check_family(family)
-        check_deformation(family, n, a)
-        check_brute_cap(n)
-        self.family = family
-        self.n = n
-        self.a = a
-        self.size = family_size(family, n)
+    def __init__(self, a: Element):
+        check_brute_cap(a.n)
+        self.a, self.family, self.n = a, a.family, a.n
+        self.size = family_size(a.family, a.n)
         self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._classes: dict[str, GreenClassification] = {}  # kept by green_classes_brute
 
@@ -203,9 +198,9 @@ class VariantSemigroup:
 
 
 @functools.lru_cache(maxsize=4)
-def variant_semigroup(family: str, n: int, a: Element) -> VariantSemigroup:
+def variant_semigroup(a: Element) -> VariantSemigroup:
     """Shared instances so repeated classifications reuse one product table."""
-    return VariantSemigroup(family, n, a)
+    return VariantSemigroup(a)
 
 
 def _row_ids(packed: np.ndarray, seen: dict[bytes, int] | None = None) -> np.ndarray:
@@ -327,17 +322,15 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
         labels = _singletons_apart(inside, keys)
 
     v._classes[relation] = GreenClassification(
-        family=v.family, n=v.n, a=v.a, relation=relation, method="brute", labels=labels
+        a=v.a, relation=relation, method="brute", labels=labels
     )
     return v._classes[relation]
 
 
 @functools.lru_cache(maxsize=BRUTE_CACHE_SIZE)
-def brute_classification(
-    family: str, n: int, a: Element, relation: str
-) -> GreenClassification:
+def brute_classification(a: Element, relation: str) -> GreenClassification:
     """Cached front door for sweeps that revisit the same deformation."""
-    return green_classes_brute(variant_semigroup(family, n, a), relation)
+    return green_classes_brute(variant_semigroup(a), relation)
 
 
 def verify_d_equals_j(

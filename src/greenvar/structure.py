@@ -112,8 +112,7 @@ def dual_check(a: PartialPerm) -> DualCheckReport:
     """
     _check_is(a)
     a_inv = a.inverse()
-    v = variant_semigroup(FAMILY_IS, a.n, a)
-    v_inv = variant_semigroup(FAMILY_IS, a.n, a_inv)
+    v, v_inv = variant_semigroup(a), variant_semigroup(a_inv)
     inv = _inversion_map(a.n)
     failing = _first_failing_pair(v_inv, v, inv, reverse=True)
     if failing is not None:
@@ -194,7 +193,7 @@ def verify_isomorphism(
     """
     a, b = witness.a, witness.b
     _check_is(a)
-    va = variant_semigroup(FAMILY_IS, a.n, a)
+    va = variant_semigroup(a)
     p = _iso_map(witness)
     _, first, image_of = np.unique(p, return_index=True, return_inverse=True)
     earlier = first[image_of.ravel()]  # the least x with the same image as each x
@@ -202,7 +201,7 @@ def verify_isomorphism(
     if len(collided):
         x, y = elements_at(FAMILY_IS, a.n, (earlier[collided[0]], collided[0]))
         return False, (x, y)
-    vb = variant_semigroup(FAMILY_IS, b.n, b)
+    vb = variant_semigroup(b)
     failing = _first_failing_pair(va, vb, p)
     if failing is not None:
         return False, failing
@@ -214,8 +213,6 @@ def iso_preserves_classes(witness: IsoWitness) -> bool:
     a, b = witness.a, witness.b
     p = _iso_map(witness)
     for relation in "rlhd":
-        ca = brute_classification(FAMILY_IS, a.n, a, relation)
-        cb = brute_classification(FAMILY_IS, b.n, b, relation)
-        if not _carries(p, ca, cb):
+        if not _carries(p, brute_classification(a, relation), brute_classification(b, relation)):
             return False
     return True

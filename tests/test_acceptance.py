@@ -10,6 +10,7 @@ seed 7.
 
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,77 +46,78 @@ from greenvar.structure import (
 SEED = 7
 
 
-def closed(family, n, a, relation, mode="corrected"):
-    if family == FAMILY_IS:
-        return closed_classification_is(n, a, relation, mode)
+# One deformation per isomorphism class of variants at n = 5: IS_5 has one
+# per rank, and T_5 one per kernel type, the multiset of fiber sizes (a
+# partition of 5), here with its fibers in descending size.
+IS5_RANKS = [rank_representative(5, k) for k in range(6)]
+T5_KERNEL_TYPES = [
+    parse_element(FAMILY_T, text)
+    for text in (
+        "1,1,1,1,1", "1,1,1,1,2", "1,1,1,2,2", "1,1,1,2,3", "1,1,2,2,3", "1,1,2,3,4", "1,2,3,4,5",
+    )
+]
+
+
+def closed(a, relation, mode="corrected"):
+    if a.family == FAMILY_IS:
+        return closed_classification_is(a, relation, mode)
     from greenvar.closedform_t import closed_classification_t
 
-    return closed_classification_t(n, a, relation, mode)
+    return closed_classification_t(a, relation, mode)
+
+
+def assert_closed_matches_brute(deformations, relations):
+    for a in deformations:
+        for relation in relations:
+            assert closed(a, relation).same_partition(
+                brute_classification(a, relation)
+            ), (a.family, a.n, str(a), relation)
 
 
 def test_a1_is_closed_r_l_h_match_brute_exactly():
     start = time.monotonic()
-    checked = 0
-    for n in (1, 2, 3, 4):
-        universe = enumerate_family(FAMILY_IS, n)
-        for a in universe:
-            for relation in ("r", "l", "h"):
-                assert closed(FAMILY_IS, n, a, relation).same_partition(
-                    brute_classification(FAMILY_IS, n, a, relation)
-                ), (n, str(a), relation)
-            checked += 1
+    swept = [a for n in (1, 2, 3, 4) for a in enumerate_family(FAMILY_IS, n)]
+    assert_closed_matches_brute(swept + IS5_RANKS, "rlh")
     elapsed = time.monotonic() - start
-    assert checked == 2 + 7 + 34 + 209
+    assert len(swept) == 2 + 7 + 34 + 209
     assert elapsed < 120
-    print(f"[A1] IS closed r/l/h == brute for all {checked} deformations,"
-          f" n<=4, {elapsed:.1f}s: PASS")
+    print(f"[A1] IS closed r/l/h == brute for all {len(swept)} deformations,"
+          f" n<=4, and every rank at n=5, {elapsed:.1f}s: PASS")
 
 
 def test_a2_t_closed_r_l_h_match_brute_exactly():
     start = time.monotonic()
-    checked = 0
-    for n in (2, 3, 4):
-        for a in enumerate_family(FAMILY_T, n):
-            for relation in ("r", "l", "h"):
-                assert closed(FAMILY_T, n, a, relation).same_partition(
-                    brute_classification(FAMILY_T, n, a, relation)
-                ), (n, str(a), relation)
-            checked += 1
+    swept = [a for n in (2, 3, 4) for a in enumerate_family(FAMILY_T, n)]
     rng = random.Random(SEED)
     sampled = sorted(rng.sample(enumerate_family(FAMILY_T, 5), 10))
-    for a in sampled:
-        for relation in ("r", "l", "h"):
-            assert closed(FAMILY_T, 5, a, relation).same_partition(
-                brute_classification(FAMILY_T, 5, a, relation)
-            ), (5, str(a), relation)
+    assert_closed_matches_brute(swept + T5_KERNEL_TYPES + sampled, "rlh")
     elapsed = time.monotonic() - start
-    assert checked == 4 + 27 + 256
+    assert len(swept) == 4 + 27 + 256
+    assert len({tuple(sorted(Counter(a.images).values())) for a in T5_KERNEL_TYPES}) == 7
     assert elapsed < 300
-    print(f"[A2] T closed r/l/h == brute for all {checked} deformations at"
-          f" n=2..4 plus 10 seeded at n=5, {elapsed:.1f}s: PASS")
+    print(f"[A2] T closed r/l/h == brute for all {len(swept)} deformations at"
+          f" n=2..4, every kernel type at n=5 and 10 seeded at n=5,"
+          f" {elapsed:.1f}s: PASS")
 
 
 def test_a3_d_erratum_corrected_matches_literal_drifts():
     start = time.monotonic()
-    for family, ns in ((FAMILY_IS, (1, 2, 3, 4)), (FAMILY_T, (1, 2, 3, 4))):
-        for n in ns:
-            for a in enumerate_family(family, n):
-                assert closed(family, n, a, "d").same_partition(
-                    brute_classification(family, n, a, "d")
-                ), (family, n, str(a))
+    swept = [a for family in (FAMILY_IS, FAMILY_T) for n in (1, 2, 3, 4)
+             for a in enumerate_family(family, n)]
+    assert_closed_matches_brute(swept + IS5_RANKS + T5_KERNEL_TYPES, "d")
     # The literal description at a = identity, n = 2, in both families:
     # its class of the identity must not absorb the rank-1 elements, but does.
     for family in (FAMILY_IS, FAMILY_T):
         a = identity(family, 2)
-        brute = brute_classification(family, 2, a, "d")
-        literal = closed(family, 2, a, "d", mode="literal")
+        brute = brute_classification(a, "d")
+        literal = closed(a, "d", mode="literal")
         assert not literal.same_partition(brute)
         assert all(x.rank == 2 for x in brute.class_of(a))
         assert any(x.rank < 2 for x in literal.class_of(a))
     elapsed = time.monotonic() - start
-    print(f"[A3] corrected d == brute for both families n<=4; literal d"
-          f" wrongly absorbs rank-1 maps at the n=2 identity, {elapsed:.1f}s:"
-          f" PASS")
+    print(f"[A3] corrected d == brute for both families n<=4 and every IS_5"
+          f" rank and T_5 kernel type; literal d wrongly absorbs rank-1 maps"
+          f" at the n=2 identity, {elapsed:.1f}s: PASS")
 
 
 def test_a4_is_counting_formulas_match_enumeration():
@@ -130,7 +132,7 @@ def test_a4_is_counting_formulas_match_enumeration():
             if a.rank < 2:
                 continue
             p = a.rank
-            report = count_is_classes(n, a)
+            report = count_is_classes(a)
             expected_lines = tuple(
                 (k, falling_factorial(p, k), comb(n, k)) for k in range(1, p + 1)
             )
@@ -142,7 +144,7 @@ def test_a4_is_counting_formulas_match_enumeration():
                 assert enum.singleton_count == _literal_singleton_count_is(n, p) + 1
             checked += 1
     # concrete instance from the contract: n=3, p=2
-    report = count_is_classes(3, parse_element(FAMILY_IS, "1,2,-"))
+    report = count_is_classes(parse_element(FAMILY_IS, "1,2,-"))
     for literal, corrected in zip(report.literal, report.corrected):
         assert (literal.singleton_count, corrected.singleton_count) == (21, 22)
         assert literal.multi_class_count == corrected.multi_class_count == 6
@@ -150,7 +152,7 @@ def test_a4_is_counting_formulas_match_enumeration():
         assert corrected.singleton_count + 6 * 2 == 34
     # n = 5 spot check, one deformation per rank
     for k in range(6):
-        report = count_is_classes(5, rank_representative(5, k))
+        report = count_is_classes(rank_representative(5, k))
         if k < 2:
             assert all(c.multi_class_count == 0 for c in report.corrected)
             assert report.enumerated[0].multi_class_count == 0
@@ -170,19 +172,19 @@ def test_a5_t_counting_r_exact_l_corrected_exact_literal_recorded():
     checked = 0
     for n in (2, 3, 4):
         for a in enumerate_family(FAMILY_T, n):
-            report = count_t_classes(n, a)
+            report = count_t_classes(a)
             # r side: the printed formulas hold verbatim; l side: the
             # corrected sizes hold
             assert report.literal[0] == report.corrected[0] == report.enumerated[0]
             assert report.corrected[1] == report.enumerated[1]
             checked += 1
     # concrete instance: n=3, a="1,1,2"
-    inst = count_t_classes(3, parse_element(FAMILY_T, "1,1,2"))
+    inst = count_t_classes(parse_element(FAMILY_T, "1,1,2"))
     assert inst.corrected[0].multi_class_count == 4
     assert inst.corrected[0].size_lines == ((1, 3, 1), (2, 4, 3))
     assert inst.corrected[0].singleton_count == 12
     # the literal l size disagrees at n=2, a=identity, and is recorded
-    erratum = count_t_classes(2, identity(FAMILY_T, 2))
+    erratum = count_t_classes(identity(FAMILY_T, 2))
     assert _l_size_literal(2, 2, 2) == 0
     assert _l_size_corrected(2, 2, 2) == 2
     assert erratum.enumerated[1].size_lines == ((2, 2, 1),)
@@ -239,14 +241,14 @@ def test_a8_engine_sanity_d_equals_j_associativity_partition_cover():
         for n in (1, 2, 3):
             size = len(enumerate_family(family, n))
             for a in enumerate_family(family, n):
-                v = variant_semigroup(family, n, a)
+                v = variant_semigroup(a)
                 ok, witness = verify_d_equals_j(v)
                 assert ok, (family, n, str(a), witness)
                 rows, left_of, right_of = v.table()
                 t = rows[left_of][:, right_of]
                 assert np.array_equal(t[t, :], t[:, t]), (family, n, str(a))
                 for relation in RELATIONS:
-                    c = brute_classification(family, n, a, relation)
+                    c = brute_classification(a, relation)
                     assert sum(c.sizes) == size
     elapsed = time.monotonic() - start
     print(f"[A8] d == j, exhaustive associativity of the deformed product,"

@@ -55,7 +55,7 @@ def brute_partitions_digest(family: str, max_n: int = 4) -> str:
     digest = hashlib.sha256()
     for n in range(1, max_n + 1):
         for a in enumerate_family(family, n):
-            v = variant_semigroup(family, n, a)
+            v = variant_semigroup(a)
             for relation in RELATIONS:
                 digest.update(f"{n} {a} {relation}\n".encode())
                 digest.update(labels_text(green_classes_brute(v, relation)))
@@ -69,7 +69,7 @@ def test_brute_partitions_pinned_n_le_4(family):
 
 @pytest.mark.parametrize("a_text", sorted(PINNED_T5))
 def test_brute_partitions_pinned_t5(a_text):
-    v = variant_semigroup(FAMILY_T, 5, parse_element(FAMILY_T, a_text))
+    v = variant_semigroup(parse_element(FAMILY_T, a_text))
     for relation in RELATIONS:
         got = hashlib.sha256(labels_text(green_classes_brute(v, relation))).hexdigest()
         assert got == PINNED_T5[a_text][relation], relation

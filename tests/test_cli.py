@@ -6,6 +6,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -190,10 +191,10 @@ def _green_json_cases():
 def _expected_classes(family, n, a_text, relation, method, full):
     a = parse_element(family, a_text)
     if method == "brute":
-        c = brute_classification(family, n, a, relation)
+        c = brute_classification(a, relation)
     else:
         closed = closed_classification_is if family == "is" else closed_classification_t
-        c = closed(n, a, relation, method.removeprefix("closed-"))
+        c = closed(a, relation, method.removeprefix("closed-"))
     return [
         {
             "members": cls if full or len(cls) <= MEMBER_LIMIT else None,
@@ -227,8 +228,8 @@ def _reference_green(family, n, a_text, relation, fmt, full):
     written: the reference for the block writer."""
     a = parse_element(family, a_text)
     closed = closed_classification_is if family == "is" else closed_classification_t
-    results = [brute_classification(family, n, a, relation)]
-    results += [closed(n, a, relation, mode) for mode in MODES]
+    results = [brute_classification(a, relation)]
+    results += [closed(a, relation, mode) for mode in MODES]
     agreement = [
         {"closed": c.method, "matches_brute": c.same_partition(results[0])}
         for c in results[1:]
@@ -374,6 +375,37 @@ def test_green_exits_quietly_when_the_reader_leaves():
     assert err == b""
 
 
+# Child code that breaks one check, then runs the CLI as the greenvar script does.
+_BREAK = {
+    "corrected l-size": "from greenvar import closedform_t as m; g = m._l_size_corrected;"
+    " m._l_size_corrected = lambda n, p, k: g(n, p, k) + 1",
+    "class transport": "from greenvar import structure as m; m._carries = lambda *_: False",
+}
+
+
+@pytest.mark.parametrize("broken, argv", [
+    ("corrected l-size", ("count", "--family", "t", "--n", "3", "--a", "1,1,2")),
+    ("corrected l-size", ("verify", "--family", "t", "--n", "3", "--a", "1,1,2")),
+    ("class transport", ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2")),
+    ("class transport", ("dual", "--n", "3", "--a", "2,3,-")),
+], ids=("count", "verify", "iso", "dual"))
+def test_failed_check_exits_1_when_the_reader_left_before_the_output(broken, argv):
+    # The read end is closed before the child starts, so its first write
+    # fails; -u makes every write reach the pipe at once, as a long output
+    # would.  The command's status must be set before it writes.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code = f"import sys; {_BREAK[broken]}; from greenvar.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-u", "-c", code, *argv],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -493,7 +525,7 @@ def test_count_text_summary_line(cli):
 def test_count_and_verify_exit_1_on_a_corrected_formula_bug(cli, monkeypatch):
     genuine = closedform_t._l_size_corrected
     monkeypatch.setattr(closedform_t, "_l_size_corrected", lambda n, p, m: genuine(n, p, m) + 1)
-    report = closedform_t.count_t_classes(3, parse_element("t", "1,1,2"))
+    report = closedform_t.count_t_classes(parse_element("t", "1,1,2"))
     assert report.flags == (
         "literal:singleton_count:l", "corrected:singleton_count:l",
         "literal:multi_class_count:l", "literal:size_lines:l", "corrected:size_lines:l",

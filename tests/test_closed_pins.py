@@ -32,7 +32,7 @@ def closed_partitions_digest(family: str, max_n: int = 4) -> str:
         for a in enumerate_family(family, n):
             for relation in CLOSED_RELATIONS:
                 for mode in MODES:
-                    c = CLASSIFY[family](n, a, relation, mode)
+                    c = CLASSIFY[family](a, relation, mode)
                     digest.update(f"{n} {a} {relation} {mode}\n".encode())
                     for cls in class_lists(c, texts):
                         digest.update((" ".join(cls) + "\n").encode())

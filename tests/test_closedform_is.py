@@ -65,7 +65,7 @@ def test_right_divisible_criterion_vs_actual_solvability_n2():
 
 
 def class_of(x, a, relation, mode="corrected"):
-    return set(closed_classification_is(x.n, a, relation, mode).class_of(x))
+    return set(closed_classification_is(a, relation, mode).class_of(x))
 
 
 def test_frozen_classes_is3():
@@ -87,7 +87,7 @@ def test_classes_contain_their_element_everywhere():
     for a in enumerate_family(FAMILY_IS, 3):
         for relation in ("r", "l", "h", "d"):
             for mode in ("corrected", "literal"):
-                c = closed_classification_is(3, a, relation, mode)
+                c = closed_classification_is(a, relation, mode)
                 for x in enumerate_family(FAMILY_IS, 3):
                     assert x in c.class_of(x)
 
@@ -99,8 +99,8 @@ def test_classes_contain_their_element_everywhere():
 @pytest.mark.parametrize("relation", ("r", "l", "h", "d"))
 def test_corrected_matches_brute_is3(relation):
     for a in enumerate_family(FAMILY_IS, 3):
-        closed = closed_classification_is(3, a, relation)
-        brute = brute_classification(FAMILY_IS, 3, a, relation)
+        closed = closed_classification_is(a, relation)
+        brute = brute_classification(a, relation)
         assert closed.same_partition(brute), str(a)
         assert closed.method == "closed-corrected"
 
@@ -111,11 +111,11 @@ def test_literal_d_drift_is_exactly_the_joint_case():
     drifted = []
     for a in enumerate_family(FAMILY_IS, 3):
         for relation in ("r", "l", "h"):
-            assert closed_classification_is(3, a, relation, "literal").same_partition(
-                closed_classification_is(3, a, relation, "corrected")
+            assert closed_classification_is(a, relation, "literal").same_partition(
+                closed_classification_is(a, relation, "corrected")
             )
-        lit = closed_classification_is(3, a, "d", "literal")
-        if not lit.same_partition(brute_classification(FAMILY_IS, 3, a, "d")):
+        lit = closed_classification_is(a, "d", "literal")
+        if not lit.same_partition(brute_classification(a, "d")):
             drifted.append(a)
     assert len(drifted) == 33
     assert empty_map(3) not in drifted
@@ -123,20 +123,27 @@ def test_literal_d_drift_is_exactly_the_joint_case():
 
 def test_literal_d_counterexample_at_identity_n2():
     a = identity(FAMILY_IS, 2)
-    lit = closed_classification_is(2, a, "d", "literal")
+    lit = closed_classification_is(a, "d", "literal")
     assert lit.class_of(a) == tuple(enumerate_family(FAMILY_IS, 2))  # absorbs all 7
-    brute = brute_classification(FAMILY_IS, 2, a, "d")
+    brute = brute_classification(a, "d")
     assert set(brute.class_of(a)) == {pp("1,2"), pp("2,1")}
 
 
 def test_mode_and_relation_validation():
     a = pp("1,2")
     with pytest.raises(ValueError):
-        closed_classification_is(2, a, "r", mode="verbatim")
+        closed_classification_is(a, "r", mode="verbatim")
     with pytest.raises(ValueError):
-        closed_classification_is(2, a, "j")
-    with pytest.raises(ValueError):
-        closed_classification_is(3, a, "r")  # n disagrees with a
+        closed_classification_is(a, "j")
+
+
+def test_closed_form_and_count_reject_a_transformation():
+    # a states its own n, so the family is the one thing left to check.
+    a = parse_element("t", "1,2,2")
+    with pytest.raises(ValueError, match="deformation 1,2,2 is not an IS_3 element"):
+        closed_classification_is(a, "r")
+    with pytest.raises(ValueError, match="deformation 1,2,2 is not an IS_3 element"):
+        count_is_classes(a)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +158,8 @@ def test_falling_factorial():
 
 
 def test_count_is3_rank2_frozen():
-    report = count_is_classes(3, pp("1,2,-"))
-    assert report.p == 2
+    report = count_is_classes(pp("1,2,-"))
+    assert report.a.rank == 2
     for side in (0, 1):  # r, then l: the mirror symmetry gives both one census
         literal, corrected = report.literal[side], report.corrected[side]
         assert corrected.multi_class_count != 0
@@ -166,7 +173,7 @@ def test_count_is3_rank2_frozen():
 
 
 def test_count_is2_identity_frozen():
-    report = count_is_classes(2, pp("1,2"))
+    report = count_is_classes(pp("1,2"))
     for literal, corrected in zip(report.literal, report.corrected):
         assert literal.singleton_count == 0
         assert corrected.singleton_count == 1
@@ -176,7 +183,7 @@ def test_count_is2_identity_frozen():
 
 def test_count_low_rank_all_singleton():
     for a_text in ("-,-", "1,-", "-,2"):
-        report = count_is_classes(2, pp(a_text))
+        report = count_is_classes(pp(a_text))
         for literal, corrected in zip(report.literal, report.corrected):
             assert corrected.multi_class_count == 0
             assert literal.singleton_count == corrected.singleton_count == 7
@@ -187,7 +194,7 @@ def test_count_low_rank_all_singleton():
 
 def test_count_census_identity_all_a_is3():
     for a in enumerate_family(FAMILY_IS, 3):
-        report = count_is_classes(3, a)
+        report = count_is_classes(a)
         for corrected in report.corrected:
             covered = sum(count * size for _, size, count in corrected.size_lines)
             assert corrected.singleton_count + covered == 34
@@ -202,7 +209,7 @@ def test_count_census_identity_failure_raises_under_optimize():
 from greenvar import closedform_is, parse_element
 closedform_is._literal_singleton_count_is = lambda n, p: 0
 try:
-    closedform_is.count_is_classes(3, parse_element("is", "1,2,-"))
+    closedform_is.count_is_classes(parse_element("is", "1,2,-"))
 except AssertionError as exc:
     print("raised:", exc)
 """
@@ -233,7 +240,7 @@ def test_is6_census_matches_corrected_formulas(k):
         lines = tuple((j, falling_factorial(p, j), comb(n, j)) for j in range(1, p + 1))
         expected = (literal + 1, sum(comb(n, j) for j in range(1, p + 1)), lines)
     for relation in ("r", "l"):
-        summary = summarize_classes_by_rank(closed_classification_is(n, a, relation))
+        summary = summarize_classes_by_rank(closed_classification_is(a, relation))
         assert (
             summary.singleton_count, summary.multi_class_count, summary.size_lines
         ) == expected, relation

@@ -116,8 +116,8 @@ def test_array_predicates_match_set_definitions(n):
 @pytest.mark.parametrize("n", (2, 3))
 def test_corrected_matches_brute(n, relation):
     for a in enumerate_family(FAMILY_T, n):
-        closed = closed_classification_t(n, a, relation)
-        brute = brute_classification(FAMILY_T, n, a, relation)
+        closed = closed_classification_t(a, relation)
+        brute = brute_classification(a, relation)
         assert closed.same_partition(brute), str(a)
 
 
@@ -130,20 +130,20 @@ def test_literal_d_drift_count_frozen():
         for a in enumerate_family(FAMILY_T, n):
             total += 1
             for relation in ("r", "l", "h"):
-                assert closed_classification_t(n, a, relation, "literal").same_partition(
-                    closed_classification_t(n, a, relation, "corrected")
+                assert closed_classification_t(a, relation, "literal").same_partition(
+                    closed_classification_t(a, relation, "corrected")
                 )
-            lit = closed_classification_t(n, a, "d", "literal")
-            if not lit.same_partition(brute_classification(FAMILY_T, n, a, "d")):
+            lit = closed_classification_t(a, "d", "literal")
+            if not lit.same_partition(brute_classification(a, "d")):
                 drifted += 1
     assert (total, drifted) == (31, 26)
 
 
 def test_literal_d_counterexample_at_identity_n2():
     a = identity(FAMILY_T, 2)
-    lit = closed_classification_t(2, a, "d", "literal")
+    lit = closed_classification_t(a, "d", "literal")
     assert lit.class_of(a) == tuple(enumerate_family(FAMILY_T, 2))  # absorbs all 4
-    brute = brute_classification(FAMILY_T, 2, a, "d")
+    brute = brute_classification(a, "d")
     assert set(brute.class_of(a)) == {tr("1,2"), tr("2,1")}
 
 
@@ -157,7 +157,7 @@ def test_closed_h_classes_are_r_meet_l():
             universe = enumerate_family(family, n)
             for a in universe:
                 for mode in ("corrected", "literal"):
-                    r, l, h = (classify(n, a, relation, mode) for relation in "rlh")
+                    r, l, h = (classify(a, relation, mode) for relation in "rlh")
                     for x in universe:
                         assert set(h.class_of(x)) == set(r.class_of(x)) & set(l.class_of(x)), (
                             family, str(a), mode, str(x)
@@ -168,7 +168,7 @@ def test_closed_h_classes_are_r_meet_l():
 
 def test_low_rank_deformation_l_all_singleton():
     a = tr("2,2,2")  # p = 1
-    l = closed_classification_t(3, a, "l")
+    l = closed_classification_t(a, "l")
     assert l.singleton_count == 27
 
 
@@ -186,11 +186,18 @@ def test_crowded_everywhere_unsatisfiable_in_range():
 def test_validation():
     a = tr("1,1")
     with pytest.raises(ValueError):
-        closed_classification_t(2, a, "j")
+        closed_classification_t(a, "j")
     with pytest.raises(ValueError):
-        closed_classification_t(2, a, "d", mode="verbatim")
-    with pytest.raises(ValueError):
-        closed_classification_t(3, a, "r")
+        closed_classification_t(a, "d", mode="verbatim")
+
+
+def test_closed_form_and_count_reject_a_partial_injection():
+    # a states its own n, so the family is the one thing left to check.
+    a = parse_element(FAMILY_IS, "1,2,-")
+    with pytest.raises(ValueError, match="deformation 1,2,- is not a T_3 element"):
+        closed_classification_t(a, "r")
+    with pytest.raises(ValueError, match="deformation 1,2,- is not a T_3 element"):
+        count_t_classes(a)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def test_stirling2_vs_explicit_sum():
 
 
 def test_count_t3_frozen():
-    report = count_t_classes(3, tr("1,1,2"))
+    report = count_t_classes(tr("1,1,2"))
     (r_literal, l_literal), (r, l) = report.literal, report.corrected
     assert r_literal == r  # the r side is one set of formulas
     assert r.size_lines == ((1, 3, 1), (2, 4, 3))
@@ -240,7 +247,7 @@ def test_count_t3_frozen():
 
 
 def test_count_t2_identity_erratum_frozen():
-    report = count_t_classes(2, identity(FAMILY_T, 2))
+    report = count_t_classes(identity(FAMILY_T, 2))
     assert _l_size_literal(2, 2, 2) == 0  # the printed size collapses
     assert _l_size_corrected(2, 2, 2) == 2  # the real class size
     assert report.corrected[1].size_lines == ((2, 2, 1),)
@@ -250,7 +257,7 @@ def test_count_t2_identity_erratum_frozen():
 
 
 def test_count_p1_all_l_singleton():
-    report = count_t_classes(2, tr("1,1"))
+    report = count_t_classes(tr("1,1"))
     l_literal, l = report.literal[1], report.corrected[1]
     assert l.multi_class_count == l_literal.multi_class_count == 0
     assert l.singleton_count == 4
@@ -260,12 +267,12 @@ def test_count_p1_all_l_singleton():
 
 def test_count_requires_n_at_least_2():
     with pytest.raises(ValueError):
-        count_t_classes(1, tr("1"))
+        count_t_classes(tr("1"))
 
 
 def test_count_no_corrected_flags_t3():
     for a in enumerate_family(FAMILY_T, 3):
-        report = count_t_classes(3, a)
+        report = count_t_classes(a)
         assert not any(f.startswith("corrected:") for f in report.flags), str(a)
 
 
@@ -291,7 +298,7 @@ def check_census(a):
     l_lines = [(m, factorial(m) * stirling2(p, m) * m ** (n - p), comb(n, m))
                for m in range(2, p + 1)]
     for relation, lines in (("r", r_lines), ("l", l_lines)):
-        summary = summarize_classes_by_rank(closed_classification_t(n, a, relation))
+        summary = summarize_classes_by_rank(closed_classification_t(a, relation))
         assert (
             summary.singleton_count, summary.multi_class_count, summary.size_lines
         ) == census(lines, n**n), relation
@@ -323,7 +330,7 @@ def test_t6_r_class_builds_only_its_class():
     x = tr("1,2,3,4,5,6")
     tracemalloc.start()
     try:
-        cls = closed_classification_t(6, tr("3,5,2,3,5,2"), "r").class_of(x)
+        cls = closed_classification_t(tr("3,5,2,3,5,2"), "r").class_of(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +347,7 @@ def cold_peak_mib(n, a_text, relation):
     a = tr(a_text)
     tracemalloc.start()
     try:
-        closed_classification_t(n, a, relation)
+        closed_classification_t(a, relation)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

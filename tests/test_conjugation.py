@@ -50,7 +50,7 @@ def conjugate_pair(data, family, n):
 
 def assert_carried(ca, cb, sigma):
     assert np.array_equal(canonical_labels(cb.labels[sigma]), ca.labels), (
-        ca.family, ca.n, str(ca.a), str(cb.a), ca.relation, ca.method,
+        ca.a.family, ca.a.n, str(ca.a), str(cb.a), ca.relation, ca.method,
     )
 
 
@@ -62,8 +62,8 @@ def test_brute_classes_carried_by_conjugation(data):
     a, b, sigma = conjugate_pair(data, family, n)
     for relation in RELATIONS:
         assert_carried(
-            brute_classification(family, n, a, relation),
-            brute_classification(family, n, b, relation),
+            brute_classification(a, relation),
+            brute_classification(b, relation),
             sigma,
         )
 
@@ -75,6 +75,4 @@ def test_closed_corrected_classes_carried_by_conjugation_n6(data):
     closed = closed_classification_is if family == FAMILY_IS else closed_classification_t
     a, b, sigma = conjugate_pair(data, family, 6)
     for relation in ("r", "l", "h", "d"):
-        assert_carried(
-            closed(6, a, relation, "corrected"), closed(6, b, relation, "corrected"), sigma
-        )
+        assert_carried(closed(a, relation, "corrected"), closed(b, relation, "corrected"), sigma)

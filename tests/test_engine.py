@@ -76,7 +76,7 @@ def test_product_table_matches_direct_products():
         (FAMILY_IS, 4, "3,1,4,2", True),
     ):
         a = parse_element(family, a_text)
-        v = variant_semigroup(family, n, a)
+        v = variant_semigroup(a)
         rows, left_of, right_of = v.table()
         assert rows.dtype == left_of.dtype == right_of.dtype == np.uint16  # |S| < 65,536
         assert left_of.shape == right_of.shape == (v.size,)
@@ -112,7 +112,7 @@ def test_product_table_memory_bound():
     # 0.23 MB; the 243 x 3125 block of products by every element was 1.5 MB
     # and peaked at 2.3 MB, a dense table would be 20 MB, and going through
     # an (s, s, n) int8 product array and its int64 copy peaks near 490 MB.
-    v = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
+    v = VariantSemigroup(tr("1,1,2,2,3"))
     peak = _traced_peak(v.table)
     assert v.table()[0].shape == (243, 125)
     assert peak <= 0.5 * 2**20, f"table build peaked at {peak / 2**20:.2f} MB"
@@ -123,7 +123,7 @@ def test_product_table_memory_bound():
     # it one block of bool rows before packing; packing |S| ideal rows
     # peaked at 5.7 MB, and j at 5.8 MB.
     for relation in RELATIONS:
-        fresh = VariantSemigroup(FAMILY_T, 5, tr("1,1,2,2,3"))
+        fresh = VariantSemigroup(tr("1,1,2,2,3"))
         peak = _traced_peak(lambda: green_classes_brute(fresh, relation))
         assert peak <= 1.25 * 2**20, f"{relation} classification peaked at {peak / 2**20:.2f} MB"
 
@@ -133,7 +133,7 @@ def test_full_rank_l_memory_bound():
     # uint16 (19.5 MB).  l packs the columns of the table a block at a time,
     # from views of the table, and keeps them (1.2 MB): an unblocked test or
     # column gather reached 39.3 MB.
-    v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
+    v = VariantSemigroup(tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "l"))
     assert len(v.table()[0]) == v.size
     assert peak <= 24 * 2**20, f"l classification peaked at {peak / 2**20:.1f} MB"
@@ -145,7 +145,7 @@ def test_full_rank_j_memory_bound():
     # columns it reads are 1.2 MB each, so nothing of |S| x |S| size is
     # formed beside the table: a float32 product over blocks of factor-row
     # columns peaked near 29 MB, and dense bool and float32 matrices at 107 MB.
-    v = VariantSemigroup(FAMILY_T, 5, tr("2,3,4,5,1"))
+    v = VariantSemigroup(tr("2,3,4,5,1"))
     peak = _traced_peak(lambda: green_classes_brute(v, "j"))
     assert len(v.table()[0]) == v.size
     assert peak <= 27 * 2**20, f"j classification peaked at {peak / 2**20:.1f} MB"
@@ -156,7 +156,7 @@ def test_table_rejects_a_product_outside_the_universe_under_optimize():
     # checks the int32 indices of each block before storing them as uint16,
     # where a -1 would become 65,535 and pass any range check; python -O
     # must not drop the check either.
-    rows, left_of, right_of = VariantSemigroup(FAMILY_T, 3, tr("1,1,2")).table()
+    rows, left_of, right_of = VariantSemigroup(tr("1,1,2")).table()
     target = int(rows[left_of[-1], right_of[-1]])  # some product's index
     script = f"""
 import numpy as np
@@ -167,7 +167,7 @@ genuine = elements._index_lookup("t", 3)
 corrupted = np.where(genuine == {target}, -1, genuine)
 elements._index_lookup = lambda family, n: corrupted
 try:
-    VariantSemigroup("t", 3, elements.parse_element("t", "1,1,2")).table()
+    VariantSemigroup(elements.parse_element("t", "1,1,2")).table()
 except AssertionError as exc:
     print("raised:", exc)
 """
@@ -178,7 +178,7 @@ except AssertionError as exc:
 
 def test_variant_semigroup_cache_returns_same_object():
     a = pp("1,2,-")
-    assert variant_semigroup(FAMILY_IS, 3, a) is variant_semigroup(FAMILY_IS, 3, a)
+    assert variant_semigroup(a) is variant_semigroup(a)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_brute_classes_match_naive_oracle_n2(family):
             "j": naive_partition(universe, two.get),
         }
         for relation in RELATIONS:
-            got = brute_classification(family, n, a, relation)
+            got = brute_classification(a, relation)
             assert list(map(tuple, class_lists(got, universe))) == expected[relation], (
                 a, relation
             )
@@ -287,7 +287,7 @@ def test_singleton_lemma_matches_naive_ideals(monkeypatch):
         two = [x_s[x] | s_x[x] | s_x_s[s_x[x]] | {x} for x in universe]
         for block in (engine.IDEAL_BLOCK, 7):
             monkeypatch.setattr(engine, "IDEAL_BLOCK", block)
-            v = VariantSemigroup(family, n, a)
+            v = VariantSemigroup(a)
             for relation, ideals in (("r", right), ("l", left), ("j", two)):
                 labels = green_classes_brute(v, relation).labels.tolist()
                 assert labels == naive_labels(ideals), (family, n, str(a), relation, block)
@@ -316,7 +316,7 @@ def test_sxs_rows_match_naive_sets():
               for family in (FAMILY_IS, FAMILY_T)
               for a in rng.sample(enumerate_family(family, 4), 2)]
     for family, n, a, reps in cases:
-        v = VariantSemigroup(family, n, a)
+        v = VariantSemigroup(a)
         reps = np.arange(v.size) if reps is None else np.array(reps)
         rows, _, right_of = v.table()
         unions, set_of = _sxs_rows(v)
@@ -336,24 +336,24 @@ def test_sxs_rows_match_naive_sets():
 def test_t2_constant_deformation_classes():
     a = tr("1,1")
     universe = enumerate_family(FAMILY_T, 2)
-    r = brute_classification(FAMILY_T, 2, a, "r")
+    r = brute_classification(a, "r")
     assert class_lists(r, universe) == [
         [tr("1,1"), tr("2,2")],
         [tr("1,2")],
         [tr("2,1")],
     ]
-    d = brute_classification(FAMILY_T, 2, a, "d")
+    d = brute_classification(a, "d")
     assert class_lists(d, universe) == class_lists(r, universe)
 
 
 def test_is2_identity_d_sizes():
-    d = brute_classification(FAMILY_IS, 2, pp("1,2"), "d")
+    d = brute_classification(pp("1,2"), "d")
     assert d.sizes == (1, 4, 2)
 
 
 def test_rank_zero_deformation_all_singletons():
     for relation in RELATIONS:
-        c = brute_classification(FAMILY_IS, 3, empty_map(3), relation)
+        c = brute_classification(empty_map(3), relation)
         assert c.singleton_count == 34
 
 
@@ -363,14 +363,12 @@ def test_rank_zero_deformation_all_singletons():
 
 def test_classification_validates_partition():
     a = pp("1,2")
-    good = brute_classification(FAMILY_IS, 2, a, "r")
+    good = brute_classification(a, "r")
     k = len(good.sizes)
     assert k > 2
 
     def build(labels):
-        return GreenClassification(
-            family=FAMILY_IS, n=2, a=a, relation="r", method="brute", labels=labels
-        )
+        return GreenClassification(a=a, relation="r", method="brute", labels=labels)
 
     assert build(good.labels.tolist()).same_partition(good)
     for not_a_partition in (
@@ -392,12 +390,12 @@ def test_class_sizes_cover_universe():
     for family, n in ((FAMILY_IS, 3), (FAMILY_T, 3)):
         for a in enumerate_family(family, n)[:5]:
             for relation in RELATIONS:
-                c = brute_classification(family, n, a, relation)
+                c = brute_classification(a, relation)
                 assert sum(c.sizes) == len(enumerate_family(family, n))
 
 
 def test_class_of_and_accessors():
-    c = brute_classification(FAMILY_T, 2, tr("1,1"), "r")
+    c = brute_classification(tr("1,1"), "r")
     assert c.class_of(tr("2,2")) == (tr("1,1"), tr("2,2"))
     assert c.class_of(tr("2,1")) == (tr("2,1"),)
     assert c.sizes == (2, 1, 1)
@@ -408,8 +406,8 @@ def test_class_of_rejects_an_element_outside_the_universe():
     # Another family or another n: the element has no universe index here.
     # Extra images must not be ignored, and no lookup miss (-1) may read the
     # last label.
-    t2 = brute_classification(FAMILY_T, 2, tr("1,1"), "r")
-    is2 = closed_classification_is(2, pp("1,-"), "r")
+    t2 = brute_classification(tr("1,1"), "r")
+    is2 = closed_classification_is(pp("1,-"), "r")
     for c, x in (
         (t2, pp("1,2")),  # an IS_2 element
         (t2, tr("1,1,1")),  # n = 3
@@ -419,7 +417,7 @@ def test_class_of_rejects_an_element_outside_the_universe():
     ):
         with pytest.raises(ValueError):
             c.class_of(x)
-    v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
+    v = variant_semigroup(tr("1,1"))
     for x in (pp("1,2"), tr("1,1,1")):
         with pytest.raises(ValueError):
             egg_box(v, x)
@@ -435,8 +433,8 @@ def test_first_divergence_matches_naive_scan():
     ):
         universe = enumerate_family(family, n)
         for a in universe:
-            brute = brute_classification(family, n, a, "d")
-            literal = closed(n, a, "d", "literal")
+            brute = brute_classification(a, "d")
+            literal = closed(a, "d", "literal")
             expected = next(
                 (
                     i
@@ -453,7 +451,7 @@ def test_first_divergence_matches_naive_scan():
 def test_d_equals_j_spot_checks():
     for family, n, a_text in ((FAMILY_IS, 3, "1,2,-"), (FAMILY_T, 3, "1,1,2")):
         a = parse_element(family, a_text)
-        ok, witness = verify_d_equals_j(variant_semigroup(family, n, a))
+        ok, witness = verify_d_equals_j(variant_semigroup(a))
         assert ok and witness is None
 
 
@@ -470,7 +468,7 @@ def test_d_equals_j_reports_a_witness_when_j_disagrees(monkeypatch):
         return dataclasses.replace(c, labels=canonical_labels(np.where(c.labels == 1, 0, c.labels)))
 
     monkeypatch.setattr(engine, "green_classes_brute", merged_j)
-    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    v = VariantSemigroup(tr("1,1,2"))
     d = genuine(v, "d")
     ok, witness = verify_d_equals_j(v)
     universe = enumerate_family(FAMILY_T, 3)
@@ -485,8 +483,8 @@ def test_d_equals_j_reports_a_witness_when_j_disagrees(monkeypatch):
 def test_egg_box_grid_invariants():
     for family, n, a_text in ((FAMILY_IS, 3, "1,2,-"), (FAMILY_T, 3, "1,1,2")):
         a = parse_element(family, a_text)
-        v = variant_semigroup(family, n, a)
-        h = brute_classification(family, n, a, "h")
+        v = variant_semigroup(a)
+        h = brute_classification(a, "h")
         h_classes = set(map(tuple, class_lists(h, range(v.size))))
         boxes = all_egg_boxes(v)
         covered = set()
@@ -519,12 +517,12 @@ def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
     a = tr("1,1,2,3,4")
     brute_classification.cache_clear()
     variant_semigroup.cache_clear()
-    all_egg_boxes(variant_semigroup(FAMILY_T, 5, a))
+    all_egg_boxes(variant_semigroup(a))
     r, l = (1024, 625), (625, 1024)
     assert packs == [r, l]
     for relation in ("h", "d"):
-        fresh = green_classes_brute(VariantSemigroup(FAMILY_T, 5, a), relation)
-        assert fresh.same_partition(brute_classification(FAMILY_T, 5, a, relation))
+        fresh = green_classes_brute(VariantSemigroup(a), relation)
+        assert fresh.same_partition(brute_classification(a, relation))
     assert packs == [r, l] * 3
 
 
@@ -532,7 +530,7 @@ def test_factor_rows_packed_once_per_semigroup(monkeypatch):
     # r packs the factor rows and l the factor columns, and the semigroup
     # keeps both; j (and the SxS unions inside it) reads the same arrays
     # instead of packing again.
-    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    v = VariantSemigroup(tr("1,1,2"))
     green_classes_brute(v, "r")
     green_classes_brute(v, "l")
     rows, cols = v.factor_rows, v.factor_cols
@@ -550,7 +548,7 @@ def test_factor_rows_packed_once_per_semigroup(monkeypatch):
 def test_factor_col_ids_computed_once_per_semigroup(monkeypatch):
     # l and the SxS unions of j group the same packed columns, so both read
     # the semigroup's one factor_col_ids instead of calling _row_ids on them.
-    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    v = VariantSemigroup(tr("1,1,2"))
     genuine = engine._row_ids
     grouped = []
     monkeypatch.setattr(
@@ -566,7 +564,7 @@ def test_j_does_not_classify_l():
     # j reads Sx from the factor columns, keyed by right factor, so it
     # needs no l labels: a fresh semigroup's j leaves l unclassified.
     for family, n, a_text in ((FAMILY_T, 4, "1,1,2,3"), (FAMILY_IS, 4, "2,3,-,1")):
-        v = VariantSemigroup(family, n, parse_element(family, a_text))
+        v = VariantSemigroup(parse_element(family, a_text))
         green_classes_brute(v, "j")
         assert list(v._classes) == ["j"]  # no l (nor r) classification
 
@@ -579,7 +577,7 @@ def test_each_relation_classified_once_per_semigroup(monkeypatch):
     monkeypatch.setattr(
         engine, "GreenClassification", lambda **kw: built.append(kw["relation"]) or genuine(**kw)
     )
-    v = VariantSemigroup(FAMILY_IS, 3, pp("2,3,-"))
+    v = VariantSemigroup(pp("2,3,-"))
     first = {relation: green_classes_brute(v, relation) for relation in RELATIONS}
     all_egg_boxes(v)
     egg_box(v, pp("1,-,-"))
@@ -599,7 +597,7 @@ def test_egg_boxes_read_the_semigroup_they_are_given(monkeypatch):
         VariantSemigroup, "table",
         lambda self: (self._table is None and tables.append(self)) or genuine(self),
     )
-    v = VariantSemigroup(FAMILY_T, 4, tr("1,1,2,3"))
+    v = VariantSemigroup(tr("1,1,2,3"))
     boxes = all_egg_boxes(v)
     assert tables == [v]
     assert variant_semigroup.cache_info().misses == brute_classification.cache_info().misses == 0
@@ -609,21 +607,21 @@ def test_egg_boxes_read_the_semigroup_they_are_given(monkeypatch):
 
 
 def test_egg_box_frozen_shapes():
-    v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
+    v = variant_semigroup(tr("1,1"))
     box = egg_box(v, tr("2,2"))
     assert (len(box.row_members), len(box.col_members)) == (1, 2)
     assert enumerate_family(FAMILY_T, 2)[box.members[0]] == tr("1,1")
 
-    v3 = variant_semigroup(FAMILY_IS, 3, pp("1,2,-"))
+    v3 = variant_semigroup(pp("1,2,-"))
     box3 = egg_box(v3, pp("1,-,-"))
     assert (len(box3.row_members), len(box3.col_members)) == (2, 2)
 
-    ve = variant_semigroup(FAMILY_IS, 2, empty_map(2))
+    ve = variant_semigroup(empty_map(2))
     assert len(all_egg_boxes(ve)) == 7
 
 
 def test_egg_box_rejects_non_d_class():
-    r, l = (brute_classification(FAMILY_T, 2, tr("1,1"), rel) for rel in "rl")
+    r, l = (brute_classification(tr("1,1"), rel) for rel in "rl")
     _egg_boxes(np.array([0, 3]), np.zeros(2, dtype=np.int64), r, l)  # the d-class of 1,1
     with pytest.raises(ValueError):
         _egg_boxes(np.array([0]), np.zeros(1, dtype=np.int64), r, l)  # a proper subset
@@ -635,7 +633,7 @@ def test_egg_box_rejects_non_d_class():
 
 def test_summarize_classes_by_rank():
     summary = summarize_classes_by_rank(
-        brute_classification(FAMILY_IS, 3, pp("1,2,-"), "r")
+        brute_classification(pp("1,2,-"), "r")
     )
     assert summary.singleton_count == 22
     assert summary.multi_class_count == 6
@@ -649,7 +647,7 @@ def test_summarize_classes_by_rank():
 def test_brute_capacity_cap():
     with pytest.raises(CapacityError):
         green_classes_brute(
-            variant_semigroup(FAMILY_T, 6, Transformation((1,) * 6)), "r"
+            variant_semigroup(Transformation((1,) * 6)), "r"
         )
 
 
@@ -659,13 +657,13 @@ def test_brute_cap_refused_before_listing():
     enumerate_family.cache_clear()
     universe_images.cache_clear()
     with pytest.raises(CapacityError):
-        variant_semigroup(FAMILY_T, 6, tr("1,1,2,2,3,3"))
+        variant_semigroup(tr("1,1,2,2,3,3"))
     assert enumerate_family.cache_info().misses == 0
     assert universe_images.cache_info().misses == 0
 
 
 def test_table_spot_check_catches_a_corrupted_pick_pair():
-    v = VariantSemigroup(FAMILY_T, 3, tr("1,1,2"))
+    v = VariantSemigroup(tr("1,1,2"))
     rows, left_of, right_of = v.table()
     v._spot_check_associativity(rows, left_of, right_of)  # the genuine table passes
     s = v.size
@@ -675,12 +673,12 @@ def test_table_spot_check_catches_a_corrupted_pick_pair():
         with pytest.raises(AssertionError):
             v._spot_check_associativity(corrupted, left_of, right_of)
     # Another deformation's table is associative, but not the product for a.
-    other = VariantSemigroup(FAMILY_T, 3, tr("1,2,3"))
+    other = VariantSemigroup(tr("1,2,3"))
     with pytest.raises(AssertionError, match="disagrees"):
         v._spot_check_associativity(*other.table())
 
 
 def test_relation_name_checked():
-    v = variant_semigroup(FAMILY_T, 2, tr("1,1"))
+    v = variant_semigroup(tr("1,1"))
     with pytest.raises(ValueError):
         green_classes_brute(v, "q")

@@ -70,7 +70,7 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     # (universe[0], universe[4]), although a failing column 0 comes later.
     a = pp("2,3,-")
     a_inv = a.inverse()
-    corrupted = VariantSemigroup(FAMILY_IS, 3, a_inv)
+    corrupted = VariantSemigroup(a_inv)
     rows, left_of, right_of = corrupted.table()
     assert left_of[0] == left_of[1] != left_of[2]
     assert right_of[3] != right_of[4] == right_of[5]
@@ -82,7 +82,7 @@ def test_dual_check_reports_first_failing_pair(monkeypatch):
     monkeypatch.setattr(
         structure,
         "variant_semigroup",
-        lambda family, n, x: corrupted if x == a_inv else genuine(family, n, x),
+        lambda x: corrupted if x == a_inv else genuine(x),
     )
     report = dual_check(a)
     assert not report.holds and report.classes_match is None
@@ -97,7 +97,7 @@ def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
     # block (last column): the earlier row is reported, whatever its column.
     a = pp("2,3,4,5,1")
     a_inv = a.inverse()
-    corrupted = VariantSemigroup(FAMILY_IS, 5, a_inv)
+    corrupted = VariantSemigroup(a_inv)
     rows, left_of, right_of = corrupted.table()
     s = corrupted.size
     assert rows.shape == (s, s) and s > 3 * structure.IDEAL_BLOCK
@@ -109,7 +109,7 @@ def test_dual_check_reports_first_failing_pair_across_blocks(monkeypatch):
     monkeypatch.setattr(
         structure,
         "variant_semigroup",
-        lambda family, n, x: corrupted if x == a_inv else genuine(family, n, x),
+        lambda x: corrupted if x == a_inv else genuine(x),
     )
     report = dual_check(a)
     assert not report.holds
