@@ -10,13 +10,13 @@ runs brute force, so a closed-form command never executes the referee.
 The closed forms of both families are evaluated the same way, stated here
 once: a family's case split keys every universe row by the first clause
 that holds (clause_keys), and classify_by_key numbers the classes by least
-member.  So a closed-form command executes only its own family's module.
+member, sorting only the rows some clause took: every other row is a
+singleton.  So a closed-form command executes only its own family's module.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -43,35 +43,40 @@ class GreenClassification:
     labels[i] is the class id of the i-th element of that universe
     (canonical order), and classes are numbered by least member, so two
     classifications describe the same partition exactly when their labels
-    are equal.  The labels are a read-only int64 array.  Elements are built
-    only by ``class_of``, and only the members of the one class asked for.
+    are equal.  The labels are a read-only int64 array, and counts[i], read
+    only too, is the size of class i.  Elements are built only by
+    ``class_of``, and only the members of the one class asked for.
     """
 
     a: Element
     relation: str
     method: str  # "brute", "closed-corrected" or "closed-literal"
     labels: np.ndarray
+    counts: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = np.array(self.labels, dtype=np.int64)
         if labels.shape != (family_size(self.a.family, self.a.n),):
             raise ValueError("labels do not cover the universe")
-        if labels.min() < 0 or not np.bincount(labels).all():
+        if labels.min() < 0 or not (counts := np.bincount(labels)).all():
             raise ValueError("class ids must be 0..k-1, each one used")
         # Ids first occur in increasing order exactly when no label exceeds
         # every label before it by more than one.
-        if labels[0] != 0 or (labels[1:] > np.maximum.accumulate(labels)[:-1] + 1).any():
+        bound = np.maximum.accumulate(labels)
+        bound += 1
+        if labels[0] != 0 or (labels[1:] > bound[:-1]).any():
             raise ValueError("classes must be numbered by least member")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        for name, array in (("labels", labels), ("counts", counts)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
-    @functools.cached_property
+    @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.labels).tolist())
+        return tuple(self.counts.tolist())
 
     @property
     def singleton_count(self) -> int:
-        return self.sizes.count(1)
+        return int(np.count_nonzero(self.counts == 1))
 
     def _members(self, x: Element) -> np.ndarray:
         """The universe indices of x's class, ascending."""
@@ -98,33 +103,35 @@ class GreenClassification:
         # The classes of i agree when the pair (self, other) of labels of i
         # is shared by as many elements as each of its two classes holds.
         _, pair, shared = np.unique(
-            self.labels * len(other.sizes) + other.labels,
+            self.labels * len(other.counts) + other.labels,
             return_inverse=True,
             return_counts=True,
         )
         shared = shared[pair.ravel()]
-        differs = (shared != np.bincount(self.labels)[self.labels]) | (
-            shared != np.bincount(other.labels)[other.labels]
-        )
+        differs = (shared != self.counts[self.labels]) | (shared != other.counts[other.labels])
         return int(np.argmax(differs))
 
 
-def canonical_labels(keys: np.ndarray) -> np.ndarray:
-    """Class ids for rows grouped by equal keys, numbered by least row."""
-    order = np.argsort(keys, kind="stable")  # equal keys keep their rows in order
+def canonical_labels(keys: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
+    """Class ids for rows grouped by equal keys, numbered by least row.
+    Only the rows in the mask inside (every row by default) are grouped;
+    each other row is a class of its own, whatever its key."""
+    rows = np.arange(len(keys)) if inside is None else np.flatnonzero(inside)
+    order = rows[np.argsort(keys[rows], kind="stable")]  # equal keys keep their rows in order
     ordered = keys[order]
-    starts = np.empty(len(keys), dtype=bool)  # where each run of equal keys begins
+    starts = np.empty(len(order), dtype=bool)  # where each run of equal keys begins
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    del ordered
+    del ordered, rows
     least = order[starts]  # the least row of each key
-    is_least = np.zeros(len(keys), dtype=bool)
-    is_least[least] = True
-    ids = np.cumsum(is_least)[least] - 1  # class ids, numbered by least row
+    is_least = np.ones(len(keys), dtype=bool)  # a row outside is its own least row
+    is_least[order] = starts
+    labels = is_least.astype(np.int64)
+    np.cumsum(labels, out=labels)  # in place: a cumsum of bools would cast them to a copy
+    labels -= 1  # class ids, numbered by least row
     run = np.cumsum(starts)
     run -= 1
-    labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = ids[run]
+    labels[order] = labels[least][run]
     return labels
 
 
@@ -161,5 +168,7 @@ def classify_by_key(a: Element, relation: str, mode: str, key: Callable) -> Gree
     check_mode(mode)
     if relation not in CLOSED_RELATIONS:
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
-    labels = canonical_labels(key(a, relation, mode))
+    keys = key(a, relation, mode)
+    labels = canonical_labels(keys, keys >= _CLAUSE)  # a row no clause takes is a singleton
+    del keys  # before the labels are checked, which copies them
     return GreenClassification(a=a, relation=relation, method=f"closed-{mode}", labels=labels)

@@ -21,6 +21,9 @@ from it.  Three things are read from elsewhere: the counterexample pairs
 of iso and dual, which JSON does not carry, and, so that no large
 universe is held as text, green's class lists, streamed from the label
 arrays, and eggbox's DOT grids, written from the egg-box index tuples.
+Almost every class of a closed form is a singleton, so green sorts only
+the members of the other classes and writes the singletons of each block
+of classes as byte rows filled into one buffer per index width.
 
 A process compiles and executes only the code its command runs.  numpy,
 elements and classes, which every command uses, are imported here.  This
@@ -126,7 +129,7 @@ finally:
         gc.enable()
 
 MEMBER_LIMIT = 50  # longest member list printed without --full
-RENDER_BLOCK = 2048  # classes of a green class list rendered per write
+RENDER_BLOCK = 2048  # classes of a green class list per write: the rows a singleton buffer may need
 DEFAULT_SEED = 7
 ALL_A_CAP = 4  # --all-a sweeps stop here; sample larger universes instead
 
@@ -213,9 +216,10 @@ def _closed_classification(a: Element, relation: str, mode: str) -> GreenClassif
 # shared rendering
 
 
-def _listed(size: int, full: bool) -> bool:
-    """Whether a class's members are printed rather than elided."""
-    return full or size <= MEMBER_LIMIT
+def _listed(size: int | np.ndarray, full: bool) -> bool | np.ndarray:
+    """Whether a class's members are printed rather than elided; for an
+    array of class sizes, a mask."""
+    return full | (size <= MEMBER_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +251,33 @@ def _texts(chars: np.ndarray, members: Sequence[int], sep: str) -> str:
     return sep.encode().join(rows).decode()
 
 
-def _singleton_rows(template: str, index: np.ndarray, reps: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """template as one row of bytes per singleton class index[k]: {i}
-    becomes the class index, which has the same number of digits for all
-    of them, and {x} the text of the class's one member reps[k]."""
-    digits = index[:, None] // 10 ** np.arange(len(str(index.max(initial=0))))[::-1] % 10
-    fields = {"x": chars[reps], "i": (digits + ord("0")).astype(np.uint8)}
-    parts = re.split(r"\{([ix])\}", template)  # literal, field, literal, ..., literal
-    return np.hstack([
-        fields[p] if k % 2 else np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (len(reps), len(p)))
-        for k, p in enumerate(parts)
-    ])
+def _singleton_rows(
+    buffers: dict[int, np.ndarray], parts: list[str], index: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """An entry template, split into parts literal, field, literal, ...,
+    literal, as one row of bytes per singleton class index[k]: field i is
+    the index, which has the same number of digits d for all of them, and
+    field x the text xs[k] of the class's one member.  The rows are filled
+    into buffers[d], whose literal columns are written when it is made or
+    outgrown."""
+    d = len(str(index[0])) if len(index) else 0
+    widths = [len(p) if k % 2 == 0 else d if p == "i" else xs.shape[1] for k, p in enumerate(parts)]
+    cols = np.cumsum([0, *widths]).tolist()
+    if d not in buffers or len(buffers[d]) < len(index):
+        buffers[d] = np.empty((len(index), cols[-1]), dtype=np.uint8)
+        for k in range(0, len(parts), 2):
+            buffers[d][:, cols[k] : cols[k + 1]] = np.frombuffer(parts[k].encode(), np.uint8)
+    rows = buffers[d][: len(index)]
+    for k in range(1, len(parts), 2):
+        field, rest = rows[:, cols[k] : cols[k + 1]], index
+        if parts[k] == "x":
+            field[:] = xs
+            continue
+        decimal = np.empty((d, len(index)), dtype=np.uint8)  # digit t of index[k] at [t, k]
+        for t in reversed(range(d)):
+            rest, decimal[t] = np.divmod(rest, 10)
+        field[:] = decimal.T + ord("0")
+    return rows
 
 
 def _write_classes(
@@ -268,31 +288,55 @@ def _write_classes(
     """Write first, then entry(i, size, rep, members) for each class i of c,
     followed by end, or by last for the final class; members is the member
     texts joined by sep, or None when elided.  Classes go out RENDER_BLOCK
-    to a write.  The singletons among a block's indices of one number of
-    digits are byte rows of the template entry("{i}", 1, "{x}", "{x}")."""
-    sizes = np.bincount(c.labels)
-    order = np.argsort(c.labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    template = entry("{i}", 1, "{x}", "{x}") + end
-    k = len(sizes)
+    to a write.  Each class of more than one, and the final class, is an
+    entry of its own: only their members are sorted, and the member texts
+    of those listed are laid out in one pass.  The other classes are
+    singletons, and those among a block's indices of one number of digits
+    are byte rows of the template entry("{i}", 1, "{x}", "{x}")."""
+    counts, labels, width = c.counts, c.labels, chars.shape[1]
+    k = len(counts)
+    apart = counts > 1
+    apart[-1] = True
+    single = ~apart[labels]
+    solo = np.flatnonzero(single)  # each singleton's member: they come in class order
+    rows = np.flatnonzero(~single)
+    rows = rows[np.argsort(labels[rows], kind="stable")]  # class by class, each ascending
+    own = np.flatnonzero(apart)
+    sizes = counts[own]
+    listed = _listed(sizes, full)
+    # Each member text of the listed classes followed by sep, in one string.
+    stride = width + len(sep)
+    texts = np.empty((int(sizes[listed].sum()), stride), dtype=np.uint8)
+    texts[:, :width] = chars[rows[np.repeat(listed, sizes)]]
+    texts[:, width:] = np.frombuffer(sep.encode(), np.uint8)
+    listing = texts.tobytes().decode()
+    reps = chars[rows[np.cumsum(sizes) - sizes]].tobytes().decode()
+    stops = (np.cumsum(sizes * listed) * stride).tolist()
+    own, sizes, listed = own.tolist(), sizes.tolist(), listed.tolist()
+    parts = re.split(r"\{([ix])\}", entry("{i}", 1, "{x}", "{x}") + end)
+    buffers: dict[int, np.ndarray] = {}  # one per number of digits, reused by later blocks
+    # own[j] is the next class written as an entry, solo[t] the next singleton's member.
+    j, t = 0, 0
     for lo in range(0, k, RENDER_BLOCK):
         hi = min(lo + RENDER_BLOCK, k)
         tens = [10**d for d in range(len(str(lo)), len(str(hi - 1)))]
-        pieces = [first] if lo == 0 else []
+        pieces = [first.encode()] if lo == 0 else []
         for p, q in zip([lo, *tens], [*tens, hi]):
-            ids = np.arange(p, q)
-            one = sizes[p:q] == 1
-            rows = _singleton_rows(template, ids[one], order[starts[ids[one]]], chars)
-            text, width, done = rows.tobytes().decode(), rows.shape[1], 0
-            for m, i in enumerate(ids[~one].tolist()):  # i - p - m singletons precede i
-                pieces.append(text[done * width : (i - p - m) * width])
-                done = i - p - m
-                members = order[starts[i] : starts[i] + sizes[i]]
-                listed = _texts(chars, members, sep) if _listed(int(sizes[i]), full) else None
-                pieces.append(entry(i, int(sizes[i]), _texts(chars, members[:1], ""), listed) + end)
-            pieces.append(text[done * width :])
-        block = "".join(pieces)
-        sys.stdout.write(block[: len(block) - len(end)] + last if hi == k else block)
+            ids = np.flatnonzero(~apart[p:q]) + p
+            singles = _singleton_rows(buffers, parts, ids, chars[solo[t : t + len(ids)]])
+            t, done, j0 = t + len(ids), 0, j
+            while j < len(own) and own[j] < q:
+                i, size, before = own[j], sizes[j], own[j] - p - (j - j0)  # singletons before i
+                pieces.append(singles[done:before])
+                done = before
+                rep = reps[j * width : (j + 1) * width]
+                start = stops[j] - size * stride
+                members = listing[start : stops[j] - len(sep)] if listed[j] else None
+                tail = last if i == k - 1 else end
+                pieces.append((entry(i, size, rep, members) + tail).encode())
+                j += 1
+            pieces.append(singles[done:])
+        sys.stdout.write(b"".join(pieces).decode())
 
 
 def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -333,7 +377,7 @@ def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "results": [
             {
                 "method": c.method,
-                "class_count": len(c.sizes),
+                "class_count": len(c.counts),
                 "singleton_count": c.singleton_count,
                 "classes": placeholder,
             }

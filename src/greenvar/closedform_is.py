@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from math import comb, factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def _check_is_pair(x: PartialPerm, a: PartialPerm) -> None:
         raise ValueError(f"point-set sizes differ: {x.n} vs {a.n}")
 
 
-@dataclasses.dataclass(frozen=True)
-class DivisibilityVerdict:
+class DivisibilityVerdict(NamedTuple):
     """Outcome of asking whether x = y *_a u has a solution u.
 
     When solvable, witness is one solution, built as the composite

@@ -120,13 +120,12 @@ class CountReport:
 
 def summarize_classes_by_rank(classification: GreenClassification) -> ClassCountSummary:
     c = classification
-    sizes = np.bincount(c.labels)
     _, least = np.unique(c.labels, return_index=True)
     ranks = np.bitwise_count(universe_ranges(c.a.family, c.a.n)[least])
-    multi = sizes > 1
-    lines = Counter(zip(ranks[multi].tolist(), sizes[multi].tolist()))
+    multi = c.counts > 1
+    lines = Counter(zip(ranks[multi].tolist(), c.counts[multi].tolist()))
     return ClassCountSummary(
-        singleton_count=int((sizes == 1).sum()),
+        singleton_count=c.singleton_count,
         multi_class_count=int(multi.sum()),
         size_lines=tuple(sorted((k, sz, cnt) for (k, sz), cnt in lines.items())),
     )

@@ -54,8 +54,8 @@ censuses.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,11 +239,10 @@ def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
     If x is outside I(x) its class is {x}: were x ~ y with y != x, y would
     lie in I(x) and x in I(y), which lies within I(x).  Every other x has
-    {x} | I(x) = I(x), so keys[x] decides its class.  Each singleton is
-    keyed past every row id, and row ids are below |S|.
+    {x} | I(x) = I(x), so keys[x] decides its class; only those x are
+    grouped.
     """
-    s = len(keys)
-    return canonical_labels(np.where(inside, keys, s + np.arange(s)))
+    return canonical_labels(keys, inside)
 
 
 def _ideal_classes(packed: np.ndarray, ids: np.ndarray, of: np.ndarray) -> np.ndarray:
@@ -347,8 +346,7 @@ def verify_d_equals_j(
     return False, (first, second)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class EggBox:
+class EggBox(NamedTuple):
     """One d-class laid out as a grid: rows are r-classes, columns l-classes,
     and each cell the h-class where they cross (cell = row intersect column).
 
@@ -390,11 +388,11 @@ def _egg_boxes(
 
     line_of, firsts = [], []
     for c in (r, l):
-        k = len(c.sizes)
+        k = len(c.counts)
         lines, line, size = np.unique(
             box_of * k + c.labels[members], return_inverse=True, return_counts=True
         )
-        if (size != np.bincount(c.labels)[lines % k]).any():
+        if (size != c.counts[lines % k]).any():
             raise ValueError("a box is not a union of r- and l-classes")
         line_of.append(line.ravel())
         firsts.append(np.searchsorted(lines // k, np.arange(boxes + 1)))  # each box's first line

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import jsonschema
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import class_lists
 from greenvar import cli as cli_module
 from greenvar import closedform_t, engine
 from greenvar.cli import MEMBER_LIMIT
-from greenvar.classes import MODES
+from greenvar.classes import MODES, GreenClassification
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.elements import (
@@ -303,17 +304,24 @@ def _renderer_cases():
             for a in sorted({texts[0], texts[len(texts) // 3], texts[-1]}):
                 for relation in ("r", "l", "h", "d"):
                     yield family, n, a, relation
-    yield "t", 5, random.Random(5).choice(universe_texts("t", 5)), "d"
+    a = random.Random(5).choice(universe_texts("t", 5))
+    yield "t", 5, a, "d"
+    yield "t", 5, a, "r"  # 1,371 classes, so the indices pass 999 -> 1000
 
 
 @pytest.mark.parametrize("block", (7, 1))
 def test_green_block_writer_matches_per_class_reference(cli, monkeypatch, block):
     # Blocks of 7 and of 1 split runs of equal index width and cross the
-    # index widths at 9 -> 10 and 99 -> 100, so a block boundary that drops,
-    # repeats or pads a class shows.
+    # index widths at 9 -> 10, 99 -> 100 and 999 -> 1000, with a class of
+    # more than one member first in some block and last in another, so a
+    # block boundary that drops, repeats or pads a class shows.
     monkeypatch.setattr(cli_module, "RENDER_BLOCK", block)
-    crossed = False
+    crossed = opens = closes = False
     for family, n, a, relation in _renderer_cases():
+        counts = brute_classification(parse_element(family, a), relation).counts
+        multi = np.flatnonzero(counts > 1)
+        opens = opens or bool((multi % block == 0).any())
+        closes = closes or bool(((multi % block == block - 1) | (multi == len(counts) - 1)).any())
         for fmt in ("text", "json", "csv"):
             for full in (False, True):
                 argv = ("green", "--family", family, "--n", str(n), "--a", a,
@@ -322,8 +330,60 @@ def test_green_block_writer_matches_per_class_reference(cli, monkeypatch, block)
                 code, out, err = cli(*argv)
                 assert out == _reference_green(family, n, a, relation, fmt, full), argv
                 assert code in (0, 1) and not err, argv
-                crossed = crossed or "[100] size" in out
-    assert crossed
+                crossed = crossed or "[1000] size" in out
+    assert crossed and opens and closes
+
+
+def _per_class_reference(c, chars, full, entry, sep, first="", end="\n", last="\n"):
+    """What _write_classes writes, built one class at a time."""
+    texts = [row.tobytes().decode() for row in chars]
+    out = [first]
+    for i, size in enumerate(c.sizes):
+        members = [texts[x] for x in np.flatnonzero(c.labels == i)]
+        listed = sep.join(members) if full or size <= MEMBER_LIMIT else None
+        out.append(entry(i, size, members[0], listed) + end)
+    return "".join(out)[: -len(end)] + last
+
+
+@pytest.mark.parametrize("block", (1, 3, 7, 2048))
+def test_green_writer_lists_classes_of_member_limit_at_block_edges(monkeypatch, block):
+    # A partition of T_4's 256 elements into 149 classes, built so that
+    # classes of MEMBER_LIMIT + 1, MEMBER_LIMIT and 2 members open and close
+    # blocks of 3 and of 7, and the indices pass 9 -> 10 and 99 -> 100.
+    # Class i's least member is i; the rest of each class is dealt round
+    # robin from the tail of the universe.
+    monkeypatch.setattr(cli_module, "RENDER_BLOCK", block)
+    sizes = dict.fromkeys(range(149), 1) | {
+        0: MEMBER_LIMIT + 1, 6: MEMBER_LIMIT, 8: 2, 13: 3, 14: 2, 99: 2, 100: 3, 148: 2
+    }
+    assert sum(sizes.values()) == 256
+    labels = np.arange(256)
+    tail = [i for i, size in sizes.items() for _ in range(size - 1)]
+    labels[149:] = random.Random(25).sample(tail, len(tail))
+    c = GreenClassification(a=parse_element("t", "1,2,3,4"), relation="r", method="brute",
+                            labels=labels)
+    assert c.sizes == tuple(sizes.values())
+    chars = universe_chars("t", 4)
+    csv_entry = lambda i, size, rep, members: f"{i},{size},{rep},{members or ''}"  # noqa: E731
+    styles = [
+        (cli_module._text_entry, " ", {"first": "head\n"}),
+        (cli_module._json_entry, cli_module._JSON_SEP,
+         {"first": "[\n", "end": ",\n", "last": "\n      ]}\n"}),
+        (csv_entry, " ", {}),
+    ]
+    for entry, sep, ends in styles:
+        for full in (False, True):
+            writes = []
+            with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
+                cli_module._write_classes(c, chars, full, entry, sep, **ends)
+            out = "".join(writes)
+            assert out == _per_class_reference(c, chars, full, entry, sep, **ends)
+            assert len(writes) == -(-len(sizes) // block)  # one write per block
+            if entry is cli_module._text_entry:
+                texts = universe_texts("t", 4)
+                listed = ": " if full else " (members elided; --full to show)\n"
+                assert f"[0] size {MEMBER_LIMIT + 1} rep {texts[0]}{listed}" in out
+                assert f"[6] size {MEMBER_LIMIT} rep {texts[6]}: " in out
 
 
 def test_green_streams_a_t6_export_in_small_writes():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import class_lists
+from hypothesis import given, settings, strategies as st
 
 from greenvar import engine
 from greenvar.elements import (
@@ -392,6 +393,34 @@ def test_class_sizes_cover_universe():
             for relation in RELATIONS:
                 c = brute_classification(a, relation)
                 assert sum(c.sizes) == len(enumerate_family(family, n))
+
+
+# Universes small enough to key at random: (family, n, identity text, size).
+_SMALL_UNIVERSES = (("t", 1, "1", 1), ("is", 1, "1", 2), ("is", 2, "1,2", 7),
+                    ("t", 3, "1,2,3", 27), ("is", 3, "1,2,3", 34))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_UNIVERSES).flatmap(lambda u: st.tuples(
+    st.just(u),
+    st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=u[3], max_size=u[3]),
+)))
+def test_masked_grouping_equals_full_grouping(case):
+    # Rows outside the mask are singletons whatever their keys; keyed apart
+    # from every other row instead and grouped in full, they give the same
+    # labels, and the classifications agree on counts, sizes and singletons.
+    (family, _, a, size), rows = case
+    keys = np.array([key for key, _ in rows], dtype=np.int64)
+    inside = np.array([mine for _, mine in rows])
+    apart = np.where(inside, keys, keys.max() + 1 + np.arange(size))
+    masked, whole = canonical_labels(keys, inside), canonical_labels(apart)
+    assert np.array_equal(masked, whole)
+    assert np.array_equal(canonical_labels(keys), canonical_labels(keys, np.ones(size, bool)))
+    c, d = (GreenClassification(a=parse_element(family, a), relation="r", method="brute",
+                                labels=labels) for labels in (masked, whole))
+    assert np.array_equal(c.counts, d.counts) and not c.counts.flags.writeable
+    assert c.sizes == d.sizes == tuple(np.bincount(whole).tolist())
+    assert c.singleton_count == d.singleton_count == c.sizes.count(1)
 
 
 def test_class_of_and_accessors():
