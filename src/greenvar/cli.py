@@ -108,6 +108,7 @@ try:
         ParseError,
         elements_at,
         enumerate_family,
+        family_element,
         parse_element,
         universe_chars,
         universe_images,
@@ -181,29 +182,34 @@ def _add_selection(sub: argparse.ArgumentParser, *, sampled: bool = True) -> Non
 def _select_deformations(
     parser: argparse.ArgumentParser, args: argparse.Namespace, family: str, n: int
 ) -> list[Element]:
+    # Every deformation is held to brute force's size rule before any is classified.
     if args.a is not None:
-        return [_parse_or_error(parser, family, n, args.a)]
-    if getattr(args, "rank_reps", False):
+        selected = [_parse_or_error(parser, family, n, args.a)]
+    elif getattr(args, "rank_reps", False):
         if family != FAMILY_IS:
             parser.error(
                 "--rank-reps is only justified for family is; use --all-a or --sample"
             )
-        return [structure.rank_representative(n, k) for k in range(n + 1)]
-    if args.all_a:
+        selected = [structure.rank_representative(n, k) for k in range(n + 1)]
+    elif args.all_a:
         if n > ALL_A_CAP:
             # dual selects with --a or --all-a alone, so only verify and count can sample.
             hint = "; use --sample" if hasattr(args, "sample") else ""
             parser.error(f"--all-a is capped at n <= {ALL_A_CAP}{hint}")
-        return list(enumerate_family(family, n))
-    # Sampling indices draws what sampling the elements would; only the
-    # drawn elements are built.  Every sampled deformation goes to brute
-    # force, so its cap is checked before the universe is listed.
-    engine.check_brute_cap(n)
-    images = universe_images(family, n)
-    if args.sample > len(images):
-        parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
-    picks = random.Random(args.seed).sample(range(len(images)), args.sample)
-    return list(elements_at(family, n, sorted(picks)))
+        selected = list(enumerate_family(family, n))
+    else:
+        # Sampling indices draws what sampling the elements would; only the
+        # drawn elements are built.  If the rule refuses the cheapest, the
+        # empty or a constant map, the universe is not listed.
+        engine.check_brute_cost(family_element(family, (int(family != FAMILY_IS),) * n))
+        images = universe_images(family, n)
+        if args.sample > len(images):
+            parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
+        picks = random.Random(args.seed).sample(range(len(images)), args.sample)
+        selected = list(elements_at(family, n, sorted(picks)))
+    for a in selected:
+        engine.check_brute_cost(a)
+    return selected
 
 
 def _closed_classification(a: Element, relation: str, mode: str) -> GreenClassification:

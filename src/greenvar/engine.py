@@ -14,19 +14,18 @@ classic equivalences are computed here from first principles:
 The adjoined identity never enters products; it only contributes the {x}
 term to each ideal, which is what the unions above encode.
 
-Everything is exact integer work on small universes, under one size rule,
-checked before any universe is listed: n <= BRUTE_CAP.  By associativity
+Everything is exact integer work under one size rule, check_brute_cost,
+computed from a's rank before any universe is listed.  By associativity
 ``x *_a y = (x . a) . y = x . (a . y)``, so a product depends on x only
 through its left factor x . a and on y only through its right factor a . y.
 The table is the |Sa| x |aS| block of products of the distinct left
 factors by one y per right factor, computed on the image array a few rows
-at a time, checked to stay in the universe and stored as uint16 indices
-(every universe with n <= 6 has fewer than 65,536 elements); each x keeps
-the indices of its two factors, so no |S| x |S| table is ever formed.  A
-VariantSemigroup owns what is built from it, each thing once: its table,
-its packed factor rows and columns, the ids of its distinct columns and
-every classification asked of it; whatever is handed a semigroup reads
-them.
+at a time, checked to stay in the universe and stored as uint16 indices;
+each x keeps the indices of its two factors, so no |S| x |S| table is ever
+formed.  A VariantSemigroup owns what is built from it, each thing once:
+its table, its packed factor rows and columns, the ids of its distinct
+columns and every classification asked of it; whatever is handed a
+semigroup reads them.
 
 Ideals are packed bit rows, one bit per universe element, built a block
 at a time, so no |S| x |S| matrix of any dtype is formed and grouping is
@@ -55,6 +54,7 @@ censuses.
 from __future__ import annotations
 
 import functools
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +62,7 @@ import numpy as np
 from . import elements
 from .classes import RELATIONS, GreenClassification, canonical_labels
 from .elements import (
+    FAMILY_T,
     CapacityError,
     Element,
     elements_at,
@@ -70,16 +71,29 @@ from .elements import (
     universe_index,
 )
 
-BRUTE_CAP = 5  # the one size cap of brute force: tables, classes, structure checks
+BRUTE_BUDGET = 512 * 2**20  # bytes of table and packed factor rows one semigroup may take
 BRUTE_CACHE_SIZE = 64  # classifications kept by brute_classification
 TABLE_BLOCK_ROWS = 16  # factor rows of the product table indexed per pass
 IDEAL_BLOCK = 128  # ideal or factor-set rows unpacked, or pair rows compared, per pass
 
 
-def check_brute_cap(n: int) -> None:
-    """Refuse brute force beyond n = BRUTE_CAP, before anything is listed."""
-    if n > BRUTE_CAP:
-        raise CapacityError(f"brute force is capped at n <= {BRUTE_CAP}, got n = {n}")
+def check_brute_cost(a: Element) -> tuple[int, int]:
+    """The one size rule of brute force, on a's family, n and rank alone:
+    refuse unless |S| fits the table's uint16 indices and the table and
+    packed factor rows, 2 |Sa| |aS| + (|Sa| + |aS|) ceil(|S| / 8) bytes, fit
+    BRUTE_BUDGET; return the table's shape (|Sa|, |aS|).  x . a is any map
+    into ran(a) and a . y any map on the r points a reaches: r^n and n^r of
+    them in T_n, and in IS_n sum_k C(n,k) C(r,k) k! each."""
+    n, r, s = a.n, a.rank, family_size(a.family, a.n)
+    name = f"brute force on {a.family.upper()}_{n}"
+    if s > (limit := np.iinfo(np.uint16).max):
+        raise CapacityError(f"{name} needs more than uint16 indices: {s} elements, over {limit}")
+    injections = sum(comb(n, k) * comb(r, k) * factorial(k) for k in range(r + 1))
+    left, right = (r**n, n**r) if a.family == FAMILY_T else (injections, injections)
+    if (need := 2 * left * right + (left + right) * ((s + 7) // 8)) > BRUTE_BUDGET:
+        mib, budget = need / 2**20, BRUTE_BUDGET >> 20
+        raise CapacityError(f"{name} at a = {a} needs {mib:,.1f} MiB, over the {budget} MiB budget")
+    return left, right
 
 
 def variant_product(x: Element, a: Element, y: Element) -> Element:
@@ -91,7 +105,7 @@ class VariantSemigroup:
     """a's family on a's n points under the deformed product x *_a y = x.a.y."""
 
     def __init__(self, a: Element):
-        check_brute_cap(a.n)
+        check_brute_cost(a)
         self.a, self.family, self.n = a, a.family, a.n
         self.size = family_size(a.family, a.n)
         self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -214,7 +228,8 @@ def _bits(rows: np.ndarray, s: int) -> np.ndarray:
     """Bool rows over the universe: row i has the bits of rows[i], an array
     of indices, set."""
     bits = np.zeros((len(rows), s), dtype=bool)
-    bits[np.arange(len(rows))[:, None], rows] = True
+    # One flat index scatters faster than a 2-D fancy index.
+    bits.ravel()[(np.arange(len(rows)) * s)[:, None] + rows] = True
     return bits
 
 
@@ -233,25 +248,14 @@ def _has_bit(packed: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray
     return (packed[rows, xs >> 3] << (xs & 7) & 0x80).astype(bool)
 
 
-def _singletons_apart(inside: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Class ids under "equal ideals" by the singleton lemma, from the keys
-    of the ideals I(x) without their {x} term.
-
-    If x is outside I(x) its class is {x}: were x ~ y with y != x, y would
-    lie in I(x) and x in I(y), which lies within I(x).  Every other x has
-    {x} | I(x) = I(x), so keys[x] decides its class; only those x are
-    grouped.
-    """
-    return canonical_labels(keys, inside)
-
-
 def _ideal_classes(packed: np.ndarray, ids: np.ndarray, of: np.ndarray) -> np.ndarray:
     """Class ids under equal ideals {x} | I(x), where I(x) is packed row
     of[x] and ids the _row_ids of packed: r reads the factor rows through
     left_of, l the factor columns through right_of.  Only the distinct
-    packed rows are grouped."""
-    s = len(of)
-    return _singletons_apart(_has_bit(packed, of, np.arange(s)), ids[of])
+    packed rows are grouped, and only the x inside I(x): by the singleton
+    lemma, an x outside has the class {x}, for were x ~ y with y != x, y
+    would lie in I(x) and x in I(y), which lies within I(x)."""
+    return canonical_labels(ids[of], _has_bit(packed, of, np.arange(len(of))))
 
 
 def _sxs_rows(v: VariantSemigroup) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +322,7 @@ def green_classes_brute(v: VariantSemigroup, relation: str) -> GreenClassificati
             packed = v.factor_rows[left_of[xs]] | v.factor_cols[col] | unions[set_of[col]]
             inside[xs] = mine = _has_bit(packed, np.arange(len(xs)), xs)
             keys[xs[mine]] = _row_ids(packed[mine], seen)
-        labels = _singletons_apart(inside, keys)
+        labels = canonical_labels(keys, inside)  # the singleton lemma, as in _ideal_classes
 
     v._classes[relation] = GreenClassification(
         a=v.a, relation=relation, method="brute", labels=labels

@@ -12,11 +12,11 @@ Two facts are made executable here:
   Unequal ranks give no isomorphism; that direction is not re-proved here,
   only the constructed witnesses are machine-verified.
 
-All checks are exhaustive over the universe (or all pairs), so they are
-capped at the brute-force size, n <= BRUTE_CAP.  Both maps are index
-arrays computed on the image array: one pair check compares the products
-of two semigroups through a map, a block of rows at a time read through
-``VariantSemigroup.products``, and one partition check compares a
+All checks are exhaustive over the universe (or all pairs), so each of
+their two semigroups is held to brute force's size rule.  Both maps are
+index arrays computed on the image array: one pair check compares the
+products of two semigroups through a map, a block of rows at a time read
+through ``VariantSemigroup.products``, and one partition check compares a
 partition carried across a map by its labels.  Element objects are built
 only for a reported pair.
 """
@@ -41,7 +41,7 @@ from .engine import (
     IDEAL_BLOCK,
     VariantSemigroup,
     brute_classification,
-    check_brute_cap,
+    check_brute_cost,
     green_classes_brute,
     variant_semigroup,
 )
@@ -50,7 +50,7 @@ from .engine import (
 def _check_is(a: PartialPerm) -> None:
     if family_of(a) != FAMILY_IS:
         raise TypeError("structure maps are defined for partial injections")
-    check_brute_cap(a.n)
+    check_brute_cost(a)
 
 
 def _first_failing_pair(

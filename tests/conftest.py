@@ -1,6 +1,7 @@
 import pytest
 
 from greenvar.cli import main
+from greenvar.elements import Transformation
 
 
 @pytest.fixture
@@ -26,3 +27,20 @@ def class_lists(c, values):
     for i, label in enumerate(c.labels.tolist()):
         groups[label].append(values[i])
     return groups
+
+
+def kernel_types(n):
+    """One transformation per kernel type of T_n, the multiset of its fiber
+    sizes (a partition of n), with fibers of descending size mapped to
+    1, 2, ...: 1,1,1,2,2 for 3 + 2."""
+
+    def partitions(left, most):
+        if left == 0:
+            yield ()
+        for part in range(min(left, most), 0, -1):
+            yield from ((part, *rest) for rest in partitions(left - part, part))
+
+    return [
+        Transformation(tuple(i for i, part in enumerate(parts, start=1) for _ in range(part)))
+        for parts in partitions(n, n)
+    ]

@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import kernel_types
 
 from greenvar.closedform_is import closed_classification_is, count_is_classes
 from greenvar.closedform_t import (
@@ -50,12 +51,10 @@ SEED = 7
 # per rank, and T_5 one per kernel type, the multiset of fiber sizes (a
 # partition of 5), here with its fibers in descending size.
 IS5_RANKS = [rank_representative(5, k) for k in range(6)]
-T5_KERNEL_TYPES = [
-    parse_element(FAMILY_T, text)
-    for text in (
-        "1,1,1,1,1", "1,1,1,1,2", "1,1,1,2,2", "1,1,1,2,3", "1,1,2,2,3", "1,1,2,3,4", "1,2,3,4,5",
-    )
-]
+T5_KERNEL_TYPES = kernel_types(5)
+# At n = 6 the same below full rank, and T_6 only up to rank 4: 15 in all.
+IS6_RANKS = [rank_representative(6, k) for k in range(6)]
+T6_KERNEL_TYPES = [a for a in kernel_types(6) if a.rank <= 4]
 
 
 def closed(a, relation, mode="corrected"):
@@ -288,3 +287,15 @@ def test_a9_combinatorics_kernel():
             assert total == m**q, (q, m)
     print("[A9] stirling2 matches the q,k<=8 table, falling factorials match"
           " direct products, and sum_j S(q,j)[m]_j == m^q for q,m<=8: PASS")
+
+
+def test_a10_n6_corrected_matches_brute_and_d_equals_j():
+    start = time.monotonic()
+    assert len(IS6_RANKS) + len(T6_KERNEL_TYPES) == 6 + 9
+    for a in IS6_RANKS + T6_KERNEL_TYPES:  # one semigroup at a time, its table built once
+        assert_closed_matches_brute([a], "rlhd")
+        ok, witness = verify_d_equals_j(variant_semigroup(a))
+        assert ok, (a.family, str(a), witness)
+    elapsed = time.monotonic() - start
+    print(f"[A10] corrected r/l/h/d == brute and d == j on every IS_6 rank"
+          f" below full and every T_6 kernel type of rank <= 4, {elapsed:.1f}s: PASS")

@@ -20,7 +20,7 @@ import pytest
 from conftest import class_lists
 
 from greenvar import cli as cli_module
-from greenvar import closedform_t, engine
+from greenvar import closedform_t, commands, engine
 from greenvar.cli import MEMBER_LIMIT
 from greenvar.classes import MODES, GreenClassification
 from greenvar.closedform_is import closed_classification_is
@@ -536,14 +536,31 @@ def test_verify_classifies_each_relation_once_per_deformation(cli, monkeypatch):
 
 def test_sample_refuses_brute_force_before_listing(cli, monkeypatch):
     # T_7 can be listed, but every sampled deformation would go to brute
-    # force: the cap is reported without listing the universe.
+    # force, which T_7 exceeds whatever a is: the size rule is reported
+    # without listing the universe.
     def listed(*_):
         raise AssertionError("the universe was listed")
 
     monkeypatch.setattr(cli_module, "universe_images", listed)
     for command in ("verify", "count"):
         code, out, err = cli(command, "--family", "t", "--n", "7", "--sample", "1")
-        assert (code, out, err) == (2, "", "error: brute force is capped at n <= 5, got n = 7\n")
+        assert (code, out, err) == (2, "", "error: brute force on T_7 needs more than uint16"
+                                     " indices: 823543 elements, over 65535\n")
+
+
+def test_sweep_refuses_before_it_classifies_the_first(cli, monkeypatch):
+    # Seed 7 draws one permutation among 50 T_6 deformations, and brute
+    # force refuses T_6 at full rank: the sweep stops before its first
+    # deformation, so it never writes half a report.
+    def classified(*_):
+        raise AssertionError("a deformation was classified")
+
+    for handler in ("_verify_one", "_count_report"):
+        monkeypatch.setattr(commands, handler, classified)
+    for command in ("verify", "count"):
+        code, out, err = cli(command, "--family", "t", "--n", "6", "--sample", "50")
+        assert (code, out) == (2, "")
+        assert err.endswith("needs 4,670.9 MiB, over the 512 MiB budget\n")
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +709,15 @@ def test_dual_all_a_n2(cli):
         ("verify", "--family", "is", "--n", "2", "--a", "1,2", "--all-a"),
         ("dual", "--n", "5", "--all-a"),
         ("bogus",),
-        # brute force beyond its cap, on every command that needs it
-        ("green", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3", "--relation", "d",
+        # brute force refused by its size rule, on every command that needs it:
+        # T_6 at full rank is over the budget, and n = 7 past uint16 indices
+        ("green", "--family", "t", "--n", "6", "--a", "2,3,4,5,6,1", "--relation", "d",
          "--method", "both"),
-        ("count", "--family", "is", "--n", "6", "--a", "1,2,3,-,-,-"),
-        ("verify", "--family", "t", "--n", "6", "--sample", "1"),
-        ("eggbox", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3"),
-        ("iso", "--n", "6", "--a", "1,2,-,-,-,-", "--b", "1,-,-,-,-,-"),
-        ("dual", "--n", "6", "--a", "1,2,-,-,-,-"),
+        ("count", "--family", "t", "--n", "6", "--a", "2,3,4,5,6,1"),
+        ("verify", "--family", "t", "--n", "7", "--sample", "1"),
+        ("eggbox", "--family", "t", "--n", "6", "--a", "2,3,4,5,6,1"),
+        ("iso", "--n", "7", "--a", "1,2,-,-,-,-,-", "--b", "1,-,-,-,-,-,-"),
+        ("dual", "--n", "7", "--a", "1,2,-,-,-,-,-"),
     ],
 )
 def test_usage_errors_exit_2(cli, args):

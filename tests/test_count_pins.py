@@ -220,16 +220,16 @@ PINNED_USAGE = {
         (2, "d571769c746de93e1e4c047d80d762a9e744fff12941bc22ff527d4fe486f3bb"),
     ("verify", "--family", "t", "--n", "3", "--sample", "100"):
         (2, "b29534c79cbc2a8b3a3c1cce00de443951e04b5cc0a3fd2487deae2381805d07"),
-    ("verify", "--family", "t", "--n", "6", "--sample", "1"):
-        (2, "cbadbb5ed2f7038de31d16a21521cfa29ca691d3eaa026ad806f8ddc788662cf"),
+    ("verify", "--family", "t", "--n", "7", "--sample", "1"):
+        (2, "a840ed4b0a3183506a99e00e02aac8c2b7b056a6501c69f23f368988a988395e"),
     ("count", "--family", "t", "--n", "1", "--all-a"):
         (2, "037bfc0cce97e1cb26624014acf7061fb58476d3aa276439c2f7f104235df453"),
     ("eggbox", "--family", "is", "--n", "3", "--a", "1,2"):
         (2, "8216891e8f61b27d93588c4d4e40c74943c9dd43878ea96d9fe7304160c7ebe5"),
     ("eggbox", "--family", "t", "--n", "2", "--a", "1,1", "--d-rep", "1,1,1"):
         (2, "780f045ad1d0879b30def66563886bef4409692893b41bb00945172624ef6d97"),
-    ("eggbox", "--family", "t", "--n", "6", "--a", "1,1,2,2,3,3"):
-        (2, "cbadbb5ed2f7038de31d16a21521cfa29ca691d3eaa026ad806f8ddc788662cf"),
+    ("eggbox", "--family", "t", "--n", "6", "--a", "2,3,4,5,6,1"):
+        (2, "15b2ecef507691835af79ba2b7c96c6f986d5f2243f0bc4c637c928473786d7a"),
     ("iso", "--n", "2", "--a", "1,-", "--b", "1,1"):
         (2, "4d0ecfb1ae817b852116367bd7109e25027dddd6b776207e409bec27f40b8107"),
     ("dual", "--n", "5", "--all-a"):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import class_lists
+from conftest import class_lists, kernel_types
 from hypothesis import given, settings, strategies as st
 
 from greenvar import engine
@@ -26,6 +26,7 @@ from greenvar.elements import (
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
 from greenvar.counts import summarize_classes_by_rank
+from greenvar.structure import rank_representative
 from greenvar.engine import (
     RELATIONS,
     GreenClassification,
@@ -670,25 +671,53 @@ def test_summarize_classes_by_rank():
 
 
 # ---------------------------------------------------------------------------
-# the size cap and the table spot check
+# the size rule and the table spot check
 
 
 def test_brute_capacity_cap():
-    with pytest.raises(CapacityError):
-        green_classes_brute(
-            variant_semigroup(Transformation((1,) * 6)), "r"
-        )
+    # T_6 at full rank needs a 46,656^2 table: over the budget, naming a.
+    message = r"T_6 at a = 2,3,4,5,6,1 needs 4,670\.9 MiB, over the 512 MiB budget"
+    with pytest.raises(CapacityError, match=message):
+        green_classes_brute(variant_semigroup(tr("2,3,4,5,6,1")), "r")
 
 
 def test_brute_cap_refused_before_listing():
-    # The cap is the one resource rule: a semigroup beyond it is refused
-    # before its universe is listed, as elements or as an image array.
+    # The size rule is the one resource rule: a semigroup it refuses is
+    # refused before its universe is listed, as elements or as an image array.
     enumerate_family.cache_clear()
     universe_images.cache_clear()
     with pytest.raises(CapacityError):
-        variant_semigroup(tr("1,1,2,2,3,3"))
+        variant_semigroup(tr("2,3,4,5,6,1"))
     assert enumerate_family.cache_info().misses == 0
     assert universe_images.cache_info().misses == 0
+
+
+def test_brute_rule_refuses_past_uint16_indices():
+    # A T_7 constant map predicts under 1 MiB, but T_7's indices would wrap
+    # in the uint16 table.
+    assert 2 * 1 * 7 + (1 + 7) * (7**7 + 7) // 8 < 2**20 < engine.BRUTE_BUDGET  # |Sa|, |aS| = 1, 7
+    with pytest.raises(CapacityError, match="T_7 needs more than uint16 indices: 823543 elements"):
+        VariantSemigroup(Transformation((1,) * 7))
+
+
+def test_brute_rule_admits_every_n5_semigroup_and_n6_below_full_t_rank():
+    # T_5 at full rank predicts 21.0 MiB; every n = 6 semigroup but T_6 at
+    # full rank fits the budget, IS_6 at full rank included.
+    for a in (tr("2,3,4,5,1"), pp("2,3,4,5,1"), tr("1,2,3,4,5,5"), pp("1,2,3,4,5,6")):
+        engine.check_brute_cost(a)
+
+
+@pytest.mark.parametrize("family, n", [(FAMILY_IS, n) for n in range(1, 6)]
+                         + [(FAMILY_T, n) for n in range(1, 6)])
+def test_factor_counts_are_the_table_shape(family, n):
+    # One deformation per IS_n rank and per T_n kernel type: the rule's
+    # predicted (|Sa|, |aS|) is the shape of the table it sizes.
+    if family == FAMILY_IS:
+        deformations = [rank_representative(n, k) for k in range(n + 1)]
+    else:
+        deformations = kernel_types(n)
+    for a in deformations:
+        assert engine.check_brute_cost(a) == VariantSemigroup(a).table()[0].shape, str(a)
 
 
 def test_table_spot_check_catches_a_corrupted_pick_pair():

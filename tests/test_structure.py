@@ -59,7 +59,7 @@ def test_dual_check_rejects_transformations_and_big_n():
     with pytest.raises(TypeError):
         dual_check(Transformation((1, 1)))
     with pytest.raises(CapacityError):
-        dual_check(PartialPerm(tuple(range(1, 7))))
+        dual_check(PartialPerm(tuple(range(1, 8))))  # IS_7: past uint16 indices
 
 
 def test_dual_check_reports_first_failing_pair(monkeypatch):
