@@ -37,7 +37,7 @@ _EXPORTS = {
     "elements": """FAMILIES FAMILY_IS FAMILY_T UNDEFINED CapacityError Element ParseError
         PartialPerm Transformation compose constant elements_at empty_map enumerate_family
         family_of family_size format_element identity parse_element""",
-    "engine": """BRUTE_BUDGET EggBox VariantSemigroup all_egg_boxes brute_classification egg_box
+    "engine": """BRUTE_BUDGET EggBoxes VariantSemigroup all_egg_boxes brute_classification egg_box
         green_classes_brute variant_product variant_semigroup verify_d_equals_j""",
     "structure": """DualCheckReport IsoWitness dual_check iso_preserves_classes iso_witness
         rank_representative verify_isomorphism""",

@@ -20,10 +20,11 @@ renders it: JSON dumps the payload, and the text and CSV views are read
 from it.  Three things are read from elsewhere: the counterexample pairs
 of iso and dual, which JSON does not carry, and, so that no large
 universe is held as text, green's class lists, streamed from the label
-arrays, and eggbox's DOT grids, written from the egg-box index tuples.
+arrays, and eggbox's DOT grids, written from the egg-box index arrays.
 Almost every class of a closed form is a singleton, so green sorts only
 the members of the other classes and writes the singletons of each block
-of classes as byte rows filled into one buffer per index width.
+of classes as byte rows filled into one buffer per index width; eggbox
+writes its singleton d-classes the same way.
 
 A process compiles and executes only the code its command runs.  numpy,
 elements and classes, which every command uses, are imported here.  This

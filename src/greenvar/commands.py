@@ -12,18 +12,29 @@ from it; json and csv are imported only when a command writes them.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import closedform_is, closedform_t, engine, structure
-from .cli import _closed_classification, _listed, _parse_or_error, _select_deformations
-from .elements import FAMILY_IS, FAMILY_T, Element, universe_texts
+from .cli import (
+    _closed_classification,
+    _listed,
+    _parse_or_error,
+    _select_deformations,
+    _singleton_rows,
+    _texts,
+)
+from .elements import FAMILY_IS, FAMILY_T, Element, universe_chars
 
 if TYPE_CHECKING:
     from .counts import CountReport
 
 VERIFY_RELATIONS = ("r", "l", "h", "d")
+DOT_BLOCK = 256  # d-classes of an egg-box DOT document per write: 52 KB of singletons at n = 6
 # The count table's columns after family, n, a and p, as named in JSON and CSV.
 COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumerated_value", "flag")
 
@@ -38,7 +49,7 @@ def _count_report(a: Element) -> CountReport:
     return closedform_t.count_t_classes(a)
 
 
-def _class_entry(cls: tuple[int, ...], texts: Sequence[str], full: bool) -> dict:
+def _class_entry(cls: list[int], texts: Mapping[int, str], full: bool) -> dict:
     members = [texts[x] for x in cls] if _listed(len(cls), full) else None
     return {"representative": texts[cls[0]], "size": len(cls), "members": members}
 
@@ -190,40 +201,88 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 # eggbox
 
 
-def _cell_text(cell: tuple[int, ...], texts: Sequence[str], full: bool) -> str:
-    if full:
-        return " ".join(texts[x] for x in cell)
-    if len(cell) == 1:
-        return texts[cell[0]]
-    return f"{texts[cell[0]]} ({len(cell)})"
+def _dot_cluster(i: object, rep: str, size: object, shape: str, rows_html: str) -> str:
+    return (
+        f"  subgraph cluster_{i} {{\n"
+        f'    label="d{i} rep {rep} size {size} ({shape})";\n'
+        f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
+        f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
+        "  }\n"
+    )
 
 
-def _write_dot(boxes: Sequence[engine.EggBox], a: Element, full: bool) -> None:
-    """Write the DOT document of the egg boxes of a's semigroup, one d-class
-    to a write."""
-    texts = universe_texts(a.family, a.n)
+def _cell_text(texts: list[str], full: bool) -> str:
+    if full or len(texts) == 1:
+        return " ".join(texts)
+    return f"{texts[0]} ({len(texts)})"
+
+
+def _dot_grid(boxes: engine.EggBoxes, b: int, chars: np.ndarray, full: bool) -> str:
+    """Box b's DOT cluster, formatted from the texts of its members."""
+    first, end = boxes.boxes[b : b + 2].tolist()
+    bounds = boxes.cells[first : end + 1].tolist()
+    texts = _texts(chars, boxes.members[bounds[0] : bounds[-1]], " ").split(" ")
+    bounds = [x - bounds[0] for x in bounds]
+    width = int(boxes.cols[b + 1] - boxes.cols[b])
+    tds = [f"<TD>{_cell_text(texts[i:j], full)}</TD>" for i, j in zip(bounds, bounds[1:])]
+    rows_html = "".join(
+        "<TR>" + "".join(tds[t : t + width]) + "</TR>" for t in range(0, len(tds), width)
+    )
+    return _dot_cluster(b, texts[0], len(texts), f"{len(tds) // width}x{width}", rows_html)
+
+
+def _write_dot(boxes: engine.EggBoxes, a: Element, full: bool) -> None:
+    """Write the DOT document of the egg boxes of a's semigroup, DOT_BLOCK
+    d-classes to a write.  Almost every d-class is a singleton: each run of
+    singletons among a block's ids of one number of digits is byte rows of
+    one template, and only the boxes of more than one member are formatted."""
+    chars = universe_chars(a.family, a.n)
+    starts = boxes.cells[boxes.boxes]  # each box's first member, and the end
+    k = len(starts) - 1
+    apart = np.flatnonzero(np.diff(starts) > 1)
+    parts = re.split(r"\{([ix])\}", _dot_cluster("{i}", "{x}", 1, "1x1", "<TR><TD>{x}</TD></TR>"))
+    buffers: dict[int, np.ndarray] = {}  # one per number of digits, reused by later runs
     sys.stdout.write(
         "digraph eggbox {\n"
-        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={len(boxes)}";\n'
+        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={k}";\n'
         '  labelloc="t";\n'
         "  node [shape=plaintext];\n"
     )
-    for i, box in enumerate(boxes):
-        rows_html = "".join(
-            "<TR>"
-            + "".join(f"<TD>{_cell_text(cell, texts, full)}</TD>" for cell in row)
-            + "</TR>"
-            for row in box.cell_members
-        )
-        sys.stdout.write(
-            f"  subgraph cluster_{i} {{\n"
-            f'    label="d{i} rep {texts[box.members[0]]} size {len(box.members)}'
-            f' ({len(box.row_members)}x{len(box.col_members)})";\n'
-            f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
-            f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
-            "  }\n"
-        )
+    for lo in range(0, k, DOT_BLOCK):
+        hi = min(lo + DOT_BLOCK, k)
+        own = apart[np.searchsorted(apart, lo) : np.searchsorted(apart, hi)].tolist()
+        tens = (10**d for d in range(len(str(lo)), len(str(hi - 1))))
+        edges = sorted({lo, hi, *tens, *own, *(b + 1 for b in own)})
+        pieces = []
+        for p, q in zip(edges, edges[1:]):
+            if p in own:
+                pieces.append(_dot_grid(boxes, p, chars, full).encode())
+            else:
+                # Copied out: the next run of this many digits refills the buffer.
+                ids = np.arange(p, q)
+                rows = _singleton_rows(buffers, parts, ids, chars[boxes.members[starts[ids]]])
+                pieces.append(rows.tobytes())
+        sys.stdout.write(b"".join(pieces).decode())
     sys.stdout.write("}\n")
+
+
+def _eggbox_payload(boxes: engine.EggBoxes, a: Element, full: bool) -> dict:
+    members, first, rows, cols, cells = (x.tolist() for x in boxes)
+    texts = dict(zip(members, _texts(universe_chars(a.family, a.n), boxes.members, " ").split(" ")))
+    d_classes = []
+    for b in range(len(first) - 1):
+        width = cols[b + 1] - cols[b]
+        bounds = cells[first[b] : first[b + 1] + 1]
+        box = [members[i:j] for i, j in zip(bounds, bounds[1:])]  # its cells, row by row
+        grid = [box[t : t + width] for t in range(0, len(box), width)]
+        d_classes.append({
+            "representative": texts[box[0][0]],
+            "size": sum(map(len, box)),
+            "rows": [texts[min(cell[0] for cell in row)] for row in grid],
+            "cols": [texts[min(cell[0] for cell in box[j::width])] for j in range(width)],
+            "cells": [[_class_entry(cell, texts, full) for cell in row] for row in grid],
+        })
+    return {"command": "eggbox", "family": a.family, "n": a.n, "a": str(a), "d_classes": d_classes}
 
 
 def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -231,34 +290,14 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     a = _parse_or_error(parser, family, n, args.a)
     v = engine.variant_semigroup(a)
     if args.d_rep is not None:
-        x = _parse_or_error(parser, family, n, args.d_rep)
-        boxes: tuple[engine.EggBox, ...] = (engine.egg_box(v, x),)
+        boxes = engine.egg_box(v, _parse_or_error(parser, family, n, args.d_rep))
     else:
         boxes = engine.all_egg_boxes(v)
 
     if args.format == "dot":
         _write_dot(boxes, a, args.full)
-        return 0
-    texts = universe_texts(family, n)
-    _emit(args.format, {
-        "command": "eggbox",
-        "family": family,
-        "n": n,
-        "a": str(a),
-        "d_classes": [
-            {
-                "representative": texts[box.members[0]],
-                "size": len(box.members),
-                "rows": [texts[r[0]] for r in box.row_members],
-                "cols": [texts[c[0]] for c in box.col_members],
-                "cells": [
-                    [_class_entry(cell, texts, args.full) for cell in row]
-                    for row in box.cell_members
-                ],
-            }
-            for box in boxes
-        ],
-    })
+    else:
+        _emit(args.format, _eggbox_payload(boxes, a, args.full))
     return 0
 
 

@@ -267,16 +267,6 @@ def universe_chars(family: str, n: int) -> np.ndarray:
     return chars
 
 
-@functools.lru_cache(maxsize=None)
-def universe_texts(family: str, n: int) -> tuple[str, ...]:
-    """The rows of ``universe_chars(family, n)``, decoded.
-
-    >>> universe_texts("is", 2)[:3]
-    ('-,-', '-,1', '-,2')
-    """
-    return tuple(universe_chars(family, n).view(f"S{2 * n - 1}").ravel().astype(str).tolist())
-
-
 def elements_at(family: str, n: int, indices: Iterable[int]) -> tuple[Element, ...]:
     """The elements at these canonical indices, built from their image rows
     alone: the one way from universe indices back to Element objects.

@@ -39,8 +39,9 @@ its ideal is one bit of that row or column, and only the distinct rows
 Sx, so it depends on x only through its packed column: it is OR-ed from
 the factor rows once per distinct column.  j ORs xS, Sx and SxS a block
 of elements at a time, and reads no l labels.  Every classification is
-one class id per universe index, and an egg box is tuples of universe
-indices.  Element objects are built only at the edges, through
+one class id per universe index, and the egg boxes are one record of
+index arrays: members box by box, row by row, cell by cell, with CSR
+offsets.  Element objects are built only at the edges, through
 ``elements_at``: the members of one class asked for by element, a failure
 witness, and the spot-checked products.
 
@@ -211,9 +212,10 @@ class VariantSemigroup:
             raise AssertionError("product table disagrees with the variant product")
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def variant_semigroup(a: Element) -> VariantSemigroup:
-    """Shared instances so repeated classifications reuse one product table."""
+    """Shared instances so repeated classifications reuse one product table:
+    the last two built, as many as iso and dual read at once."""
     return VariantSemigroup(a)
 
 
@@ -350,51 +352,54 @@ def verify_d_equals_j(
     return False, (first, second)
 
 
-class EggBox(NamedTuple):
-    """One d-class laid out as a grid: rows are r-classes, columns l-classes,
+class EggBoxes(NamedTuple):
+    """D-classes laid out as grids: rows are r-classes, columns l-classes,
     and each cell the h-class where they cross (cell = row intersect column).
 
-    The layout is held as universe indices only, ascending within each
-    tuple: ``members`` is the d-class, and ``row_members``, ``col_members``
-    and ``cell_members`` its rows, columns and cells.  Rows and columns are
-    ordered by least member, so ``members[0]`` represents the d-class.
+    The layout is index arrays only.  ``members`` holds universe indices box
+    by box, each box row by row, each row cell by cell, ascending within a
+    cell.  Boxes, and the rows and columns of each box, are numbered by
+    least member, so a box's first member represents it.  The other three
+    are CSR offsets, one longer than what they count: box b has the rows
+    ``rows[b]`` to ``rows[b + 1] - 1``, the columns ``cols[b]`` to
+    ``cols[b + 1] - 1`` and the cells from ``boxes[b]`` on, its cell (i, j)
+    being ``boxes[b] + i * width + j``; cell c is
+    ``members[cells[c] : cells[c + 1]]``.
     """
 
-    members: tuple[int, ...]
-    row_members: tuple[tuple[int, ...], ...]
-    col_members: tuple[tuple[int, ...], ...]
-    cell_members: tuple[tuple[tuple[int, ...], ...], ...]
+    members: np.ndarray
+    boxes: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    cells: np.ndarray
 
 
-def egg_box(v: VariantSemigroup, x: Element) -> EggBox:
+def egg_box(v: VariantSemigroup, x: Element) -> EggBoxes:
     """Grid layout of x's d-class, read from v's r, l and d classes."""
     r, l, d = (green_classes_brute(v, rel) for rel in "rld")
     members = d._members(x)
-    return _egg_boxes(members, np.zeros(len(members), dtype=np.int64), r, l)[0]
+    return _egg_boxes(members, np.zeros(len(members), dtype=np.int64), r, l)
 
 
 def _egg_boxes(
     members: np.ndarray, box_of: np.ndarray, r: GreenClassification, l: GreenClassification
-) -> tuple[EggBox, ...]:
+) -> EggBoxes:
     # members are ascending universe indices and box_of[i] the box of
     # members[i], boxes numbered by least member.  A line (row or column)
     # is a (box, class) pair; sorted, the lines of each box come out by
     # least member, since class ids are, and each class must lie wholly in
-    # its box.  Cell (i, j) of box b is numbered cells[b] + i * w + j.
+    # its box.  Cell (i, j) of box b is numbered first[b] + i * w + j, and
+    # a stable sort by cell keeps each cell ascending.  np.unique is asked
+    # for first indices only so that it sorts stably, as canonical_labels
+    # does: its default quicksort pages in code of its own, about 0.3 MB
+    # of peak RSS in a T_5 eggbox process.
     boxes = int(box_of.max()) + 1
-    ints = members.tolist()  # one int object per member, shared by every tuple
-
-    def runs(keys: np.ndarray, count: int) -> list[tuple[int, ...]]:
-        # The members with key 0, 1, ..., count - 1, each run ascending.
-        order = [ints[i] for i in np.argsort(keys, kind="stable").tolist()]
-        ends = np.cumsum(np.bincount(keys, minlength=count)).tolist()
-        return [tuple(order[i:j]) for i, j in zip([0, *ends], ends)]
-
     line_of, firsts = [], []
     for c in (r, l):
         k = len(c.counts)
-        lines, line, size = np.unique(
-            box_of * k + c.labels[members], return_inverse=True, return_counts=True
+        lines, _, line, size = np.unique(
+            box_of * k + c.labels[members], return_index=True, return_inverse=True,
+            return_counts=True,
         )
         if (size != c.counts[lines % k]).any():
             raise ValueError("a box is not a union of r- and l-classes")
@@ -402,26 +407,17 @@ def _egg_boxes(
         firsts.append(np.searchsorted(lines // k, np.arange(boxes + 1)))  # each box's first line
     (row, col), (row_first, col_first) = line_of, firsts
     width = np.diff(col_first)
-    cells = np.concatenate([[0], np.cumsum(np.diff(row_first) * width)])
-    place = cells[box_of] + (row - row_first[box_of]) * width[box_of] + col - col_first[box_of]
-    member_runs, row_runs, col_runs, cell_runs = (
-        runs(box_of, boxes), runs(row, row_first[-1]), runs(col, col_first[-1]),
-        runs(place, cells[-1]),
-    )
-    row_first, col_first, width, cells = (x.tolist() for x in (row_first, col_first, width, cells))
-    return tuple(
-        EggBox(
-            members=member_runs[b],
-            row_members=tuple(row_runs[row_first[b] : row_first[b + 1]]),
-            col_members=tuple(col_runs[col_first[b] : col_first[b + 1]]),
-            cell_members=tuple(
-                tuple(cell_runs[i : i + width[b]]) for i in range(cells[b], cells[b + 1], width[b])
-            ),
-        )
-        for b in range(boxes)
+    first = np.concatenate([[0], np.cumsum(np.diff(row_first) * width)])  # each box's first cell
+    place = first[box_of] + (row - row_first[box_of]) * width[box_of] + col - col_first[box_of]
+    return EggBoxes(
+        members=members[np.argsort(place, kind="stable")],
+        boxes=first,
+        rows=row_first,
+        cols=col_first,
+        cells=np.concatenate([[0], np.cumsum(np.bincount(place, minlength=first[-1]))]),
     )
 
 
-def all_egg_boxes(v: VariantSemigroup) -> tuple[EggBox, ...]:
+def all_egg_boxes(v: VariantSemigroup) -> EggBoxes:
     r, l, d = (green_classes_brute(v, rel) for rel in "rld")
     return _egg_boxes(np.arange(v.size), d.labels, r, l)

@@ -1,7 +1,7 @@
 import pytest
 
 from greenvar.cli import main
-from greenvar.elements import Transformation
+from greenvar.elements import Transformation, universe_chars
 
 
 @pytest.fixture
@@ -27,6 +27,13 @@ def class_lists(c, values):
     for i, label in enumerate(c.labels.tolist()):
         groups[label].append(values[i])
     return groups
+
+
+def universe_texts(family, n):
+    """The element texts of the family on n points in canonical order: the
+    rows of universe_chars, decoded one by one."""
+    chars = universe_chars(family, n)
+    return tuple(row.tobytes().decode() for row in chars)
 
 
 def kernel_types(n):

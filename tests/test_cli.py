@@ -17,7 +17,7 @@ import types
 import jsonschema
 import numpy as np
 import pytest
-from conftest import class_lists
+from conftest import class_lists, universe_texts
 
 from greenvar import cli as cli_module
 from greenvar import closedform_t, commands, engine
@@ -30,7 +30,6 @@ from greenvar.elements import (
     parse_element,
     universe_chars,
     universe_images,
-    universe_texts,
 )
 from greenvar.engine import brute_classification, variant_semigroup
 
@@ -401,7 +400,7 @@ def test_green_streams_a_t6_export_in_small_writes():
         def flush(self):
             pass
 
-    for cache in (universe_images, universe_chars, universe_texts, enumerate_family):
+    for cache in (universe_images, universe_chars, enumerate_family):
         cache.cache_clear()
     sink = Sink()
     tracemalloc.start()
@@ -660,6 +659,26 @@ def test_eggbox_empty_deformation_unit_clusters(cli):
     payload = validated(out)
     assert len(payload["d_classes"]) == 7
     assert all(d["size"] == 1 for d in payload["d_classes"])
+
+
+def test_eggbox_dot_formats_only_boxes_of_more_than_one(monkeypatch):
+    # 1,908 of T_5's 1,938 d-classes are singletons, written as byte rows of
+    # one template: only the other 30 are formatted.  The document goes out
+    # DOT_BLOCK boxes to a write.
+    formatted = []
+    genuine = commands._dot_grid
+    monkeypatch.setattr(
+        commands, "_dot_grid",
+        lambda boxes, b, *rest: formatted.append(b) or genuine(boxes, b, *rest),
+    )
+    writes = []
+    with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
+        code = cli_module.main(["eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5"])
+    assert code == 0
+    assert len(formatted) == 30 and formatted == sorted(formatted)
+    assert len(writes) == 2 + -(-1938 // commands.DOT_BLOCK)  # the head and tail besides
+    assert max(map(len, writes)) <= 2**16
+    assert "".join(writes).count("subgraph cluster_") == 1938
 
 
 # ---------------------------------------------------------------------------
@@ -987,3 +1006,30 @@ def test_only_elements_and_cli_list_the_universe():
                     and node.attr in ("enumerate_family", "universe"))
             ]
             assert not lines, f"{path.name} lists the universe at lines {lines}"
+
+
+# ---------------------------------------------------------------------------
+# the semigroup cache
+
+
+def test_variant_semigroup_keeps_two(cli, monkeypatch):
+    # A sweep reads each semigroup only while it checks that deformation,
+    # so the cache keeps no more than the two that iso and dual read at
+    # once; each of those two is built once.
+    built = []
+    genuine = engine.VariantSemigroup.__init__
+    monkeypatch.setattr(
+        engine.VariantSemigroup, "__init__",
+        lambda self, a: built.append(str(a)) or genuine(self, a),
+    )
+    for argv, count in (
+        (("verify", "--family", "t", "--n", "3", "--sample", "4", "--seed", "3"), 4),
+        (("dual", "--n", "3", "--a", "2,3,-"), 2),
+        (("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"), 2),
+    ):
+        variant_semigroup.cache_clear()
+        brute_classification.cache_clear()
+        built.clear()
+        assert cli(*argv)[0] == 0, argv
+        assert len(built) == len(set(built)) == count, argv
+        assert variant_semigroup.cache_info().currsize <= 2, argv

@@ -10,12 +10,12 @@ preceded the array one.
 import hashlib
 
 import pytest
-from conftest import class_lists
+from conftest import class_lists, universe_texts
 
 from greenvar.classes import CLOSED_RELATIONS, MODES
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
-from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family, universe_texts
+from greenvar.elements import FAMILY_IS, FAMILY_T, enumerate_family
 
 PINNED = {
     FAMILY_IS: "5e3670ff4fc88126659b74e5879406b391189f6b98b7fdea4dacbbdfdbf29dcd",

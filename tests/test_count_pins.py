@@ -47,6 +47,25 @@ def test_count_and_verify_stdout_pinned_n_4(cli, argv):
     assert _digest(cli, argv) == PINNED_N_4[argv]
 
 
+# eggbox where box ids reach 4 and 5 digits and the DOT view takes several
+# writes: 1,938 d-classes at T_5 and 27,927 at T_6, almost all singletons.
+PINNED_EGGBOX = {
+    ("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5"):
+        "f73d9d60ac1a4a01957c01856964aa16247604af849c7fb1d5a7f005af00212e",
+    ("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5", "--full"):
+        "699b0403112381e98c407d29d7a06907349133ed1aa661c3befbdfa91e39d01f",
+    ("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5", "--format", "json"):
+        "75d57043616e960d10360e8ee21a3c68921a27e9d32381e5564a048377e495ac",
+    ("eggbox", "--family", "t", "--n", "6", "--a", "1,2,3,4,4,4"):
+        "b8f1d2f16b5d1054ae6d0da7d767ae354e6e10e5a235bea8363d242cc29004fd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_EGGBOX), ids=" ".join)
+def test_eggbox_stdout_pinned_large(cli, argv):
+    assert _digest(cli, argv) == PINNED_EGGBOX[argv]
+
+
 # argv: (exit code, sha256 of stdout)
 PINNED = {
     ("verify", "--family", "is", "--n", "3", "--all-a"):

@@ -25,12 +25,12 @@ from greenvar.elements import (
     identity,
     parse_element,
     range_masks,
+    universe_chars,
     universe_domains,
     universe_images,
     universe_index,
     universe_kernels,
     universe_ranges,
-    universe_texts,
 )
 
 
@@ -258,12 +258,13 @@ def test_range_masks_match_python_sets_at_n_8():
     assert range_masks(images).tolist() == [mask(set(row) - {0}) for row in images.tolist()]
 
 
-def test_universe_texts_match_format_element():
+def test_universe_chars_match_format_element():
     for family in (FAMILY_IS, FAMILY_T):
         for n in range(1, 6):
-            texts = universe_texts(family, n)
-            assert texts == tuple(format_element(x) for x in enumerate_family(family, n))
-            assert universe_texts(family, n) is texts
+            chars = universe_chars(family, n)
+            texts = [row.tobytes().decode() for row in chars]
+            assert texts == [format_element(x) for x in enumerate_family(family, n)]
+            assert universe_chars(family, n) is chars and not chars.flags.writeable
 
 
 def test_families_stay_apart():

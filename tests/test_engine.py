@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -510,27 +511,75 @@ def test_d_equals_j_reports_a_witness_when_j_disagrees(monkeypatch):
 # egg boxes
 
 
+def grids(boxes):
+    """Each box of an EggBoxes record as a list of rows, each row a list of
+    cells, each cell a list of universe indices: the reference reading of
+    the layout's offsets."""
+    members, first, rows, cols, cells = (x.tolist() for x in boxes)
+    out = []
+    for b in range(len(first) - 1):
+        width = cols[b + 1] - cols[b]
+        row = [members[cells[c] : cells[c + 1]] for c in range(first[b], first[b + 1])]
+        out.append([row[i : i + width] for i in range(0, len(row), width)])
+    return out
+
+
+# Both families at n = 3 and n = 4: the number of d-classes and the count
+# of each (rows, columns, members) shape, as the tuple layout gave them.
+FROZEN_SHAPES = {
+    (FAMILY_IS, "1,2,-"): (24, {
+        (1, 1, 1): 16, (1, 1, 2): 1, (1, 2, 2): 3, (2, 1, 2): 3, (2, 2, 4): 1,
+    }),
+    (FAMILY_T, "1,1,2"): (12, {
+        (1, 1, 1): 8, (1, 3, 3): 1, (1, 4, 4): 1, (2, 2, 8): 1, (4, 1, 4): 1,
+    }),
+    (FAMILY_IS, "2,3,-,1"): (115, {
+        (1, 1, 1): 98, (1, 1, 6): 1, (1, 3, 3): 1, (1, 6, 6): 6, (3, 1, 3): 1, (3, 3, 9): 1,
+        (3, 3, 18): 1, (6, 1, 6): 6,
+    }),
+    (FAMILY_T, "1,1,2,3"): (72, {
+        (1, 1, 1): 62, (1, 4, 4): 1, (1, 10, 10): 1, (1, 12, 12): 3, (3, 2, 36): 1,
+        (6, 5, 60): 1, (12, 1, 12): 1, (18, 1, 18): 2,
+    }),
+}
+
+
 def test_egg_box_grid_invariants():
-    for family, n, a_text in ((FAMILY_IS, 3, "1,2,-"), (FAMILY_T, 3, "1,1,2")):
-        a = parse_element(family, a_text)
-        v = variant_semigroup(a)
-        h = brute_classification(a, "h")
-        h_classes = set(map(tuple, class_lists(h, range(v.size))))
-        boxes = all_egg_boxes(v)
-        covered = set()
-        for box in boxes:
-            members = set(box.members)
-            covered |= members
-            assert set().union(*box.row_members) == members
-            assert set().union(*box.col_members) == members
-            for i, row in enumerate(box.row_members):
-                for j, col in enumerate(box.col_members):
-                    cell = box.cell_members[i][j]
-                    assert set(cell) == set(row) & set(col)
-                    # d = r compose l in any semigroup, so no cell is empty
-                    assert cell
-                    assert cell in h_classes
-        assert covered == set(range(v.size))
+    for family, a_text in FROZEN_SHAPES:
+        _check_grid_invariants(parse_element(family, a_text))
+
+
+def _check_grid_invariants(a):
+    v = variant_semigroup(a)
+    r, l, h, d = (brute_classification(a, rel).labels for rel in "rlhd")
+    counts = {rel: brute_classification(a, rel).counts for rel in "rlhd"}
+    boxes = all_egg_boxes(v)
+    members, first, rows, cols, cells = boxes
+    # The offsets are CSR: each starts at 0, never falls, and ends at the
+    # length of what it indexes; every box has height x width cells.
+    for offsets, end in ((first, len(cells) - 1), (cells, v.size), (rows, None), (cols, None)):
+        assert offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+        assert end is None or offsets[-1] == end
+    assert len(first) == len(rows) == len(cols) == len(counts["d"]) + 1
+    assert (np.diff(first) == np.diff(rows) * np.diff(cols)).all()
+    assert sorted(members.tolist()) == list(range(v.size))
+    for b, grid in enumerate(grids(boxes)):
+        box = [x for row in grid for cell in row for x in cell]
+        # Box b is d-class b, led by its least member.
+        assert box[0] == min(box) and set(d[box]) == {b} and len(box) == counts["d"][b]
+        row_sets = [[x for cell in row for x in cell] for row in grid]
+        col_sets = [[x for row in grid for x in row[j]] for j in range(len(grid[0]))]
+        for lines, labels, rel in ((row_sets, r, "r"), (col_sets, l, "l")):
+            # Each line is one whole class, and lines go by least member.
+            assert [min(line) for line in lines] == sorted(min(line) for line in lines)
+            for line in lines:
+                assert len(set(labels[line])) == 1 and len(line) == counts[rel][labels[line[0]]]
+        for i, row in enumerate(grid):
+            for j, cell in enumerate(row):
+                # d = r compose l in any semigroup, so no cell is empty; each
+                # cell is the h-class where its row and column cross, ascending.
+                assert cell == sorted(set(row_sets[i]) & set(col_sets[j]))
+                assert cell and len(set(h[cell])) == 1 and len(cell) == counts["h"][h[cell[0]]]
 
 
 def test_egg_boxes_pack_r_and_l_rows_once(monkeypatch):
@@ -631,23 +680,32 @@ def test_egg_boxes_read_the_semigroup_they_are_given(monkeypatch):
     boxes = all_egg_boxes(v)
     assert tables == [v]
     assert variant_semigroup.cache_info().misses == brute_classification.cache_info().misses == 0
-    x = enumerate_family(FAMILY_T, 4)[boxes[-1].members[0]]
-    assert egg_box(v, x) == boxes[-1]
+    last = grids(boxes)[-1]
+    x = enumerate_family(FAMILY_T, 4)[last[0][0][0]]
+    assert grids(egg_box(v, x)) == [last]
     assert tables == [v]
 
 
 def test_egg_box_frozen_shapes():
     v = variant_semigroup(tr("1,1"))
     box = egg_box(v, tr("2,2"))
-    assert (len(box.row_members), len(box.col_members)) == (1, 2)
+    assert [x.tolist() for x in box] == [[0, 3], [0, 2], [0, 1], [0, 2], [0, 1, 2]]
     assert enumerate_family(FAMILY_T, 2)[box.members[0]] == tr("1,1")
 
     v3 = variant_semigroup(pp("1,2,-"))
     box3 = egg_box(v3, pp("1,-,-"))
-    assert (len(box3.row_members), len(box3.col_members)) == (2, 2)
+    assert [x.tolist() for x in box3[1:4]] == [[0, 4], [0, 2], [0, 2]]
+    assert [len(cell) for row in grids(box3)[0] for cell in row] == [1, 1, 1, 1]
 
-    ve = variant_semigroup(empty_map(2))
-    assert len(all_egg_boxes(ve)) == 7
+    ve = all_egg_boxes(variant_semigroup(empty_map(2)))
+    assert len(ve.boxes) == 8 and (np.diff(ve.cells) == 1).all()
+    assert ve.members.tolist() == list(range(7))
+
+    for (family, a_text), shapes in FROZEN_SHAPES.items():
+        boxes = all_egg_boxes(variant_semigroup(parse_element(family, a_text)))
+        sizes = np.diff(boxes.cells[boxes.boxes]).tolist()
+        rows, cols = np.diff(boxes.rows).tolist(), np.diff(boxes.cols).tolist()
+        assert (len(sizes), collections.Counter(zip(rows, cols, sizes))) == shapes, a_text
 
 
 def test_egg_box_rejects_non_d_class():
@@ -655,6 +713,22 @@ def test_egg_box_rejects_non_d_class():
     _egg_boxes(np.array([0, 3]), np.zeros(2, dtype=np.int64), r, l)  # the d-class of 1,1
     with pytest.raises(ValueError):
         _egg_boxes(np.array([0]), np.zeros(1, dtype=np.int64), r, l)  # a proper subset
+
+
+def test_egg_box_rejects_non_d_class_under_O():
+    # The check is a raise, not an assert, so python -O keeps it.
+    script = """
+import numpy as np
+from greenvar import engine, elements
+r, l = (engine.brute_classification(elements.parse_element("t", "1,1"), rel) for rel in "rl")
+try:
+    engine._egg_boxes(np.array([0]), np.zeros(1, dtype=np.int64), r, l)
+except ValueError as exc:
+    print("raised:", exc)
+"""
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: a box is not a union of r- and l-classes\n"
 
 
 # ---------------------------------------------------------------------------
