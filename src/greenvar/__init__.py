@@ -11,7 +11,8 @@ The package splits along that duplication:
     closedform_t   closed-form classes and counts for transformations
     counts         the count audit: count formulas against enumeration
     structure      duality and isomorphism witnesses between variants
-    cli            command-line front end (`greenvar`) and its green command
+    cli            command-line front end (`greenvar`): the parser
+    green          the green command, and the helpers every command shares
     commands       the verify, count, eggbox, iso and dual commands
 
 Closed forms run in two modes: "literal" evaluates the published
@@ -20,21 +21,30 @@ brute-force engine is the referee between them.
 
 Importing the package loads no submodule: each exported name is imported
 from its module on first use (PEP 562), so ``import greenvar`` does not
-load numpy.  The CLI likewise executes engine, the closed forms, counts,
-structure and commands only when a command first calls into them.
+load numpy.  The names the CLI's parser offers as choices, the families,
+relations and modes, are stated here, where every process has them
+without numpy; elements and classes read them from here.  The CLI parses
+its arguments before it executes any other submodule, and then only those
+its command runs.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
+FAMILY_IS = "is"  # injective partial maps, the symmetric inverse monoid
+FAMILY_T = "t"  # total transformations
+FAMILIES = (FAMILY_IS, FAMILY_T)
+RELATIONS = ("r", "l", "h", "d", "j")
+MODES = ("corrected", "literal")
+
 _EXPORTS = {
-    "classes": "RELATIONS GreenClassification",
+    "classes": "GreenClassification",
     "closedform_is": """DivisibilityVerdict closed_classification_is
         count_is_classes falling_factorial right_divisible""",
     "closedform_t": "closed_classification_t count_t_classes fed spread stirling2",
     "counts": "ClassCountSummary CountReport summarize_classes_by_rank",
-    "elements": """FAMILIES FAMILY_IS FAMILY_T UNDEFINED CapacityError Element ParseError
+    "elements": """UNDEFINED CapacityError Element ParseError
         PartialPerm Transformation compose constant elements_at empty_map enumerate_family
         family_of family_size format_element identity parse_element""",
     "engine": """BRUTE_BUDGET EggBoxes VariantSemigroup all_egg_boxes brute_classification egg_box
@@ -44,7 +54,9 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [*sorted(_MODULE_OF), "__version__"]
+_HERE = ("FAMILIES", "FAMILY_IS", "FAMILY_T", "MODES", "RELATIONS")
+
+__all__ = [*sorted([*_MODULE_OF, *_HERE]), "__version__"]
 
 
 def __getattr__(name: str):

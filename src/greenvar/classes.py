@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
+from . import MODES, RELATIONS
 from .elements import (
     Element,
     elements_at,
@@ -30,9 +31,8 @@ from .elements import (
     universe_index,
 )
 
-RELATIONS = ("r", "l", "h", "d", "j")
-MODES = ("corrected", "literal")
 CLOSED_RELATIONS = ("r", "l", "h", "d")
+_CHECK_BLOCK = 1 << 16  # labels per step of the numbering check: 512 KiB of running maximum
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -55,17 +55,25 @@ class GreenClassification:
     counts: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        labels = np.array(self.labels, dtype=np.int64)
+        # A read-only view: int64 labels, as the classifiers build them, are
+        # not copied, and the caller's array keeps its own flags.
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if labels.shape != (family_size(self.a.family, self.a.n),):
             raise ValueError("labels do not cover the universe")
         if labels.min() < 0 or not (counts := np.bincount(labels)).all():
             raise ValueError("class ids must be 0..k-1, each one used")
         # Ids first occur in increasing order exactly when no label exceeds
-        # every label before it by more than one.
-        bound = np.maximum.accumulate(labels)
-        bound += 1
-        if labels[0] != 0 or (labels[1:] > bound[:-1]).any():
-            raise ValueError("classes must be numbered by least member")
+        # every label before it by more than one; top is the largest label
+        # before the block.
+        top = -1
+        for start in range(0, len(labels), _CHECK_BLOCK):
+            block = labels[start : start + _CHECK_BLOCK]
+            bound = np.maximum.accumulate(block)
+            np.maximum(bound, top, out=bound)
+            bound += 1
+            if block[0] > top + 1 or (block[1:] > bound[:-1]).any():
+                raise ValueError("classes must be numbered by least member")
+            top = int(bound[-1]) - 1
         for name, array in (("labels", labels), ("counts", counts)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

@@ -3,15 +3,17 @@
 cli registers this module lazily and calls its handlers by command name,
 so it executes only in the processes that run one of these five commands;
 ``greenvar green`` and ``greenvar --help`` never compile it.  The option
-rules and renderers these commands share with green are cli's, imported
-from it.  Each handler builds its payload, the JSON document, and _emit
-renders it: JSON dumps the payload, and the text and CSV views are read
-from it; json and csv are imported only when a command writes them.
+checks and renderers these commands share with green are green's, imported
+from it; the deformations a sweep checks are selected here.  Each handler
+builds its payload, the JSON document, and _emit renders it: JSON dumps
+the payload, and the text and CSV views are read from it; json and csv are
+imported only when a command writes them.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import re
 import sys
 from collections.abc import Callable, Iterable, Mapping
@@ -20,15 +22,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import closedform_is, closedform_t, engine, structure
-from .cli import (
-    _closed_classification,
-    _listed,
-    _parse_or_error,
-    _select_deformations,
-    _singleton_rows,
-    _texts,
+from .cli import ALL_A_CAP
+from .elements import (
+    FAMILY_IS,
+    FAMILY_T,
+    Element,
+    elements_at,
+    enumerate_family,
+    family_element,
+    universe_chars,
+    universe_images,
 )
-from .elements import FAMILY_IS, FAMILY_T, Element, universe_chars
+from .green import _closed_classification, _listed, _parse_or_error, _singleton_rows, _texts
 
 if TYPE_CHECKING:
     from .counts import CountReport
@@ -40,7 +45,40 @@ COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumer
 
 
 # ---------------------------------------------------------------------------
-# count reports and output
+# selection, count reports and output
+
+
+def _select_deformations(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, family: str, n: int
+) -> list[Element]:
+    # Every deformation is held to brute force's size rule before any is classified.
+    if args.a is not None:
+        selected = [_parse_or_error(parser, family, n, args.a)]
+    elif getattr(args, "rank_reps", False):
+        if family != FAMILY_IS:
+            parser.error(
+                "--rank-reps is only justified for family is; use --all-a or --sample"
+            )
+        selected = [structure.rank_representative(n, k) for k in range(n + 1)]
+    elif args.all_a:
+        if n > ALL_A_CAP:
+            # dual selects with --a or --all-a alone, so only verify and count can sample.
+            hint = "; use --sample" if hasattr(args, "sample") else ""
+            parser.error(f"--all-a is capped at n <= {ALL_A_CAP}{hint}")
+        selected = list(enumerate_family(family, n))
+    else:
+        # Sampling indices draws what sampling the elements would; only the
+        # drawn elements are built.  If the rule refuses the cheapest, the
+        # empty or a constant map, the universe is not listed.
+        engine.check_brute_cost(family_element(family, (int(family != FAMILY_IS),) * n))
+        images = universe_images(family, n)
+        if args.sample > len(images):
+            parser.error(f"--sample {args.sample} exceeds the universe size {len(images)}")
+        picks = random.Random(args.seed).sample(range(len(images)), args.sample)
+        selected = list(elements_at(family, n, sorted(picks)))
+    for a in selected:
+        engine.check_brute_cost(a)
+    return selected
 
 
 def _count_report(a: Element) -> CountReport:

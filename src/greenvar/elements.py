@@ -25,11 +25,9 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-UNDEFINED = 0
+from . import FAMILIES, FAMILY_IS, FAMILY_T
 
-FAMILY_IS = "is"
-FAMILY_T = "t"
-FAMILIES = (FAMILY_IS, FAMILY_T)
+UNDEFINED = 0
 
 # Listing caps: beyond these the universe no longer fits comfortable memory
 # (|IS_7| = 130922, |T_8| = 16777216).

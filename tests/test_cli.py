@@ -21,7 +21,8 @@ from conftest import class_lists, universe_texts
 
 from greenvar import cli as cli_module
 from greenvar import closedform_t, commands, engine
-from greenvar.cli import MEMBER_LIMIT
+from greenvar import green as green_module
+from greenvar.green import MEMBER_LIMIT
 from greenvar.classes import MODES, GreenClassification
 from greenvar.closedform_is import closed_classification_is
 from greenvar.closedform_t import closed_classification_t
@@ -314,7 +315,7 @@ def test_green_block_writer_matches_per_class_reference(cli, monkeypatch, block)
     # index widths at 9 -> 10, 99 -> 100 and 999 -> 1000, with a class of
     # more than one member first in some block and last in another, so a
     # block boundary that drops, repeats or pads a class shows.
-    monkeypatch.setattr(cli_module, "RENDER_BLOCK", block)
+    monkeypatch.setattr(green_module, "RENDER_BLOCK", block)
     crossed = opens = closes = False
     for family, n, a, relation in _renderer_cases():
         counts = brute_classification(parse_element(family, a), relation).counts
@@ -351,7 +352,7 @@ def test_green_writer_lists_classes_of_member_limit_at_block_edges(monkeypatch, 
     # blocks of 3 and of 7, and the indices pass 9 -> 10 and 99 -> 100.
     # Class i's least member is i; the rest of each class is dealt round
     # robin from the tail of the universe.
-    monkeypatch.setattr(cli_module, "RENDER_BLOCK", block)
+    monkeypatch.setattr(green_module, "RENDER_BLOCK", block)
     sizes = dict.fromkeys(range(149), 1) | {
         0: MEMBER_LIMIT + 1, 6: MEMBER_LIMIT, 8: 2, 13: 3, 14: 2, 99: 2, 100: 3, 148: 2
     }
@@ -365,8 +366,8 @@ def test_green_writer_lists_classes_of_member_limit_at_block_edges(monkeypatch, 
     chars = universe_chars("t", 4)
     csv_entry = lambda i, size, rep, members: f"{i},{size},{rep},{members or ''}"  # noqa: E731
     styles = [
-        (cli_module._text_entry, " ", {"first": "head\n"}),
-        (cli_module._json_entry, cli_module._JSON_SEP,
+        (green_module._text_entry, " ", {"first": "head\n"}),
+        (green_module._json_entry, green_module._JSON_SEP,
          {"first": "[\n", "end": ",\n", "last": "\n      ]}\n"}),
         (csv_entry, " ", {}),
     ]
@@ -374,11 +375,11 @@ def test_green_writer_lists_classes_of_member_limit_at_block_edges(monkeypatch, 
         for full in (False, True):
             writes = []
             with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
-                cli_module._write_classes(c, chars, full, entry, sep, **ends)
+                green_module._write_classes(c, chars, full, entry, sep, **ends)
             out = "".join(writes)
             assert out == _per_class_reference(c, chars, full, entry, sep, **ends)
             assert len(writes) == -(-len(sizes) // block)  # one write per block
-            if entry is cli_module._text_entry:
+            if entry is green_module._text_entry:
                 texts = universe_texts("t", 4)
                 listed = ": " if full else " (members elided; --full to show)\n"
                 assert f"[0] size {MEMBER_LIMIT + 1} rep {texts[0]}{listed}" in out
@@ -540,7 +541,7 @@ def test_sample_refuses_brute_force_before_listing(cli, monkeypatch):
     def listed(*_):
         raise AssertionError("the universe was listed")
 
-    monkeypatch.setattr(cli_module, "universe_images", listed)
+    monkeypatch.setattr(commands, "universe_images", listed)
     for command in ("verify", "count"):
         code, out, err = cli(command, "--family", "t", "--n", "7", "--sample", "1")
         assert (code, out, err) == (2, "", "error: brute force on T_7 needs more than uint16"
@@ -859,14 +860,16 @@ def test_console_entry_point():
 def test_python_m_cli_runs_the_commands_module_once(cli, argv):
     # Under -m, cli.py runs as __main__ and commands imports it by name; a
     # second import of greenvar.cli would execute its body again.
-    # -X importtime lists every module imported by name, on stderr.
+    # -X importtime lists every module imported by name, on stderr: cli
+    # registers every other greenvar module lazily, so only the package is.
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "greenvar.cli", *argv],
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == cli(*argv)[:2]
     imported = re.findall(r"^import time:.*\| +(greenvar\S*)$", result.stderr, re.M)
-    assert sorted(imported) == ["greenvar", "greenvar.classes", "greenvar.elements"]
+    assert imported == ["greenvar"]
+    assert re.search(r"^import time:.*\| +numpy$", result.stderr, re.M)
 
 
 def test_python_m_greenvar():
@@ -878,10 +881,18 @@ def test_python_m_greenvar():
 
 
 # The process that runs main on its own argv freezes the heap its imports
-# built; an atexit hook registered before main runs after main returns.
+# built, numpy's among them once a command has read its handler; an atexit
+# hook registered before main runs after main returns.  numpy's module dict
+# is frozen when the collector no longer lists it in any generation.
 FREEZE_PROBE = (
     "import atexit, gc, sys\n"
-    "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+    "def report():\n"
+    "    numpy = sys.modules.get('numpy')\n"
+    "    listed = {id(o) for o in gc.get_objects()}\n"
+    "    state = 'absent' if numpy is None else"
+    " ('tracked' if id(vars(numpy)) in listed else 'frozen')\n"
+    "    print('freeze count', gc.get_freeze_count(), 'numpy', state, file=sys.stderr)\n"
+    "atexit.register(report)\n"
     "from greenvar.cli import main\n"
     "sys.exit(main())\n"
 )
@@ -892,28 +903,33 @@ def test_main_with_argv_freezes_nothing(cli):
     assert gc.get_freeze_count() == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ("--help",),
-    ("green", "--family", "t", "--n", "5", "--a", "4,3,4,5,5", "--relation", "j",
-     "--format", "json"),
-], ids=" ".join)
-def test_main_on_sys_argv_freezes_and_keeps_its_output(cli, monkeypatch, argv):
+@pytest.mark.parametrize("argv, numpy", [
+    pytest.param(argv, numpy, id=" ".join(argv)) for argv, numpy in [
+        (("--help",), "absent"),
+        (("green", "--family", "t", "--n", "5", "--a", "4,3,4,5,5", "--relation", "j",
+          "--format", "json"), "frozen"),
+    ]
+])
+def test_main_on_sys_argv_freezes_and_keeps_its_output(cli, monkeypatch, argv, numpy):
     monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
     result = subprocess.run(
         [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True
     )
     assert (result.returncode, result.stdout) == cli(*argv)[:2]
-    frozen = re.fullmatch(r"freeze count (\d+)\n", result.stderr)
-    assert frozen and int(frozen[1]) > 0
+    frozen = re.fullmatch(r"freeze count (\d+) numpy (\w+)\n", result.stderr)
+    assert frozen and int(frozen[1]) > 0 and frozen[2] == numpy
 
 
 # Counts the collections that start between the probe's first statement and
-# its atexit hook: the command's whole run, start-up included.
+# its atexit hook, the command's whole run, start-up included, and the most
+# objects one of them examined.
 COLLECTIONS_PROBE = (
     "import atexit, gc, sys\n"
     "started = []\n"
-    "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info))\n"
-    "atexit.register(lambda: print('collections', len(started), file=sys.stderr))\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start'"
+    " and started.append(sum(map(len, map(gc.get_objects, range(info['generation'] + 1))))))\n"
+    "atexit.register(lambda: print('collections', len(started), max(started, default=0),"
+    " file=sys.stderr))\n"
     "from greenvar.cli import main\n"
     "sys.exit(main())\n"
 )
@@ -926,7 +942,9 @@ COLLECTIONS_PROBE = (
 ], ids=" ".join)
 def test_command_process_runs_few_collections(cli, monkeypatch, argv):
     # Importing numpy alone ran about 30 young collections in every command
-    # before greenvar.cli paused the collector around its imports.  Every
+    # before greenvar.cli paused the collector around its imports.  Nor may
+    # a collection examine numpy's heap, about 20,000 objects, once the
+    # collector resumes: the command process freezes it first.  Every
     # module is compiled from source, as the benchmark runs them.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
@@ -934,8 +952,63 @@ def test_command_process_runs_few_collections(cli, monkeypatch, argv):
         [sys.executable, "-c", COLLECTIONS_PROBE, *argv], capture_output=True, text=True
     )
     assert (result.returncode, result.stdout) == cli(*argv)[:2]
-    counted = re.fullmatch(r"collections (\d+)\n", result.stderr)
-    assert counted and int(counted[1]) <= 5
+    counted = re.fullmatch(r"collections (\d+) (\d+)\n", result.stderr)
+    assert counted and int(counted[1]) <= 5 and int(counted[2]) < 5000
+
+
+# Help and usage errors exit from the parser: the process executes no module
+# body of numpy or of greenvar beyond the package and cli.  The probe writes,
+# at exit, whether numpy was in sys.modules and the file of every module body
+# executed after its first statement, to the file PROBE_OUT names, so stdout
+# and stderr stay the command's own.
+PARSER_PROBE = (
+    "import atexit, os, sys\n"
+    "ran = []\n"
+    "def hook(event, args):\n"
+    "    code = args[0] if event == 'exec' else None\n"
+    "    if getattr(code, 'co_name', None) == '<module>':\n"
+    "        ran.append(code.co_filename)\n"
+    "sys.addaudithook(hook)\n"
+    "def report():\n"
+    "    with open(os.environ['PROBE_OUT'], 'w') as out:\n"
+    "        out.write('\\n'.join([str('numpy' in sys.modules), *ran]))\n"
+    "atexit.register(report)\n"
+    "from greenvar.cli import main\n"
+    "sys.exit(main())\n"
+)
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+# argv: (exit code, sha256 of stdout, sha256 of stderr), recorded in 80
+# columns while every greenvar process still imported numpy before parsing.
+PARSER_EXITS = {
+    ("--help",):
+        (0, "2c7953fcf9715ad9c074c3a2c0e5f8ab62cdeee745f87d21f1e3d91398f2ed2f", _EMPTY),
+    ("green", "--help"):
+        (0, "88dd35aae0e384559818dd72b37cb79c68f4faa2577740335c23524d300381f5", _EMPTY),
+    ("verify", "--help"):
+        (0, "a45d02383a1e1505da8f8020248eaa569c1e44a07fc40ffc5aa1125e4f561900", _EMPTY),
+    ("green", "--family", "t", "--a", "1,1", "--relation", "r"):  # no --n
+        (2, _EMPTY, "67e3fe577249fca116c499d2822189afc6e5420b075229743ee9939feb3b2360"),
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "x"):
+        (2, _EMPTY, "0800151214dd14abd6e42abbb23abefb1258617d8145105814b970afa53f77e7"),
+    ("green", "--family", "t", "--n", "0", "--a", "1", "--relation", "r"):
+        (2, _EMPTY, "f103820b1867bec3733322ab1e8e0ba49759b449ad938cff70d98c67a3c2740d"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_EXITS), ids=" ".join)
+def test_help_and_usage_errors_exit_before_numpy(monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PROBE_OUT", str(tmp_path / "probe"))
+    result = subprocess.run([sys.executable, "-c", PARSER_PROBE, *argv], capture_output=True)
+    digests = tuple(hashlib.sha256(out).hexdigest() for out in (result.stdout, result.stderr))
+    assert (result.returncode, *digests) == PARSER_EXITS[argv]
+    numpy_loaded, *ran = (tmp_path / "probe").read_text().split("\n")
+    assert numpy_loaded == "False"
+    package = os.path.dirname(cli_module.__file__)
+    greenvar = sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == package)
+    assert greenvar == ["__init__.py", "cli.py"]
+    assert not [f for f in ran if os.sep + "numpy" + os.sep in f]
 
 
 # ---------------------------------------------------------------------------
@@ -989,14 +1062,14 @@ def test_only_engine_reads_the_product_table():
             assert not lines, f"{path.name} calls .table() at lines {lines}"
 
 
-def test_only_elements_and_cli_list_the_universe():
+def test_only_elements_and_commands_list_the_universe():
     # Element objects are built at the edges: elements.py lists the
-    # universe, and cli.py sweeps it for --all-a.  Every other module reads
-    # labels and index arrays and builds elements through elements_at.  An
-    # import, such as the package's re-export, is not a use.
+    # universe, and commands.py sweeps it for --all-a.  Every other module
+    # reads labels and index arrays and builds elements through elements_at.
+    # An import, such as the package's re-export, is not a use.
     package = importlib.resources.files("greenvar")
     for path in package.iterdir():
-        if path.name.endswith(".py") and path.name not in ("elements.py", "cli.py"):
+        if path.name.endswith(".py") and path.name not in ("elements.py", "commands.py"):
             tree = ast.parse(path.read_text())
             lines = [
                 node.lineno

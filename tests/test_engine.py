@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import class_lists, kernel_types
 from hypothesis import given, settings, strategies as st
 
-from greenvar import engine
+from greenvar import classes, engine
 from greenvar.elements import (
     FAMILY_IS,
     FAMILY_T,
@@ -423,6 +424,40 @@ def test_masked_grouping_equals_full_grouping(case):
     assert np.array_equal(c.counts, d.counts) and not c.counts.flags.writeable
     assert c.sizes == d.sizes == tuple(np.bincount(whole).tolist())
     assert c.singleton_count == d.singleton_count == c.sizes.count(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SMALL_UNIVERSES).flatmap(lambda u: st.tuples(
+    st.just(u),
+    st.lists(st.integers(0, 4), min_size=u[3], max_size=u[3]),
+    st.integers(0, u[3] - 1),
+    st.integers(-1, 6),
+    st.sampled_from((1, 2, 3, 7, 1 << 16)),
+)))
+def test_numbering_check_reads_the_labels_a_block_at_a_time(case):
+    # Valid labels with one entry replaced, which may break the numbering by
+    # least member at any offset in a block of any size, or make an id
+    # negative or unused: the check takes exactly the arrays a check of the
+    # whole array at once takes, and keeps the caller's int64 labels, read
+    # only through a view, without copying them.
+    (family, _, a, size), keys, at, label, block = case
+    labels = canonical_labels(np.array(keys, dtype=np.int64))
+    labels[at] = label
+    top, numbered = -1, True
+    for x in labels.tolist():
+        numbered &= 0 <= x <= top + 1
+        top = max(top, x)
+    with mock.patch.object(classes, "_CHECK_BLOCK", block):
+        if not numbered:
+            with pytest.raises(ValueError):
+                GreenClassification(a=parse_element(family, a), relation="r", method="brute",
+                                    labels=labels)
+            return
+        c = GreenClassification(a=parse_element(family, a), relation="r", method="brute",
+                                labels=labels)
+    assert np.shares_memory(c.labels, labels) and np.array_equal(c.labels, labels)
+    assert labels.flags.writeable and not c.labels.flags.writeable
+    assert c.sizes == tuple(np.bincount(labels).tolist())
 
 
 def test_class_of_and_accessors():

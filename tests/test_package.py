@@ -38,11 +38,17 @@ def fresh_python(code: str, **env: str) -> dict:
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_cli_process_runs_one_thread():
+    # A command loads numpy only after its arguments are parsed; once it has
+    # run, the process still has one thread.
     state = fresh_python(
-        "import json, os, greenvar.cli\n"
-        f"print(json.dumps([len(os.listdir('/proc/self/task')), os.environ.get({BLAS_ENV!r})]))"
+        "import contextlib, io, json, os, sys, greenvar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    greenvar.cli.main(['green', '--family', 't', '--n', '2', '--a', '1,1',"
+        " '--relation', 'r'])\n"
+        "print(json.dumps(['numpy' in sys.modules, len(os.listdir('/proc/self/task')),"
+        f" os.environ.get({BLAS_ENV!r})]))"
     )
-    assert state == [1, "1"]
+    assert state == [True, 1, "1"]
 
 
 def test_cli_keeps_the_callers_blas_threads():
@@ -98,10 +104,10 @@ def test_no_blas_calls_in_the_package():
 # the CLI's import graph
 
 # Prints, as JSON, the greenvar modules whose bodies `greenvar ARGV`
-# executed, in order, with json and csv if the run imported them, and the
-# greenvar modules registered after `import greenvar.cli`.  A module body
-# is one `exec` audit event of a code object named <module>.  json is
-# imported only after the run, to print.
+# executed, in order, with numpy, json and csv if the run imported them,
+# and the greenvar modules registered after `import greenvar.cli`.  A
+# module body is one `exec` audit event of a code object named <module>.
+# json is imported only after the run, to print.
 EXECUTED = """
 import contextlib, io, pathlib, sys
 executed = []
@@ -114,57 +120,65 @@ def hook(event, args):
 sys.addaudithook(hook)
 import greenvar.cli
 registered = sorted(m for m in sys.modules if m.split(".")[0] == "greenvar")
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         greenvar.cli.main(ARGV)
     except SystemExit:
         pass
-executed += [m for m in ("json", "csv") if m in sys.modules]
+executed += [m for m in ("numpy", "json", "csv") if m in sys.modules]
 import json
 print(json.dumps([executed, registered]))
 """
 
-EAGER = {"__init__", "cli", "classes", "elements"}  # what `import greenvar.cli` executes
+EAGER = {"__init__", "cli"}  # what `import greenvar.cli` executes
+# What reading a command's handler executes: green, or commands, which
+# imports green, and numpy, elements and classes, which green imports.
+GREEN = {"green", "elements", "classes", "numpy"}
+COMMANDS = GREEN | {"commands"}
 
 # command -> the modules its run executes beyond EAGER, and json or csv
-# where it writes that format.
+# where it writes that format.  Help and usage errors read no handler.
 IMPORT_GRAPH = {
     ("--help",): set(),
+    ("green", "--help"): set(),
+    ("verify", "--family", "t", "--n", "0", "--all-a"): set(),
     ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "d",
-     "--method", "closed"): {"closedform_is"},
+     "--method", "closed"): GREEN | {"closedform_is"},
     ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "r",
-     "--method", "closed", "--mode", "both", "--format", "json"): {"closedform_t", "json"},
+     "--method", "closed", "--mode", "both", "--format", "json"):
+        GREEN | {"closedform_t", "json"},
     ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "d",
-     "--method", "closed", "--format", "csv"): {"closedform_t"},
-    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "j"): {"engine"},
+     "--method", "closed", "--format", "csv"): GREEN | {"closedform_t"},
+    ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "j"):
+        GREEN | {"engine"},
     ("green", "--family", "is", "--n", "3", "--a", "1,2,-", "--relation", "h"):
-        {"engine", "closedform_is"},
-    ("eggbox", "--family", "t", "--n", "3", "--a", "2,2,1"): {"commands", "engine"},
+        GREEN | {"engine", "closedform_is"},
+    ("eggbox", "--family", "t", "--n", "3", "--a", "2,2,1"): COMMANDS | {"engine"},
     ("eggbox", "--family", "is", "--n", "3", "--a", "1,2,-", "--format", "json"):
-        {"commands", "engine", "json"},
+        COMMANDS | {"engine", "json"},
     ("count", "--family", "is", "--n", "3", "--a", "1,2,-"):
-        {"commands", "closedform_is", "counts", "engine"},
+        COMMANDS | {"closedform_is", "counts", "engine"},
     ("count", "--family", "t", "--n", "3", "--sample", "2"):
-        {"commands", "closedform_t", "counts", "engine"},
+        COMMANDS | {"closedform_t", "counts", "engine"},
     ("count", "--family", "t", "--n", "3", "--a", "1,1,2", "--format", "csv"):
-        {"commands", "closedform_t", "counts", "engine", "csv"},
+        COMMANDS | {"closedform_t", "counts", "engine", "csv"},
     ("verify", "--family", "t", "--n", "2", "--all-a"):
-        {"commands", "closedform_t", "counts", "engine"},
+        COMMANDS | {"closedform_t", "counts", "engine"},
     ("verify", "--family", "is", "--n", "2", "--all-a", "--format", "json"):
-        {"commands", "closedform_is", "counts", "engine", "json"},
-    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"): {"commands", "structure", "engine"},
+        COMMANDS | {"closedform_is", "counts", "engine", "json"},
+    ("iso", "--n", "3", "--a", "1,2,-", "--b", "-,1,2"): COMMANDS | {"structure", "engine"},
     ("dual", "--n", "2", "--all-a", "--format", "json"):
-        {"commands", "structure", "engine", "json"},
+        COMMANDS | {"structure", "engine", "json"},
 }
 
 
 @pytest.mark.parametrize("argv", list(IMPORT_GRAPH), ids=" ".join)
 def test_each_command_executes_only_the_modules_it_runs(argv):
-    # So closed-form green runs no engine, structure or commands, and a
-    # family's closed form not the other family's; eggbox, iso and dual no
-    # closed form; green, eggbox and count no structure; only count and
-    # verify the count audit; --help no lazy module; text, DOT and green's
-    # CSV neither json nor csv.
+    # So help and usage errors load no numpy and run no module body beyond
+    # the parser's; closed-form green runs no engine, structure or commands,
+    # and a family's closed form not the other family's; eggbox, iso and dual
+    # no closed form; green, eggbox and count no structure; only count and
+    # verify the count audit; text, DOT and green's CSV neither json nor csv.
     executed, registered = fresh_python(EXECUTED.replace("ARGV", repr(list(argv))))
     assert len(set(executed)) == len(executed), f"a module body ran twice: {executed}"
     assert set(executed) == EAGER | IMPORT_GRAPH[argv]
@@ -176,8 +190,10 @@ def test_each_command_executes_only_the_modules_it_runs(argv):
 
 def test_lazy_module_bodies_import_nothing_new():
     # The span tracer reads attributes of every greenvar module while it
-    # walks sys.modules; a lazy body that imported a new module then would
-    # change sys.modules under the walk.
+    # walks sys.modules, and reading one executes its body; a body that
+    # imported a greenvar module not registered by then would be missed by
+    # the walk.  The first body to run imports numpy, which a process that
+    # only imported greenvar.cli has not loaded.
     added = fresh_python(
         "import sys, greenvar.cli\n"
         "before = set(sys.modules)\n"
@@ -188,21 +204,25 @@ def test_lazy_module_bodies_import_nothing_new():
         "import json\n"
         "print(json.dumps(added))"
     )
-    assert added == []
+    assert "numpy" in added
+    assert [m for m in added if m.split(".")[0] == "greenvar"] == []
 
 
 # ---------------------------------------------------------------------------
-# the collector around `import greenvar.cli`
+# the collector around `import greenvar.cli` and the command's own imports
 
-# Runs SETUP, then imports greenvar.cli and prints, as JSON, the collections
-# a gc.callbacks hook saw start while cli's module body executed, and the
-# collector's state (enabled, freeze count) before and after the import.
-# Compiling cli.py, when no cached bytecode is at hand, comes before its
-# body and is outside the module's reach.
+# Runs SETUP, imports greenvar.cli, then runs a closed-form green through
+# main and prints, as JSON, the collections a gc.callbacks hook saw start
+# while cli's module body executed or while main read the command's handler
+# (which imports numpy, elements, classes and green), whether numpy was
+# loaded before and after that read, and the collector's state (enabled,
+# freeze count) before the import, after it and after main.  Compiling
+# cli.py, when no cached bytecode is at hand, comes before its body and is
+# outside the module's reach.
 COLLECTOR = """
-import gc, json, os, sys
+import contextlib, gc, io, json, os, sys
 SETUP
-running, collections = [], []
+running, collections, loaded = [], [], []
 def hook(event, args):
     code = args[0] if event == "exec" else None
     if getattr(code, "co_name", None) == "<module>":
@@ -210,24 +230,43 @@ def hook(event, args):
             running.append(True)
 sys.addaudithook(hook)
 gc.callbacks.append(lambda phase, info: phase == "start" and running and collections.append(info))
-before = [gc.isenabled(), gc.get_freeze_count()]
+states = [[gc.isenabled(), gc.get_freeze_count()]]
 import greenvar.cli
-print(json.dumps([collections, before, [gc.isenabled(), gc.get_freeze_count()]]))
+running.clear()
+states.append([gc.isenabled(), gc.get_freeze_count()])
+handler = greenvar.cli._handler
+def reading(command, **kw):
+    loaded.append("numpy" in sys.modules)
+    running.append(True)
+    try:
+        return handler(command, **kw)
+    finally:
+        running.clear()
+        loaded.append("numpy" in sys.modules)
+greenvar.cli._handler = reading
+with contextlib.redirect_stdout(io.StringIO()):
+    code = greenvar.cli.main(["green", "--family", "t", "--n", "3", "--a", "1,1,2",
+                              "--relation", "d", "--method", "closed"])
+states.append([gc.isenabled(), gc.get_freeze_count()])
+print(json.dumps([code, collections, loaded, states]))
 """
 
 
 @pytest.mark.parametrize("setup", ["", "gc.disable()"], ids=["enabled", "disabled"])
 def test_cli_import_runs_no_collection_and_restores_the_collector(setup):
-    # numpy's import alone triggered about 30 young collections; the module
-    # pauses the collector around its imports and promotes what they built
-    # without a collection, leaving nothing frozen.
-    collections, before, after = fresh_python(COLLECTOR.replace("SETUP", setup))
+    # numpy's import alone triggered about 30 young collections; main pauses
+    # the collector while the command's modules import it, and promotes
+    # what they built without a collection, leaving nothing frozen.
+    code, collections, loaded, states = fresh_python(COLLECTOR.replace("SETUP", setup))
+    assert code == 0
     assert collections == []
-    assert before == [setup == "", 0]
-    assert after == before
+    assert loaded == [False, True]
+    assert states == [[setup == "", 0]] * 3
 
 
 def test_cli_import_keeps_the_callers_frozen_heap():
-    _, (enabled, frozen), after = fresh_python(COLLECTOR.replace("SETUP", "gc.freeze()"))
+    code, _, loaded, states = fresh_python(COLLECTOR.replace("SETUP", "gc.freeze()"))
+    (enabled, frozen), *after = states
+    assert code == 0 and loaded == [False, True]
     assert enabled and frozen > 0
-    assert after[0] and after[1] >= frozen
+    assert all(on and count >= frozen for on, count in after)
