@@ -43,8 +43,9 @@ class GreenClassification:
     labels[i] is the class id of the i-th element of that universe
     (canonical order), and classes are numbered by least member, so two
     classifications describe the same partition exactly when their labels
-    are equal.  The labels are a read-only int64 array, and counts[i], read
-    only too, is the size of class i.  Elements are built only by
+    are equal.  The labels are a read-only int64 array (an int64 array
+    passed in is made read-only, not copied), and counts[i], read only too,
+    is the size of class i.  Elements are built only by
     ``class_of``, and only the members of the one class asked for.
     """
 
@@ -55,9 +56,9 @@ class GreenClassification:
     counts: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # A read-only view: int64 labels, as the classifiers build them, are
-        # not copied, and the caller's array keeps its own flags.
-        labels = np.asarray(self.labels, dtype=np.int64).view()
+        # int64 labels, as the classifiers build them, are taken over, not
+        # copied: once checked, the array passed in is made read-only.
+        labels = np.asarray(self.labels, dtype=np.int64)
         if labels.shape != (family_size(self.a.family, self.a.n),):
             raise ValueError("labels do not cover the universe")
         if labels.min() < 0 or not (counts := np.bincount(labels)).all():
@@ -178,5 +179,5 @@ def classify_by_key(a: Element, relation: str, mode: str, key: Callable) -> Gree
         raise ValueError(f"relation must be one of {CLOSED_RELATIONS}, got {relation!r}")
     keys = key(a, relation, mode)
     labels = canonical_labels(keys, keys >= _CLAUSE)  # a row no clause takes is a singleton
-    del keys  # before the labels are checked, which copies them
+    del keys  # before the check allocates its class sizes and running maximum
     return GreenClassification(a=a, relation=relation, method=f"closed-{mode}", labels=labels)

@@ -37,10 +37,11 @@ the command's handler, whose module imports numpy, elements and classes;
 json is imported only where JSON is written.
 
 The cyclic collector stays off the imported heap.  While this module
-imports the standard library, and while main reads the handler and so
-imports numpy and the modules the handler's module imports, the collector
-is paused: the 30-odd young collections numpy's import would trigger free
-almost nothing.  Then every object alive moves to the oldest generation
+imports the standard library, and while main first reads a handler and
+so imports numpy and the modules the handler's module imports, the
+collector is paused: the 30-odd young collections numpy's import would
+trigger free almost nothing.  Once numpy is loaded, a caller's later
+commands read their handlers with the collector as it is.  Then every object alive moves to the oldest generation
 without a collection (``gc.freeze()``, which also zeroes the young counts,
 then ``gc.unfreeze()``), so the about 350 objects (55 KB) of cycles the
 imports leave are not reclaimed.  The collector is left as the caller had
@@ -265,11 +266,15 @@ def _handler(
     command: str, *, freeze: bool
 ) -> Callable[[argparse.ArgumentParser, argparse.Namespace], int]:
     """command's handler.  Reading it executes the module that holds it,
-    which imports numpy, elements and classes; with freeze, what they built
-    is frozen before the collector resumes."""
+    which imports numpy, elements and classes.  While numpy is not loaded
+    yet, or with freeze, the collector pauses for the read, and what it
+    built is then promoted (or, with freeze, frozen) before it resumes."""
+    # green runs from its own module; the other commands' handlers are in commands.
+    module = green if command == "green" else commands
+    if "numpy" in sys.modules and not freeze:  # a caller's later command: nothing to promote
+        return getattr(module, f"cmd_{command}")
     with _uncollected(freeze):
-        # green runs from its own module; the other commands' handlers are in commands.
-        return getattr(green if command == "green" else commands, f"cmd_{command}")
+        return getattr(module, f"cmd_{command}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
