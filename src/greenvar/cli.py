@@ -36,30 +36,18 @@ count audit (counts) and structure.  main parses first and only then reads
 the command's handler, whose module imports numpy, elements and classes;
 json is imported only where JSON is written.
 
-The cyclic collector stays off the imported heap.  While this module
-imports the standard library, and while main first reads a handler and
-so imports numpy and the modules the handler's module imports, the
-collector is paused: the 30-odd young collections numpy's import would
-trigger free almost nothing.  Once numpy is loaded, a caller's later
-commands read their handlers with the collector as it is.  Then every object alive moves to the oldest generation
-without a collection (``gc.freeze()``, which also zeroes the young counts,
-then ``gc.unfreeze()``), so the about 350 objects (55 KB) of cycles the
-imports leave are not reclaimed.  The collector is left as the caller had
-it: a disabled one stays disabled and a frozen heap stays frozen, and
-nothing else is left frozen.
-
 When main reads sys.argv, the process exists to run one command: it is the
 greenvar script, ``python -m greenvar`` or this file run as __main__.  main
-then calls ``gc.freeze()`` before it parses, and again after it reads the
-handler, before the collector resumes (a collection would otherwise
-examine numpy's whole heap as young).  That moves every object alive (the
-modules, functions and classes numpy and greenvar imported, about 32,000
-tracked containers) into the permanent generation.  The command's own
+then calls ``gc.freeze()`` and pauses the cyclic collector before it
+parses, and calls ``gc.freeze()`` again once it has read the handler, which
+imports numpy and the command's modules; the collector resumes only if it
+was on.  So none of the 30-odd young collections numpy's import would
+trigger runs, and every object the imports built (about 32,000 tracked
+containers) sits in the permanent generation: the command's own
 collections and the full collection Python runs at exit skip them, and the
-OS reclaims their memory when the process ends; atexit handlers, the flush
-of stdout and stderr, and exit codes are unchanged.  A caller that passes
-argv (a test, a library user, a long-lived process) is untouched: its
-collector keeps tracking everything.
+OS reclaims their memory when the process ends.  A caller that passes argv
+(a test, a library user, a long-lived process) keeps its collector as it
+set it, and so does one that only imports this module.
 
 Output is deterministic byte-for-byte for a fixed invocation.  JSON output
 validates against output_schema.json shipped in this package.  Member
@@ -68,65 +56,43 @@ lists longer than green.MEMBER_LIMIT are elided unless --full is given.
 
 # The annotations here are evaluated: `from __future__ import annotations`
 # would import a module that no parse needs.
+import argparse
 import gc
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+import importlib.util
+import os
+import re
+import sys
+from collections.abc import Sequence
+from types import ModuleType
+
+from . import FAMILIES, MODES, RELATIONS
+
+# greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
-@contextmanager
-def _uncollected(freeze: bool = False) -> Iterator[None]:
-    """The imports run under it build most of the heap a command keeps to
-    its end: the collector pauses while they run, what they built is then
-    frozen (with freeze) or else promoted without a collection, and the
-    collector is restored as the caller had it."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if freeze:
-            gc.freeze()
-        elif not gc.get_freeze_count():
-            gc.freeze()
-            gc.unfreeze()
-        if collecting:
-            gc.enable()
+def _lazy(name: str) -> ModuleType:
+    """greenvar's module name, registered so that its body executes when
+    one of its attributes is first read; a module loaded already is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
 
 
-with _uncollected():
-    import argparse
-    import importlib.util
-    import os
-    import re
-    import sys
-    from types import ModuleType
-
-    from . import FAMILIES, MODES, RELATIONS
-
-    # greenvar calls no BLAS routine, and each idle OpenBLAS worker numpy starts spins a core.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-    def _lazy(name: str) -> ModuleType:
-        """greenvar's module name, registered so that its body executes when
-        one of its attributes is first read; a module loaded already is
-        returned as it is."""
-        fullname = f"{__package__}.{name}"
-        if fullname in sys.modules:
-            return sys.modules[fullname]
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-        return module
-
-    # Every greenvar module is in sys.modules from here on, so perfbench's
-    # span tracer finds each module it wraps; reading one executes it, and
-    # its imports add no greenvar module.
-    elements, green, commands = map(_lazy, ("elements", "green", "commands"))
-    for _name in ("classes", "engine", "closedform_is", "closedform_t", "counts", "structure"):
-        _lazy(_name)
+# Every greenvar module is in sys.modules from here on, so perfbench's
+# span tracer finds each module it wraps; reading one executes it, and
+# its imports add no greenvar module.
+elements, green, commands = map(_lazy, ("elements", "green", "commands"))
+for _name in ("classes", "engine", "closedform_is", "closedform_t", "counts", "structure"):
+    _lazy(_name)
 
 DEFAULT_SEED = 7
 ALL_A_CAP = 4  # --all-a sweeps stop here; sample larger universes instead
@@ -262,28 +228,21 @@ def _glue_element_args(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _handler(
-    command: str, *, freeze: bool
-) -> Callable[[argparse.ArgumentParser, argparse.Namespace], int]:
-    """command's handler.  Reading it executes the module that holds it,
-    which imports numpy, elements and classes.  While numpy is not loaded
-    yet, or with freeze, the collector pauses for the read, and what it
-    built is then promoted (or, with freeze, frozen) before it resumes."""
-    # green runs from its own module; the other commands' handlers are in commands.
-    module = green if command == "green" else commands
-    if "numpy" in sys.modules and not freeze:  # a caller's later command: nothing to promote
-        return getattr(module, f"cmd_{command}")
-    with _uncollected(freeze):
-        return getattr(module, f"cmd_{command}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
-        # This process is the command: its collector skips the imported heap.
+        # This process is the command: no collection runs while the
+        # command's modules import numpy, and none examines what they built.
+        collecting = gc.isenabled()
         gc.freeze()
+        gc.disable()
     parser = build_parser()
     args = parser.parse_args(_glue_element_args(sys.argv[1:] if argv is None else argv))
-    handler = _handler(args.command, freeze=argv is None)
+    # green runs from its own module; the other commands' handlers are in commands.
+    handler = getattr(green if args.command == "green" else commands, f"cmd_{args.command}")
+    if argv is None:
+        gc.freeze()
+        if collecting:
+            gc.enable()
     try:
         return handler(parser, args)
     except ValueError as exc:  # a ParseError or CapacityError among them

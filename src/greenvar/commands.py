@@ -7,7 +7,9 @@ checks and renderers these commands share with green are green's, imported
 from it; the deformations a sweep checks are selected here.  Each handler
 builds its payload, the JSON document, and _emit renders it: JSON dumps
 the payload, and the text and CSV views are read from it; json and csv are
-imported only when a command writes them.
+imported only when a command writes them.  eggbox's DOT document is the
+exception: it goes out through green's _write_listing, the one writer of
+green's class lists too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .elements import (
     universe_chars,
     universe_images,
 )
-from .green import _closed_classification, _listed, _parse_or_error, _singleton_rows, _texts
+from .green import _closed_classification, _listed, _parse_or_error, _texts, _write_listing
 
 if TYPE_CHECKING:
     from .counts import CountReport
@@ -270,37 +272,23 @@ def _dot_grid(boxes: engine.EggBoxes, b: int, chars: np.ndarray, full: bool) -> 
 
 
 def _write_dot(boxes: engine.EggBoxes, a: Element, full: bool) -> None:
-    """Write the DOT document of the egg boxes of a's semigroup, DOT_BLOCK
-    d-classes to a write.  Almost every d-class is a singleton: each run of
-    singletons among a block's ids of one number of digits is byte rows of
-    one template, and only the boxes of more than one member are formatted."""
+    """Write the DOT document of the egg boxes of a's semigroup through
+    green's _write_listing, DOT_BLOCK d-classes to a write.  Almost every
+    d-class is a singleton, a byte row of one template: only the boxes of
+    more than one member are formatted."""
     chars = universe_chars(a.family, a.n)
     starts = boxes.cells[boxes.boxes]  # each box's first member, and the end
-    k = len(starts) - 1
-    apart = np.flatnonzero(np.diff(starts) > 1)
-    parts = re.split(r"\{([ix])\}", _dot_cluster("{i}", "{x}", 1, "1x1", "<TR><TD>{x}</TD></TR>"))
-    buffers: dict[int, np.ndarray] = {}  # one per number of digits, reused by later runs
-    sys.stdout.write(
+    apart = np.diff(starts) > 1
+    head = (
         "digraph eggbox {\n"
-        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={k}";\n'
+        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={len(apart)}";\n'
         '  labelloc="t";\n'
         "  node [shape=plaintext];\n"
     )
-    for lo in range(0, k, DOT_BLOCK):
-        hi = min(lo + DOT_BLOCK, k)
-        own = apart[np.searchsorted(apart, lo) : np.searchsorted(apart, hi)].tolist()
-        tens = (10**d for d in range(len(str(lo)), len(str(hi - 1))))
-        edges = sorted({lo, hi, *tens, *own, *(b + 1 for b in own)})
-        pieces = []
-        for p, q in zip(edges, edges[1:]):
-            if p in own:
-                pieces.append(_dot_grid(boxes, p, chars, full).encode())
-            else:
-                # Copied out: the next run of this many digits refills the buffer.
-                ids = np.arange(p, q)
-                rows = _singleton_rows(buffers, parts, ids, chars[boxes.members[starts[ids]]])
-                pieces.append(rows.tobytes())
-        sys.stdout.write(b"".join(pieces).decode())
+    parts = re.split(r"\{([ix])\}", _dot_cluster("{i}", "{x}", 1, "1x1", "<TR><TD>{x}</TD></TR>"))
+    grids = (_dot_grid(boxes, b, chars, full) for b in np.flatnonzero(apart).tolist())
+    solo = boxes.members[starts[:-1][~apart]]  # each singleton's one member
+    _write_listing(chars, apart, solo, parts, grids, DOT_BLOCK, head)
     sys.stdout.write("}\n")
 
 

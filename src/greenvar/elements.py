@@ -54,7 +54,7 @@ def _check_images(images: tuple[int | None, ...], *, total: bool) -> None:
         if v is None:
             if total:
                 raise ValueError(f"point {point}: total maps cannot be undefined")
-        elif not isinstance(v, int):
+        elif not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"point {point}: image {v!r} is not an integer")
         elif not 1 <= v <= n:
             raise ValueError(f"point {point}: image {v} outside 1..{n}")
@@ -74,7 +74,10 @@ class _Map:
     family: ClassVar[str]
 
     def __init__(self, images: tuple[int, ...]) -> None:
-        checked = tuple(None if isinstance(v, int) and v == UNDEFINED else v for v in images)
+        # 0 marks an undefined point; False equals 0 but is no image.
+        checked = tuple(
+            None if isinstance(v, int) and v is not False and v == UNDEFINED else v for v in images
+        )
         _check_images(checked, total=self.family == FAMILY_T)
         object.__setattr__(self, "images", images)
 

@@ -6,9 +6,10 @@ arguments are parsed, so ``greenvar --help`` and every usage error never
 compile it; commands imports the shared helpers from here.  green streams
 its class lists from the label arrays, so that no large universe is held as
 text.  Almost every class of a closed form is a singleton, so green sorts
-only the members of the other classes and writes the singletons of each
-block of classes as byte rows filled into one buffer per index width;
-eggbox writes its singleton d-classes the same way.
+only the members of the other classes.  One writer, _write_listing, writes
+both green's class lists and eggbox's DOT grids a block at a time: the
+singletons of each block are byte rows filled into one buffer per index
+width, and only the other entries are formatted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,6 +117,37 @@ def _singleton_rows(
     return rows
 
 
+def _write_listing(
+    chars: np.ndarray, apart: np.ndarray, solo: np.ndarray, parts: list[str],
+    entries: Iterator[str], block: int, first: str,
+) -> None:
+    """Write first, then entry i of a listing for each i < len(apart),
+    block entries to a write.  Where apart[i], entry i is the next of
+    entries.  The others are singletons, and the t-th of them is a byte row
+    of the template parts (see _singleton_rows) whose field x is the text of
+    universe index solo[t].  Each block is split where the index gains a
+    digit, and the singleton rows of each split are filled in one pass."""
+    k = len(apart)
+    own = np.flatnonzero(apart).tolist()
+    buffers: dict[int, np.ndarray] = {}  # one per number of digits, reused by later blocks
+    # own[j] is the next entry from entries, solo[t] the next singleton's member.
+    j, t = 0, 0
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        tens = [10**d for d in range(len(str(lo)), len(str(hi - 1)))]
+        pieces = [first.encode()] if lo == 0 else []
+        for p, q in zip([lo, *tens], [*tens, hi]):
+            ids = np.flatnonzero(~apart[p:q]) + p
+            singles = _singleton_rows(buffers, parts, ids, chars[solo[t : t + len(ids)]])
+            t, done, j0 = t + len(ids), 0, j
+            while j < len(own) and own[j] < q:
+                before = own[j] - p - (j - j0)  # singletons before own[j]
+                pieces += [singles[done:before], next(entries).encode()]
+                done, j = before, j + 1
+            pieces.append(singles[done:])
+        sys.stdout.write(b"".join(pieces).decode())
+
+
 def _write_classes(
     c: GreenClassification, chars: np.ndarray, full: bool,
     entry: Callable[[object, object, str, str | None], str], sep: str,
@@ -123,12 +155,12 @@ def _write_classes(
 ) -> None:
     """Write first, then entry(i, size, rep, members) for each class i of c,
     followed by end, or by last for the final class; members is the member
-    texts joined by sep, or None when elided.  Classes go out RENDER_BLOCK
-    to a write.  Each class of more than one, and the final class, is an
-    entry of its own: only their members are sorted, and the member texts
-    of those listed are laid out in one pass.  The other classes are
-    singletons, and those among a block's indices of one number of digits
-    are byte rows of the template entry("{i}", 1, "{x}", "{x}")."""
+    texts joined by sep, or None when elided.  _write_listing writes them,
+    RENDER_BLOCK classes to a write.  Each class of more than one, and the
+    final class, is an entry of its own: only their members are sorted, and
+    the member texts of those listed are laid out in one pass.  The other
+    classes are singletons, byte rows of the template
+    entry("{i}", 1, "{x}", "{x}")."""
     counts, labels, width = c.counts, c.labels, chars.shape[1]
     k = len(counts)
     apart = counts > 1
@@ -149,30 +181,16 @@ def _write_classes(
     reps = chars[rows[np.cumsum(sizes) - sizes]].tobytes().decode()
     stops = (np.cumsum(sizes * listed) * stride).tolist()
     own, sizes, listed = own.tolist(), sizes.tolist(), listed.tolist()
+
+    def entries() -> Iterator[str]:
+        for j, (i, size) in enumerate(zip(own, sizes)):
+            rep = reps[j * width : (j + 1) * width]
+            start = stops[j] - size * stride
+            members = listing[start : stops[j] - len(sep)] if listed[j] else None
+            yield entry(i, size, rep, members) + (last if i == k - 1 else end)
+
     parts = re.split(r"\{([ix])\}", entry("{i}", 1, "{x}", "{x}") + end)
-    buffers: dict[int, np.ndarray] = {}  # one per number of digits, reused by later blocks
-    # own[j] is the next class written as an entry, solo[t] the next singleton's member.
-    j, t = 0, 0
-    for lo in range(0, k, RENDER_BLOCK):
-        hi = min(lo + RENDER_BLOCK, k)
-        tens = [10**d for d in range(len(str(lo)), len(str(hi - 1)))]
-        pieces = [first.encode()] if lo == 0 else []
-        for p, q in zip([lo, *tens], [*tens, hi]):
-            ids = np.flatnonzero(~apart[p:q]) + p
-            singles = _singleton_rows(buffers, parts, ids, chars[solo[t : t + len(ids)]])
-            t, done, j0 = t + len(ids), 0, j
-            while j < len(own) and own[j] < q:
-                i, size, before = own[j], sizes[j], own[j] - p - (j - j0)  # singletons before i
-                pieces.append(singles[done:before])
-                done = before
-                rep = reps[j * width : (j + 1) * width]
-                start = stops[j] - size * stride
-                members = listing[start : stops[j] - len(sep)] if listed[j] else None
-                tail = last if i == k - 1 else end
-                pieces.append((entry(i, size, rep, members) + tail).encode())
-                j += 1
-            pieces.append(singles[done:])
-        sys.stdout.write(b"".join(pieces).decode())
+    _write_listing(chars, apart, solo, parts, entries(), RENDER_BLOCK, first)
 
 
 def cmd_green(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

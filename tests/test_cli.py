@@ -665,7 +665,7 @@ def test_eggbox_empty_deformation_unit_clusters(cli):
 def test_eggbox_dot_formats_only_boxes_of_more_than_one(monkeypatch):
     # 1,908 of T_5's 1,938 d-classes are singletons, written as byte rows of
     # one template: only the other 30 are formatted.  The document goes out
-    # DOT_BLOCK boxes to a write.
+    # DOT_BLOCK boxes to a write, the head with the first block.
     formatted = []
     genuine = commands._dot_grid
     monkeypatch.setattr(
@@ -677,9 +677,39 @@ def test_eggbox_dot_formats_only_boxes_of_more_than_one(monkeypatch):
         code = cli_module.main(["eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5"])
     assert code == 0
     assert len(formatted) == 30 and formatted == sorted(formatted)
-    assert len(writes) == 2 + -(-1938 // commands.DOT_BLOCK)  # the head and tail besides
+    assert len(writes) == 1 + -(-1938 // commands.DOT_BLOCK)  # the tail besides
     assert max(map(len, writes)) <= 2**16
     assert "".join(writes).count("subgraph cluster_") == 1938
+
+
+@pytest.mark.parametrize("block", (7, 1))
+def test_eggbox_dot_block_writer_matches_per_box_reference(cli, monkeypatch, block):
+    # T_5 at 4,3,4,5,5 has 1,938 d-classes, so the box ids cross 9 -> 10,
+    # 99 -> 100 and 999 -> 1000; blocks of 7 and of 1 split runs of equal id
+    # width, with a box of more than one member first in some block and last
+    # in another.  The reference is the head, then every box's grid, then }.
+    monkeypatch.setattr(commands, "DOT_BLOCK", block)
+    a = parse_element("t", "4,3,4,5,5")
+    boxes = engine.all_egg_boxes(variant_semigroup(a))
+    chars = universe_chars("t", 5)
+    k = len(boxes.boxes) - 1
+    sizes = np.diff(boxes.cells[boxes.boxes])
+    multi = np.flatnonzero(sizes > 1)
+    assert k == 1938 and k > 1000
+    assert (multi % block == 0).any() and (multi % block == block - 1).any()
+    for full in (False, True):
+        head = (
+            "digraph eggbox {\n"
+            f'  label="family=t n=5 a=\\"4,3,4,5,5\\" d_classes={k}";\n'
+            '  labelloc="t";\n'
+            "  node [shape=plaintext];\n"
+        )
+        grids = "".join(commands._dot_grid(boxes, b, chars, full) for b in range(k))
+        code, out, err = cli("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5",
+                             *(("--full",) if full else ()))
+        assert (code, err) == (0, "")
+        assert out == head + grids + "}\n"
+        assert all(f"cluster_{i} {{" in out for i in (9, 10, 99, 100, 999, 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -899,11 +929,11 @@ FREEZE_PROBE = (
 
 
 def test_main_with_argv_freezes_nothing(cli, monkeypatch):
-    # numpy is loaded in this process, so the handler read has no new heap
-    # to promote either: the caller's heap is not moved between generations.
+    # A caller that passes argv keeps its collector as it is: main neither
+    # pauses it nor moves the caller's heap between generations.
     moved = []
-    monkeypatch.setattr(gc, "freeze", lambda: moved.append("freeze"))
-    monkeypatch.setattr(gc, "unfreeze", lambda: moved.append("unfreeze"))
+    for name in ("freeze", "unfreeze", "disable", "enable"):
+        monkeypatch.setattr(gc, name, lambda name=name: moved.append(name))
     assert cli("green", "--family", "t", "--n", "2", "--a", "1,1", "--relation", "r")[0] == 0
     assert moved == [] and gc.get_freeze_count() == 0
 
@@ -923,6 +953,38 @@ def test_main_on_sys_argv_freezes_and_keeps_its_output(cli, monkeypatch, argv, n
     assert (result.returncode, result.stdout) == cli(*argv)[:2]
     frozen = re.fullmatch(r"freeze count (\d+) numpy (\w+)\n", result.stderr)
     assert frozen and int(frozen[1]) > 0 and frozen[2] == numpy
+
+
+# Runs SETUP, imports main, and writes to stderr the collections that start
+# while main runs on the probe's own argv, and whether the collector is
+# enabled when main returns.
+MAIN_PROBE = (
+    "import gc, sys\n"
+    "SETUP\n"
+    "started = []\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info))\n"
+    "from greenvar.cli import main\n"
+    "before = len(started)\n"
+    "code = main()\n"
+    "print('collections', len(started) - before, 'enabled', gc.isenabled(), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("setup", ["", "gc.disable()"], ids=["enabled", "disabled"])
+def test_main_on_sys_argv_collects_nothing_and_keeps_the_collectors_state(cli, setup):
+    # The collector is paused from main's first statement until the handler
+    # is read, which imports numpy and the command's modules; what they built
+    # is frozen, so this small command's handler runs no collection either.
+    # A collector the caller disabled stays disabled.
+    argv = ("green", "--family", "t", "--n", "3", "--a", "1,1,2", "--relation", "d",
+            "--method", "closed")
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN_PROBE.replace("SETUP", setup), *argv],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == cli(*argv)[:2]
+    assert result.stderr == f"collections 0 enabled {setup == ''}\n"
 
 
 # Counts the collections that start between the probe's first statement and

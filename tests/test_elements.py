@@ -399,6 +399,18 @@ def test_bad_images_rejected():
         PartialPerm((4, 0, 1))
 
 
+@pytest.mark.parametrize("cls, images, point", [
+    (PartialPerm, (True, False), 1),  # True is no point 1
+    (PartialPerm, (2, False), 2),  # nor False an undefined point
+    (PartialPerm, (0, True), 2),
+    (Transformation, (True, 1), 1),
+    (Transformation, (1, False), 2),
+])
+def test_bool_images_rejected(cls, images, point):
+    with pytest.raises(ValueError, match=rf"^point {point}: image (True|False) is not an integer$"):
+        cls(images)
+
+
 def test_universe_index_inverts_the_image_array():
     for family in (FAMILY_IS, FAMILY_T):
         for n in (1, 2, 3, 4):

@@ -209,64 +209,41 @@ def test_lazy_module_bodies_import_nothing_new():
 
 
 # ---------------------------------------------------------------------------
-# the collector around `import greenvar.cli` and the command's own imports
+# the collector of a caller that imports greenvar.cli and passes argv
 
 # Runs SETUP, imports greenvar.cli, then runs a closed-form green through
-# main and prints, as JSON, the collections a gc.callbacks hook saw start
-# while cli's module body executed or while main read the command's handler
-# (which imports numpy, elements, classes and green), whether numpy was
-# loaded before and after that read, and the collector's state (enabled,
-# freeze count) before the import, after it and after main.  Compiling
-# cli.py, when no cached bytecode is at hand, comes before its body and is
-# outside the module's reach.
+# main(argv), which imports numpy, elements, classes and green, and prints,
+# as JSON, main's exit code, whether numpy was loaded after the import and
+# after main, and the collector's state (enabled, freeze count) before the
+# import, after it and after main.
 COLLECTOR = """
-import contextlib, gc, io, json, os, sys
+import contextlib, gc, io, json, sys
 SETUP
-running, collections, loaded = [], [], []
-def hook(event, args):
-    code = args[0] if event == "exec" else None
-    if getattr(code, "co_name", None) == "<module>":
-        if code.co_filename.endswith(os.path.join("greenvar", "cli.py")):
-            running.append(True)
-sys.addaudithook(hook)
-gc.callbacks.append(lambda phase, info: phase == "start" and running and collections.append(info))
 states = [[gc.isenabled(), gc.get_freeze_count()]]
 import greenvar.cli
-running.clear()
+loaded = ["numpy" in sys.modules]
 states.append([gc.isenabled(), gc.get_freeze_count()])
-handler = greenvar.cli._handler
-def reading(command, **kw):
-    loaded.append("numpy" in sys.modules)
-    running.append(True)
-    try:
-        return handler(command, **kw)
-    finally:
-        running.clear()
-        loaded.append("numpy" in sys.modules)
-greenvar.cli._handler = reading
 with contextlib.redirect_stdout(io.StringIO()):
     code = greenvar.cli.main(["green", "--family", "t", "--n", "3", "--a", "1,1,2",
                               "--relation", "d", "--method", "closed"])
+loaded.append("numpy" in sys.modules)
 states.append([gc.isenabled(), gc.get_freeze_count()])
-print(json.dumps([code, collections, loaded, states]))
+print(json.dumps([code, loaded, states]))
 """
 
 
 @pytest.mark.parametrize("setup", ["", "gc.disable()"], ids=["enabled", "disabled"])
-def test_cli_import_runs_no_collection_and_restores_the_collector(setup):
-    # numpy's import alone triggered about 30 young collections; main pauses
-    # the collector while the command's modules import it, and promotes
-    # what they built without a collection, leaving nothing frozen.
-    code, collections, loaded, states = fresh_python(COLLECTOR.replace("SETUP", setup))
-    assert code == 0
-    assert collections == []
-    assert loaded == [False, True]
+def test_cli_import_and_main_with_argv_keep_the_callers_collector(setup):
+    # Neither the import nor main(argv) pauses, enables or freezes anything:
+    # the collector stays as the caller set it, with nothing frozen.
+    code, loaded, states = fresh_python(COLLECTOR.replace("SETUP", setup))
+    assert code == 0 and loaded == [False, True]
     assert states == [[setup == "", 0]] * 3
 
 
 def test_cli_import_keeps_the_callers_frozen_heap():
-    code, _, loaded, states = fresh_python(COLLECTOR.replace("SETUP", "gc.freeze()"))
+    code, loaded, states = fresh_python(COLLECTOR.replace("SETUP", "gc.freeze()"))
     (enabled, frozen), *after = states
     assert code == 0 and loaded == [False, True]
     assert enabled and frozen > 0
-    assert all(on and count >= frozen for on, count in after)
+    assert after == [[True, frozen]] * 2
