@@ -20,7 +20,7 @@ renders it: JSON dumps the payload, and the text and CSV views are read
 from it.  Three things are read from elsewhere: the counterexample pairs
 of iso and dual, which JSON does not carry, and, so that no large
 universe is held as text, green's class lists, streamed from the label
-arrays, and eggbox's DOT grids, written from the egg-box index arrays.
+arrays, and eggbox's DOT and JSON grids, from the egg-box index arrays.
 
 A process compiles and executes only the code its command runs.  This
 module holds the parser and main, and imports only the standard library

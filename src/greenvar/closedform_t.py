@@ -109,14 +109,6 @@ def fed(x: Transformation, a: Transformation) -> bool:
     return bool(_fed(*_one_row(x), a)[0])
 
 
-def _crowded_everywhere(x: Transformation, a: Transformation) -> bool:
-    # The literal middle d condition: every fiber of a meets ran(x) more than
-    # once.  With rank(x) <= rank(a) alongside it forces 2 rank(a) <= rank(a),
-    # so it never holds; kept verbatim for the audit.
-    _, ran = _one_row(x)
-    return bool(_overfull_blocks(ran, a).all())
-
-
 def _class_key_t(a: Transformation, relation: str, mode: str) -> np.ndarray:
     """The closed-form case split, one key per row of a's universe: equal
     keys share a class."""

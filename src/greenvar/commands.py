@@ -4,12 +4,12 @@ cli registers this module lazily and calls its handlers by command name,
 so it executes only in the processes that run one of these five commands;
 ``greenvar green`` and ``greenvar --help`` never compile it.  The option
 checks and renderers these commands share with green are green's, imported
-from it; the deformations a sweep checks are selected here.  Each handler
-builds its payload, the JSON document, and _emit renders it: JSON dumps
-the payload, and the text and CSV views are read from it; json and csv are
-imported only when a command writes them.  eggbox's DOT document is the
-exception: it goes out through green's _write_listing, the one writer of
-green's class lists too.
+from it; the deformations a sweep checks are selected here.  Every listing
+of a universe, eggbox's DOT and JSON documents alike, goes out through
+green's _write_listing, the one writer of green's class lists too.  _emit
+writes only the reports of verify, count, iso and dual: each builds its
+payload, the JSON document, which JSON dumps and the text and CSV views
+are read from; json and csv are imported only when a command writes them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import random
 import re
 import sys
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from .counts import CountReport
 
 VERIFY_RELATIONS = ("r", "l", "h", "d")
-DOT_BLOCK = 256  # d-classes of an egg-box DOT document per write: 52 KB of singletons at n = 6
+BOX_BLOCK = 256  # d-classes of an egg-box document per write: 52 KB of DOT singletons at n = 6
 # The count table's columns after family, n, a and p, as named in JSON and CSV.
 COUNT_COLUMNS = ("side", "quantity", "literal_value", "corrected_value", "enumerated_value", "flag")
 
@@ -87,11 +87,6 @@ def _count_report(a: Element) -> CountReport:
     if a.family == FAMILY_IS:
         return closedform_is.count_is_classes(a)
     return closedform_t.count_t_classes(a)
-
-
-def _class_entry(cls: list[int], texts: Mapping[int, str], full: bool) -> dict:
-    members = [texts[x] for x in cls] if _listed(len(cls), full) else None
-    return {"representative": texts[cls[0]], "size": len(cls), "members": members}
 
 
 def _emit(
@@ -241,77 +236,66 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 # eggbox
 
 
-def _dot_cluster(i: object, rep: str, size: object, shape: str, rows_html: str) -> str:
-    return (
-        f"  subgraph cluster_{i} {{\n"
-        f'    label="d{i} rep {rep} size {size} ({shape})";\n'
-        f'    box{i} [label=<<TABLE BORDER="0" CELLBORDER="1"'
-        f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
-        "  }\n"
-    )
-
-
 def _cell_text(texts: list[str], full: bool) -> str:
     if full or len(texts) == 1:
         return " ".join(texts)
     return f"{texts[0]} ({len(texts)})"
 
 
-def _dot_grid(boxes: engine.EggBoxes, b: int, chars: np.ndarray, full: bool) -> str:
-    """Box b's DOT cluster, formatted from the texts of its members."""
+def _grid(boxes: engine.EggBoxes, b: int, chars: np.ndarray) -> list[list[list[str]]]:
+    """Box b's member texts, row by row and cell by cell."""
     first, end = boxes.boxes[b : b + 2].tolist()
     bounds = boxes.cells[first : end + 1].tolist()
     texts = _texts(chars, boxes.members[bounds[0] : bounds[-1]], " ").split(" ")
     bounds = [x - bounds[0] for x in bounds]
+    cells = [texts[i:j] for i, j in zip(bounds, bounds[1:])]
     width = int(boxes.cols[b + 1] - boxes.cols[b])
-    tds = [f"<TD>{_cell_text(texts[i:j], full)}</TD>" for i, j in zip(bounds, bounds[1:])]
+    return [cells[t : t + width] for t in range(0, len(cells), width)]
+
+
+def _dot_box(b: object, grid: list[list[list[str]]], full: bool) -> str:
+    """Box b's DOT cluster."""
+    size = sum(len(cell) for row in grid for cell in row)
     rows_html = "".join(
-        "<TR>" + "".join(tds[t : t + width]) + "</TR>" for t in range(0, len(tds), width)
+        "<TR>" + "".join(f"<TD>{_cell_text(cell, full)}</TD>" for cell in row) + "</TR>"
+        for row in grid
     )
-    return _dot_cluster(b, texts[0], len(texts), f"{len(tds) // width}x{width}", rows_html)
-
-
-def _write_dot(boxes: engine.EggBoxes, a: Element, full: bool) -> None:
-    """Write the DOT document of the egg boxes of a's semigroup through
-    green's _write_listing, DOT_BLOCK d-classes to a write.  Almost every
-    d-class is a singleton, a byte row of one template: only the boxes of
-    more than one member are formatted."""
-    chars = universe_chars(a.family, a.n)
-    starts = boxes.cells[boxes.boxes]  # each box's first member, and the end
-    apart = np.diff(starts) > 1
-    head = (
-        "digraph eggbox {\n"
-        f'  label="family={a.family} n={a.n} a=\\"{a}\\" d_classes={len(apart)}";\n'
-        '  labelloc="t";\n'
-        "  node [shape=plaintext];\n"
+    return (
+        f"  subgraph cluster_{b} {{\n"
+        f'    label="d{b} rep {grid[0][0][0]} size {size} ({len(grid)}x{len(grid[0])})";\n'
+        f'    box{b} [label=<<TABLE BORDER="0" CELLBORDER="1"'
+        f' CELLSPACING="0">{rows_html}</TABLE>>];\n'
+        "  }\n"
     )
-    parts = re.split(r"\{([ix])\}", _dot_cluster("{i}", "{x}", 1, "1x1", "<TR><TD>{x}</TD></TR>"))
-    grids = (_dot_grid(boxes, b, chars, full) for b in np.flatnonzero(apart).tolist())
-    solo = boxes.members[starts[:-1][~apart]]  # each singleton's one member
-    _write_listing(chars, apart, solo, parts, grids, DOT_BLOCK, head)
-    sys.stdout.write("}\n")
 
 
-def _eggbox_payload(boxes: engine.EggBoxes, a: Element, full: bool) -> dict:
-    members, first, rows, cols, cells = (x.tolist() for x in boxes)
-    texts = dict(zip(members, _texts(universe_chars(a.family, a.n), boxes.members, " ").split(" ")))
-    d_classes = []
-    for b in range(len(first) - 1):
-        width = cols[b + 1] - cols[b]
-        bounds = cells[first[b] : first[b + 1] + 1]
-        box = [members[i:j] for i, j in zip(bounds, bounds[1:])]  # its cells, row by row
-        grid = [box[t : t + width] for t in range(0, len(box), width)]
-        d_classes.append({
-            "representative": texts[box[0][0]],
-            "size": sum(map(len, box)),
-            "rows": [texts[min(cell[0] for cell in row)] for row in grid],
-            "cols": [texts[min(cell[0] for cell in box[j::width])] for j in range(width)],
-            "cells": [[_class_entry(cell, texts, full) for cell in row] for row in grid],
-        })
-    return {"command": "eggbox", "family": a.family, "n": a.n, "a": str(a), "d_classes": d_classes}
+def _class_entry(texts: list[str], full: bool) -> dict:
+    members = texts if _listed(len(texts), full) else None
+    return {"representative": texts[0], "size": len(texts), "members": members}
+
+
+def _json_box(b: object, grid: list[list[list[str]]], full: bool) -> str:
+    """Box b's d-class object exactly as json.dumps(indent=2, sort_keys=True)
+    lays it out at its depth in the eggbox payload.  Element texts order as
+    their universe indices, so the least text of a row or column is its
+    least member."""
+    import json
+
+    box = {
+        "representative": grid[0][0][0],
+        "size": sum(len(cell) for row in grid for cell in row),
+        "rows": [min(cell[0] for cell in row) for row in grid],
+        "cols": [min(cell[0] for cell in column) for column in zip(*grid)],
+        "cells": [[_class_entry(cell, full) for cell in row] for row in grid],
+    }
+    return "    " + json.dumps(box, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Write the egg boxes of a's semigroup through green's _write_listing,
+    BOX_BLOCK d-classes to a write.  Almost every d-class is a singleton, a
+    byte row of one template: only the boxes of more than one member are
+    formatted, and in JSON the last box too, which no comma follows."""
     family, n = args.family, args.n
     a = _parse_or_error(parser, family, n, args.a)
     v = engine.variant_semigroup(a)
@@ -320,10 +304,35 @@ def cmd_eggbox(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     else:
         boxes = engine.all_egg_boxes(v)
 
+    chars = universe_chars(family, n)
+    starts = boxes.cells[boxes.boxes]  # each box's first member, and the end
+    apart = np.diff(starts) > 1
+    k = len(apart)
     if args.format == "dot":
-        _write_dot(boxes, a, args.full)
+        box, end, tail = _dot_box, "", "}\n"
+        head = (
+            "digraph eggbox {\n"
+            f'  label="family={family} n={n} a=\\"{a}\\" d_classes={k}";\n'
+            '  labelloc="t";\n'
+            "  node [shape=plaintext];\n"
+        )
     else:
-        _emit(args.format, _eggbox_payload(boxes, a, args.full))
+        import json
+
+        box, end = _json_box, ",\n"
+        apart[-1] = True
+        # The boxes are written where json.dumps put a placeholder.
+        payload = {"command": "eggbox", "family": family, "n": n, "a": str(a), "d_classes": "<>"}
+        head, tail = (json.dumps(payload, indent=2, sort_keys=True) + "\n").split('"<>"')
+        head, tail = head + "[\n", "\n  ]" + tail
+    solo = boxes.members[starts[:-1][~apart]]  # each singleton's one member
+    grids = (
+        box(b, _grid(boxes, b, chars), args.full) + (end if b < k - 1 else "")
+        for b in np.flatnonzero(apart).tolist()
+    )
+    parts = re.split(r"\{([ix])\}", box("{i}", [[["{x}"]]], args.full) + end)
+    _write_listing(chars, apart, solo, parts, grids, BOX_BLOCK, head)
+    sys.stdout.write(tail)
     return 0
 
 

@@ -124,10 +124,8 @@ def summarize_classes_by_rank(classification: GreenClassification) -> ClassCount
     ranks = np.bitwise_count(universe_ranges(c.a.family, c.a.n)[least])
     multi = c.counts > 1
     lines = Counter(zip(ranks[multi].tolist(), c.counts[multi].tolist()))
-    return ClassCountSummary(
-        singleton_count=c.singleton_count,
-        multi_class_count=int(multi.sum()),
-        size_lines=tuple(sorted((k, sz, cnt) for (k, sz), cnt in lines.items())),
+    return ClassCountSummary.census(
+        len(c.labels), sorted((k, sz, cnt) for (k, sz), cnt in lines.items())
     )
 
 

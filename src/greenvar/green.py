@@ -7,9 +7,9 @@ compile it; commands imports the shared helpers from here.  green streams
 its class lists from the label arrays, so that no large universe is held as
 text.  Almost every class of a closed form is a singleton, so green sorts
 only the members of the other classes.  One writer, _write_listing, writes
-both green's class lists and eggbox's DOT grids a block at a time: the
-singletons of each block are byte rows filled into one buffer per index
-width, and only the other entries are formatted.
+both green's class lists and eggbox's DOT and JSON grids a block at a time:
+the singletons of each block are byte rows filled into one buffer per
+index width, and only the other entries are formatted.
 """
 
 from __future__ import annotations

@@ -662,54 +662,111 @@ def test_eggbox_empty_deformation_unit_clusters(cli):
     assert all(d["size"] == 1 for d in payload["d_classes"])
 
 
-def test_eggbox_dot_formats_only_boxes_of_more_than_one(monkeypatch):
-    # 1,908 of T_5's 1,938 d-classes are singletons, written as byte rows of
-    # one template: only the other 30 are formatted.  The document goes out
-    # DOT_BLOCK boxes to a write, the head with the first block.
+T5_EGGBOX = ("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5")
+
+
+def _eggbox_writes(monkeypatch, *extra):
+    """The T_5 egg boxes' writes, and the boxes whose grids were read."""
     formatted = []
-    genuine = commands._dot_grid
+    genuine = commands._grid
     monkeypatch.setattr(
-        commands, "_dot_grid",
-        lambda boxes, b, *rest: formatted.append(b) or genuine(boxes, b, *rest),
+        commands, "_grid", lambda boxes, b, chars: formatted.append(b) or genuine(boxes, b, chars)
     )
     writes = []
     with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
-        code = cli_module.main(["eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5"])
-    assert code == 0
+        assert cli_module.main([*T5_EGGBOX, *extra]) == 0
+    return formatted, writes
+
+
+def test_eggbox_dot_formats_only_boxes_of_more_than_one(monkeypatch):
+    # 1,908 of T_5's 1,938 d-classes are singletons, written as byte rows of
+    # one template: only the other 30 are formatted.  The document goes out
+    # BOX_BLOCK boxes to a write, the head with the first block.
+    formatted, writes = _eggbox_writes(monkeypatch)
     assert len(formatted) == 30 and formatted == sorted(formatted)
-    assert len(writes) == 1 + -(-1938 // commands.DOT_BLOCK)  # the tail besides
+    assert len(writes) == 1 + -(-1938 // commands.BOX_BLOCK)  # the tail besides
     assert max(map(len, writes)) <= 2**16
     assert "".join(writes).count("subgraph cluster_") == 1938
 
 
-@pytest.mark.parametrize("block", (7, 1))
-def test_eggbox_dot_block_writer_matches_per_box_reference(cli, monkeypatch, block):
+def test_eggbox_json_formats_only_boxes_of_more_than_one(monkeypatch):
+    # As in DOT, the 30 boxes of more than one member are formatted, and the
+    # last box too, a singleton, which closes the list without a comma.
+    formatted, writes = _eggbox_writes(monkeypatch, "--format", "json")
+    assert len(formatted) == 31 and formatted == sorted(formatted) and formatted[-1] == 1937
+    assert len(writes) == 1 + -(-1938 // commands.BOX_BLOCK)  # the tail besides
+    assert len(json.loads("".join(writes))["d_classes"]) == 1938
+
+
+def _t5_egg_boxes(block):
     # T_5 at 4,3,4,5,5 has 1,938 d-classes, so the box ids cross 9 -> 10,
     # 99 -> 100 and 999 -> 1000; blocks of 7 and of 1 split runs of equal id
     # width, with a box of more than one member first in some block and last
-    # in another.  The reference is the head, then every box's grid, then }.
-    monkeypatch.setattr(commands, "DOT_BLOCK", block)
-    a = parse_element("t", "4,3,4,5,5")
-    boxes = engine.all_egg_boxes(variant_semigroup(a))
-    chars = universe_chars("t", 5)
-    k = len(boxes.boxes) - 1
-    sizes = np.diff(boxes.cells[boxes.boxes])
-    multi = np.flatnonzero(sizes > 1)
-    assert k == 1938 and k > 1000
+    # in another.
+    boxes = engine.all_egg_boxes(variant_semigroup(parse_element("t", "4,3,4,5,5")))
+    multi = np.flatnonzero(np.diff(boxes.cells[boxes.boxes]) > 1)
+    assert len(boxes.boxes) - 1 == 1938
     assert (multi % block == 0).any() and (multi % block == block - 1).any()
+    return boxes
+
+
+@pytest.mark.parametrize("block", (7, 1))
+def test_eggbox_dot_block_writer_matches_per_box_reference(cli, monkeypatch, block):
+    # The reference is the head, then every box's grid, then }.
+    monkeypatch.setattr(commands, "BOX_BLOCK", block)
+    boxes = _t5_egg_boxes(block)
+    chars = universe_chars("t", 5)
     for full in (False, True):
         head = (
             "digraph eggbox {\n"
-            f'  label="family=t n=5 a=\\"4,3,4,5,5\\" d_classes={k}";\n'
+            '  label="family=t n=5 a=\\"4,3,4,5,5\\" d_classes=1938";\n'
             '  labelloc="t";\n'
             "  node [shape=plaintext];\n"
         )
-        grids = "".join(commands._dot_grid(boxes, b, chars, full) for b in range(k))
-        code, out, err = cli("eggbox", "--family", "t", "--n", "5", "--a", "4,3,4,5,5",
-                             *(("--full",) if full else ()))
+        grids = "".join(
+            commands._dot_box(b, commands._grid(boxes, b, chars), full) for b in range(1938)
+        )
+        code, out, err = cli(*T5_EGGBOX, *(("--full",) if full else ()))
         assert (code, err) == (0, "")
         assert out == head + grids + "}\n"
         assert all(f"cluster_{i} {{" in out for i in (9, 10, 99, 100, 999, 1000))
+
+
+def _eggbox_payload(boxes, texts, full):
+    # The JSON document built whole, one box at a time from the layout's
+    # offsets: row and column representatives are their least members.
+    members, first, _, cols, cells = (x.tolist() for x in boxes)
+    d_classes = []
+    for b in range(len(first) - 1):
+        width = cols[b + 1] - cols[b]
+        bounds = cells[first[b] : first[b + 1] + 1]
+        box = [members[i:j] for i, j in zip(bounds, bounds[1:])]  # its cells, row by row
+        grid = [box[t : t + width] for t in range(0, len(box), width)]
+        d_classes.append({
+            "representative": texts[box[0][0]],
+            "size": sum(map(len, box)),
+            "rows": [texts[min(cell[0] for cell in row)] for row in grid],
+            "cols": [texts[min(cell[0] for cell in box[j::width])] for j in range(width)],
+            "cells": [[{
+                "representative": texts[cell[0]],
+                "size": len(cell),
+                "members": [texts[x] for x in cell] if full or len(cell) <= MEMBER_LIMIT else None,
+            } for cell in row] for row in grid],
+        })
+    return {"command": "eggbox", "family": "t", "n": 5, "a": "4,3,4,5,5", "d_classes": d_classes}
+
+
+@pytest.mark.parametrize("block", (7, 1))
+def test_eggbox_json_block_writer_matches_whole_payload(cli, monkeypatch, block):
+    # The reference is the whole payload dumped at once.
+    monkeypatch.setattr(commands, "BOX_BLOCK", block)
+    boxes = _t5_egg_boxes(block)
+    texts = universe_texts("t", 5)
+    for full in (False, True):
+        payload = _eggbox_payload(boxes, texts, full)
+        code, out, err = cli(*T5_EGGBOX, "--format", "json", *(("--full",) if full else ()))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

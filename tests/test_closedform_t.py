@@ -3,11 +3,11 @@ import random
 import tracemalloc
 from math import comb, factorial, prod
 
+import numpy as np
 import pytest
 
 from greenvar import elements
 from greenvar.closedform_t import (
-    _crowded_everywhere,
     _fed,
     _overfull_blocks,
     _l_size_corrected,
@@ -101,7 +101,6 @@ def test_array_predicates_match_set_definitions(n):
             ), (str(x), str(a))
             assert spread(x, a) is expect_spread
             assert fed(x, a) is expect_fed
-            assert _crowded_everywhere(x, a) is expect_crowded
     # Equal kernel codes exactly when equal set-based kernels.
     code_of = dict(zip(universe, universe_kernels(n).tolist()))
     for x, y in itertools.product(universe, repeat=2):
@@ -177,10 +176,10 @@ def test_crowded_everywhere_unsatisfiable_in_range():
     # met at least twice; with rank(x) <= rank(a) at most rank(a) values exist,
     # so the condition never fires where the description would use it.
     for n in (2, 3):
+        ran = universe_ranges(FAMILY_T, n)
+        rank = np.bitwise_count(ran)
         for a in enumerate_family(FAMILY_T, n):
-            for x in enumerate_family(FAMILY_T, n):
-                if x.rank <= a.rank:
-                    assert not _crowded_everywhere(x, a)
+            assert not ((rank <= a.rank) & _overfull_blocks(ran, a).all(axis=0)).any()
 
 
 def test_validation():
